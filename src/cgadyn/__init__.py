@@ -6,8 +6,8 @@ The package has five parts:
   checking, and the brute-force local-maxima oracle;
 * :mod:`cgadyn.cga` -- the stochastic algorithm itself, trajectory
   recording, and the step-function time embedding;
-* :mod:`cgadyn.drift` -- exact tournament distributions, the expected-update
-  field f(p), and its Jacobians;
+* :mod:`cgadyn.drift_field` -- exact tournament distributions, the
+  expected-update field f(p), and its Jacobians;
 * :mod:`cgadyn.ode` -- fixed-step integration of dX/dt = f(X), limit
   detection, and corner stability classification;
 * :mod:`cgadyn.harness` -- reproducible campaigns (Monte Carlo tallies,

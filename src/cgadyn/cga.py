@@ -117,16 +117,26 @@ def compete(a, b, spec: FitnessSpec):
     return b, a
 
 
+def _update(counts: np.ndarray, inv: float, vals, pow2, rng: np.random.Generator) -> None:
+    """One iteration in place: sample a, then b, from p = counts * inv; the
+    fitter by the table ``vals`` (a on a tie) wins; counts += winner - loser."""
+    p = counts * inv
+    a = rng.random(p.shape[0]) < p
+    b = rng.random(p.shape[0]) < p
+    if vals[b @ pow2] > vals[a @ pow2]:
+        a, b = b, a
+    counts += a
+    counts -= b
+
+
 def step(pv: ProbabilityVector, spec: FitnessSpec, rng: np.random.Generator) -> ProbabilityVector:
     """One update: sample a and b, compete, move counts by winner - loser."""
     if pv.n != spec.n:
         raise DimensionError(f"pv has n={pv.n}, spec has n={spec.n}")
-    p = pv.p
-    a = sample_solution(p, rng)
-    b = sample_solution(p, rng)
-    w, l = compete(a, b, spec)
-    new_counts = pv.counts + (w.astype(np.int64) - l.astype(np.int64))
-    return ProbabilityVector(counts=new_counts, alpha_steps=pv.alpha_steps)
+    counts = pv.counts.copy()
+    pow2 = 1 << np.arange(spec.n - 1, -1, -1, dtype=np.int64)
+    _update(counts, 1.0 / (2 * pv.alpha_steps), fitness_values(spec), pow2, rng)
+    return ProbabilityVector(counts=counts, alpha_steps=pv.alpha_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +243,7 @@ def run(
 
     corner = at_corner()
     while k < max_iters and not corner:
-        p = counts * inv
-        a = rng.random(n) < p
-        b = rng.random(n) < p
-        fa = vals[a @ pow2]
-        fb = vals[b @ pow2]
-        if fa >= fb:
-            w, l = a, b
-        else:
-            w, l = b, a
-        counts += w.astype(np.int64) - l.astype(np.int64)
+        _update(counts, inv, vals, pow2, rng)
         k += 1
         corner = at_corner()
         if k % record_every == 0 or corner:

@@ -31,6 +31,7 @@ from .cga import run as cga_run, trajectory_to_jsonl
 from .harness import (
     ExperimentConfig,
     alpha_sweep,
+    check_config_fields,
     classify_all,
     drift_grid_rows,
     fmt_real,
@@ -39,16 +40,7 @@ from .harness import (
     provenance,
     write_csv,
 )
-from .landscape import (
-    binval,
-    enumerate_local_maxima,
-    evaluate,
-    linear,
-    perturbed_onemax,
-    random_injective,
-    spec_from_json_dict,
-    spec_to_json_dict,
-)
+from .landscape import enumerate_local_maxima, evaluate, spec_from_json_dict, spec_to_json_dict
 from .ode import integrate, ode_to_jsonl
 
 
@@ -68,7 +60,7 @@ def _add_spec_flags(p: _Parser) -> None:
     p.add_argument("--spec-file", type=Path, help="JSON file with a fitness spec object")
     p.add_argument("--epsilon", type=float, help="perturbation size for perturbed_onemax")
     p.add_argument("--weights", type=str, help="comma-separated locus weights for linear")
-    p.add_argument("--spec-seed", type=int, help="seed for random_injective")
+    p.add_argument("--spec-seed", type=int, help="seed for random_injective (its spec field 'seed')")
 
 
 def build_parser() -> _Parser:
@@ -147,42 +139,33 @@ def _load_config(args) -> dict:
         raise _UsageError(f"malformed config JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise _UsageError(f"config file {path} must contain a JSON object")
+    check_config_fields(obj)
     return obj
 
 
 def _resolve_spec(args, cfg: dict):
-    given = [x for x in (args.spec, args.spec_file) if x is not None]
-    if len(given) > 1:
+    """The spec from --spec-file, --spec flags or the config; flags become the
+    JSON object a spec file holds, so one parser checks every source."""
+    if args.spec is not None and args.spec_file is not None:
         raise _UsageError("give either --spec or --spec-file, not both")
     if args.spec_file is not None:
         try:
             with open(args.spec_file) as fp:
-                return spec_from_json_dict(json.load(fp))
+                obj = json.load(fp)
         except json.JSONDecodeError as exc:
             raise _UsageError(f"malformed spec JSON in {args.spec_file}: {exc}") from exc
-    if args.spec is not None:
-        if args.spec == "linear":
-            if args.weights is None:
-                raise _UsageError("--spec linear needs --weights w1,w2,...")
-            return linear([float(w) for w in args.weights.split(",")])
-        if args.n is None:
-            raise _UsageError(f"--spec {args.spec} needs --n")
-        if args.spec == "binval":
-            return binval(args.n)
-        if args.spec == "perturbed_onemax":
-            if args.epsilon is None:
-                raise _UsageError("--spec perturbed_onemax needs --epsilon")
-            return perturbed_onemax(args.n, args.epsilon)
-        if args.spec == "random_injective":
-            if args.spec_seed is None:
-                raise _UsageError("--spec random_injective needs --spec-seed")
-            return random_injective(args.n, args.spec_seed)
-    if "spec" in cfg:
-        return spec_from_json_dict(cfg["spec"])
-    raise _UsageError("no fitness spec: use --spec/--spec-file or a config file")
+    elif args.spec is not None:
+        weights = None if args.weights is None else args.weights.split(",")
+        fields = {"n": args.n, "epsilon": args.epsilon, "seed": args.spec_seed, "weights": weights}
+        obj = {"kind": args.spec, **{k: v for k, v in fields.items() if v is not None}}
+    elif "spec" in cfg:
+        obj = cfg["spec"]
+    else:
+        raise _UsageError("no fitness spec: use --spec/--spec-file or a config file")
+    return spec_from_json_dict(obj)
 
 
-def _effective_config(args, cfg: dict, spec, **overrides) -> ExperimentConfig:
+def _effective_config(cfg: dict, spec, **overrides) -> ExperimentConfig:
     merged = dict(cfg)
     merged.pop("spec", None)
     for key, value in overrides.items():
@@ -206,9 +189,25 @@ def _open_out(path: Path | None):
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_run(args) -> int:
+def _single_spec(args, body) -> int:
+    """Shared path of the subcommands that write one artifact for one spec.
+
+    ``body(args, cfg, spec)`` does the work and returns the command's own
+    settings and a ``write(fp, header)`` callable. The provenance header
+    hashes the command, the spec and those settings; its seed is the
+    command's ``seed`` setting if it has one, else the config's master seed.
+    """
     cfg = _load_config(args)
     spec = _resolve_spec(args, cfg)
+    settings, write = body(args, cfg, spec)
+    effective = {"command": args.command, "spec": spec_to_json_dict(spec), **settings}
+    seed = settings.get("seed", cfg.get("master_seed", 0))
+    with _open_out(args.out) as fp:
+        write(fp, provenance(hash_of(effective), seed))
+    return 0
+
+
+def _cmd_run(args, cfg, spec):
     N = args.N if args.N is not None else (cfg.get("N_values") or [None])[0]
     if N is None:
         raise _UsageError("run needs --N")
@@ -216,67 +215,42 @@ def _cmd_run(args) -> int:
     max_iters = args.max_iters if args.max_iters is not None else cfg.get("max_iters")
     traj = cga_run(spec, int(N), seed=seed, max_iters=max_iters,
                    record_every=args.record_every)
-    effective = {"command": "run", "spec": spec_to_json_dict(spec), "N": int(N),
-                 "seed": seed, "max_iters": max_iters, "record_every": args.record_every}
-    with _open_out(args.out) as fp:
-        trajectory_to_jsonl(traj, fp, extra_header=provenance(hash_of(effective), seed))
-    return 0
+    settings = {"N": int(N), "seed": seed, "max_iters": max_iters,
+                "record_every": args.record_every}
+    return settings, lambda fp, header: trajectory_to_jsonl(traj, fp, extra_header=header)
 
 
-def _cmd_drift(args) -> int:
-    cfg = _load_config(args)
-    spec = _resolve_spec(args, cfg)
-    effective = {"command": "drift", "spec": spec_to_json_dict(spec), "grid": args.grid}
+def _cmd_drift(args, cfg, spec):
     names = [f"p_{i+1}" for i in range(spec.n)] + [f"f_{i+1}" for i in range(spec.n)]
     rows = ([fmt_real(x) for x in row] for row in drift_grid_rows(spec, args.grid))
-    with _open_out(args.out) as fp:
-        write_csv(fp, names, rows,
-                  header=provenance(hash_of(effective), cfg.get("master_seed", 0)))
-    return 0
+    return {"grid": args.grid}, lambda fp, header: write_csv(fp, names, rows, header=header)
 
 
-def _cmd_ode(args) -> int:
-    cfg = _load_config(args)
-    spec = _resolve_spec(args, cfg)
+def _cmd_ode(args, cfg, spec):
     h = args.step if args.step is not None else cfg.get("ode_step", 1e-2)
     T = args.horizon if args.horizon is not None else cfg.get("T_horizon", 5.0)
     traj = integrate(spec, np.full(spec.n, 0.5), h=h, T=T)
-    effective = {"command": "ode", "spec": spec_to_json_dict(spec), "h": h, "T": T}
-    with _open_out(args.out) as fp:
-        ode_to_jsonl(traj, fp, extra_header=provenance(hash_of(effective),
-                                                       cfg.get("master_seed", 0)))
-    return 0
+    return {"h": h, "T": T}, lambda fp, header: ode_to_jsonl(traj, fp, extra_header=header)
 
 
-def _cmd_classify(args) -> int:
-    cfg = _load_config(args)
-    spec = _resolve_spec(args, cfg)
-    report = classify_all(spec)
-    effective = {"command": "classify", "spec": spec_to_json_dict(spec)}
-    with _open_out(args.out) as fp:
-        report.write_csv(fp, header=provenance(hash_of(effective), cfg.get("master_seed", 0)))
-    return 0
+def _cmd_classify(args, cfg, spec):
+    return {}, classify_all(spec).write_csv
 
 
-def _cmd_localmaxima(args) -> int:
-    cfg = _load_config(args)
-    spec = _resolve_spec(args, cfg)
+def _cmd_localmaxima(args, cfg, spec):
     report = enumerate_local_maxima(spec)
-    effective = {"command": "localmaxima", "spec": spec_to_json_dict(spec)}
     rows = [
         ("".join(str(b) for b in bits), fmt_real(evaluate(spec, bits)), strict)
         for bits, strict in zip(report.maxima, report.strict_flags)
     ]
-    with _open_out(args.out) as fp:
-        write_csv(fp, ["solution", "fitness", "strict"], rows,
-                  header=provenance(hash_of(effective), cfg.get("master_seed", 0)))
-    return 0
+    return {}, lambda fp, header: write_csv(fp, ["solution", "fitness", "strict"], rows,
+                                            header=header)
 
 
 def _campaign_config(args, cfg: dict) -> ExperimentConfig:
     spec = _resolve_spec(args, cfg)
     return _effective_config(
-        args, cfg, spec,
+        cfg, spec,
         N_values=args.N_list,
         runs_per_setting=args.runs,
         master_seed=args.seed,
@@ -333,12 +307,14 @@ def _cmd_alphasweep(args) -> int:
     return 0
 
 
-_COMMANDS = {
+_SINGLE_SPEC_COMMANDS = {
     "run": _cmd_run,
     "drift": _cmd_drift,
     "ode": _cmd_ode,
     "classify": _cmd_classify,
     "localmaxima": _cmd_localmaxima,
+}
+_CAMPAIGN_COMMANDS = {
     "montecarlo": _cmd_montecarlo,
     "alphasweep": _cmd_alphasweep,
 }
@@ -350,7 +326,9 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("missing subcommand (see --help)")
-        return _COMMANDS[args.command](args)
+        if args.command in _CAMPAIGN_COMMANDS:
+            return _CAMPAIGN_COMMANDS[args.command](args)
+        return _single_spec(args, _SINGLE_SPEC_COMMANDS[args.command])
     except (_UsageError, ValueError, OSError) as exc:
         print(f"cgadyn: error: {exc}", file=sys.stderr)
         return 1

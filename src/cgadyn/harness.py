@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,40 @@ def fmt_real(x) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+# every config field but "spec": what it must be, and the test of a JSON value
+_CONFIG_FIELDS = {
+    "N_values": ("a list of integers",
+                 lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "runs_per_setting": ("an integer", _is_int),
+    "T_horizon": ("a finite number", _is_real),
+    "master_seed": ("an integer", _is_int),
+    "output_dir": ("a path", lambda v: isinstance(v, (str, Path))),
+    "ode_step": ("a finite number", _is_real),
+    "find_limit_tol": ("a finite number", _is_real),
+    "max_iters": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "record_every": ("an integer", _is_int),
+}
+
+
+def check_config_fields(obj: dict) -> None:
+    """Refuse unknown and mistyped fields of a config JSON object; its
+    "spec", if any, is left to spec_from_json_dict."""
+    unknown = set(obj) - set(_CONFIG_FIELDS) - {"spec"}
+    if unknown:
+        raise DomainError(f"unknown config fields: {sorted(unknown)}")
+    for key, (expected, accepts) in _CONFIG_FIELDS.items():
+        if key in obj and not accepts(obj[key]):
+            raise DomainError(f"config field {key!r} must be {expected}, got {obj[key]!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -94,14 +129,8 @@ class ExperimentConfig:
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict) or "spec" not in obj:
             raise DomainError("config JSON must be an object with a 'spec' field")
-        known = {
-            "N_values", "runs_per_setting", "T_horizon", "master_seed",
-            "output_dir", "ode_step", "find_limit_tol", "max_iters", "record_every",
-        }
-        unknown = set(obj) - known - {"spec"}
-        if unknown:
-            raise DomainError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = {k: obj[k] for k in known if k in obj}
+        check_config_fields(obj)
+        kwargs = {k: obj[k] for k in _CONFIG_FIELDS if k in obj}
         return cls(spec=spec_from_json_dict(obj["spec"]), **kwargs)
 
     def config_hash(self) -> str:

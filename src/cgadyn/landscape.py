@@ -16,6 +16,8 @@ above ``ENUMERATION_CAP`` instead of thrashing.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -111,8 +113,7 @@ class FitnessSpec:
 
 def binval(n: int, cap: int = ENUMERATION_CAP) -> FitnessSpec:
     """g(y) = sum_i y_i 2^(n-i): the binary value of the bitstring."""
-    _check_cap(n, cap)
-    return FitnessSpec(kind="binval", n=n)
+    return FitnessSpec(kind="binval", n=_check_cap(n, cap))
 
 
 def linear(weights, cap: int = ENUMERATION_CAP) -> FitnessSpec:
@@ -121,9 +122,8 @@ def linear(weights, cap: int = ENUMERATION_CAP) -> FitnessSpec:
     Injective iff all subset sums of the weights are distinct
     (e.g. superincreasing weights); use :func:`is_injective` to verify.
     """
-    w = tuple(float(x) for x in weights)
-    _check_cap(len(w), cap)
-    return FitnessSpec(kind="linear", n=len(w), weights=w)
+    w = _finite(weights, "weights")
+    return FitnessSpec(kind="linear", n=_check_cap(len(w), cap), weights=w)
 
 
 def perturbed_onemax(n: int, epsilon: float, cap: int = ENUMERATION_CAP) -> FitnessSpec:
@@ -132,8 +132,8 @@ def perturbed_onemax(n: int, epsilon: float, cap: int = ENUMERATION_CAP) -> Fitn
     The perturbation breaks onemax's ties; epsilon at or below 2^-n
     additionally keeps the onemax levels ordered.
     """
-    _check_cap(n, cap)
-    eps = float(epsilon)
+    n = _check_cap(n, cap)
+    (eps,) = _finite([epsilon], "epsilon")
     if not 0.0 < eps < 2.0 ** (1 - n):
         raise DomainError(
             f"epsilon must lie in (0, 2^(1-n)) = (0, {2.0 ** (1 - n)}), got {eps}"
@@ -156,16 +156,16 @@ def table_spec(values, n: int | None = None, cap: int = ENUMERATION_CAP) -> Fitn
             if not keys:
                 raise DomainError("empty fitness table")
             n = len(keys[0])
+        n = _check_cap(n, cap)
         if sorted(keys) != [bits_to_string(index_to_bits(i, n)) for i in range(1 << n)]:
             raise DomainError(f"table must cover all 2^{n} bitstrings exactly once")
-        tab = tuple(float(values[bits_to_string(index_to_bits(i, n))]) for i in range(1 << n))
-    else:
-        tab = tuple(float(v) for v in values)
-        if n is None:
-            n = max((len(tab)).bit_length() - 1, 0)
-        if len(tab) != (1 << n):
-            raise DomainError(f"table needs 2^{n} = {1 << n} values, got {len(tab)}")
-    _check_cap(n, cap)
+        values = [values[bits_to_string(index_to_bits(i, n))] for i in range(1 << n)]
+    tab = _finite(values, "table")
+    if n is None:
+        n = max((len(tab)).bit_length() - 1, 0)
+    n = _check_cap(n, cap)
+    if len(tab) != (1 << n):
+        raise DomainError(f"table needs 2^{n} = {1 << n} values, got {len(tab)}")
     return FitnessSpec(kind="table", n=n, table=tab)
 
 
@@ -174,15 +174,35 @@ def random_injective(n: int, seed: int, cap: int = ENUMERATION_CAP) -> FitnessSp
 
     Injective by construction; rugged, typically with several local maxima.
     """
-    _check_cap(n, cap)
-    return FitnessSpec(kind="random_injective", n=n, seed=int(seed))
+    return FitnessSpec(kind="random_injective", n=_check_cap(n, cap),
+                       seed=_integer(seed, "seed"))
 
 
-def _check_cap(n: int, cap: int) -> None:
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_cap(n, cap: int) -> int:
+    """The solution length n as an int, refusing non-integers, n < 1 and n > cap."""
+    n = _integer(n, "solution length")
     if n < 1:
         raise DomainError(f"solution length must be >= 1, got {n}")
     if n > cap:
         raise CapacityError(f"n={n} exceeds the enumeration cap {cap}")
+    return n
+
+
+def _finite(values, name: str) -> tuple[float, ...]:
+    """Values as finite floats; a NaN or infinite fitness breaks every comparison."""
+    try:
+        out = tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be numbers: {exc}") from exc
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"{name} must be finite; NaN and infinities are refused")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +364,28 @@ def spec_to_json_dict(spec: FitnessSpec) -> dict:
 
 
 def spec_from_json_dict(obj: dict) -> FitnessSpec:
-    """Inverse of spec_to_json_dict; validates kind-specific fields."""
+    """Inverse of spec_to_json_dict, and the one parser of spec input (the CLI
+    turns its flags into this object); a missing or bad field raises DomainError."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("fitness spec JSON must be an object with a 'kind' field")
     kind = obj["kind"]
+
+    def field(name):
+        if name not in obj:
+            raise DomainError(f"{kind} spec needs field {name!r}")
+        return obj[name]
+
     if kind == "binval":
-        return binval(int(obj["n"]))
+        return binval(field("n"))
     if kind == "linear":
-        return linear(obj["weights"])
+        spec = linear(field("weights"))
+        if "n" in obj and _integer(obj["n"], "solution length") != spec.n:
+            raise DomainError(f"linear spec has n={obj['n']} but {spec.n} weights")
+        return spec
     if kind == "perturbed_onemax":
-        return perturbed_onemax(int(obj["n"]), obj["epsilon"])
+        return perturbed_onemax(field("n"), field("epsilon"))
     if kind == "table":
-        return table_spec(obj["table"], n=int(obj["n"]) if "n" in obj else None)
+        return table_spec(field("table"), n=obj.get("n"))
     if kind == "random_injective":
-        return random_injective(int(obj["n"]), int(obj["seed"]))
+        return random_injective(field("n"), field("seed"))
     raise DomainError(f"unknown fitness kind {kind!r}")

@@ -1,8 +1,8 @@
 """Deterministic flow dX/dt = f(X) of the expected update, and its fixed points.
 
-The vector field f is the exact drift from :mod:`cgadyn.drift`; it is a
-polynomial in X, so a classical fixed-step 4th-order Runge-Kutta scheme
-is accurate and keeps runs byte-reproducible. States are clamped to
+The vector field f is the exact drift from :mod:`cgadyn.drift_field`; it
+is a polynomial in X, so a classical fixed-step 4th-order Runge-Kutta
+scheme is accurate and keeps runs byte-reproducible. States are clamped to
 [0,1]^n after each step; the exact flow stays inside the box, so clamps
 only absorb O(h^5) overshoot and their count is reported.
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, HorizonError
 from .cga import InterpolatedProcess
-from .drift_field import drift, jacobian_analytic
+from .drift_field import _as_pv, drift, jacobian_analytic
 from .landscape import FitnessSpec, MaxStatus, is_local_maximum, spec_to_json_dict
 
 
@@ -64,13 +64,14 @@ def _rk4_step(x: np.ndarray, h: float, field) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _validate_x0(spec: FitnessSpec, x0) -> np.ndarray:
-    arr = np.asarray(x0, dtype=np.float64)
-    if arr.shape[-1] != spec.n:
-        raise DimensionError(f"initial state shape {arr.shape} does not match n={spec.n}")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("initial state must lie in [0,1]^n")
-    return arr
+def _time_grid(T: float, h: float) -> np.ndarray:
+    """RK4 grid 0, h, 2h, ..., ending with a shorter step onto T when T is
+    not a multiple of h; step i runs from times[i-1] to times[i]."""
+    full = int(np.floor(T / h + 1e-12))
+    times = np.arange(full + 1, dtype=np.float64) * h
+    if T - times[-1] > 1e-12 * max(1.0, T):
+        times = np.append(times, T)
+    return times
 
 
 def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTrajectory:
@@ -79,7 +80,7 @@ def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTra
     The grid is 0, h, 2h, ...; a shorter final step lands exactly on T
     when T is not a multiple of h. T = 0 yields the single initial state.
     """
-    x = _validate_x0(spec, x0)
+    x = _as_pv(x0, spec.n)
     if x.ndim != 1:
         raise DimensionError("integrate expects a single initial state")
     if not h > 0.0:
@@ -88,14 +89,12 @@ def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTra
         raise DomainError(f"horizon must be nonnegative, got {T}")
 
     field = lambda s: drift(s, spec)
-    full = int(np.floor(T / h + 1e-12))
-    times = np.arange(full + 1, dtype=np.float64) * h
-    remainder = T - times[-1]
-    if remainder > 1e-12 * max(1.0, T):
-        times = np.append(times, T)
+    times = _time_grid(T, h)
     states = np.empty((times.shape[0], spec.n), dtype=np.float64)
     states[0] = x
     clamps = 0
+    # one state at a time, not a (1, n) batch: BLAS picks its kernel by
+    # shape, and the batched drift differs in the last bit
     for i in range(1, times.shape[0]):
         nxt = _rk4_step(states[i - 1], float(times[i] - times[i - 1]), field)
         clipped = np.clip(nxt, 0.0, 1.0)
@@ -140,7 +139,7 @@ def find_limit_many(
     h: float = 1e-2,
 ) -> BatchLimitResult:
     """Integrate a batch of starts until the drift stalls below tol (per row)."""
-    X = _validate_x0(spec, x0s)
+    X = _as_pv(x0s, spec.n)
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2:
@@ -163,18 +162,13 @@ def find_limit_many(
         converged[active[stalled]] = True
         t_stop[active[stalled]] = t_now
 
-    full = int(np.floor(T_max / h + 1e-12))
-    remainder = T_max - full * h
-    has_tail = remainder > 1e-12 * max(1.0, T_max)
-
+    times = _time_grid(T_max, h)
     mark_stalled(0.0)
-    for i in range(full + (1 if has_tail else 0)):
+    for t_prev, t_now in zip(times[:-1], times[1:]):
         if converged.all():
             break
-        h_step = h if i < full else remainder
-        t_now = (i + 1) * h if i < full else T_max
         active = ~converged
-        X[active] = np.clip(_rk4_step(X[active], h_step, field), 0.0, 1.0)
+        X[active] = np.clip(_rk4_step(X[active], t_now - t_prev, field), 0.0, 1.0)
         mark_stalled(t_now)
 
     corners = np.where(X >= 0.5, 1, 0).astype(np.int64)

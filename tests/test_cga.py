@@ -146,13 +146,17 @@ def test_run_reproducible():
 
 
 def test_run_matches_repeated_step():
-    spec = ls.binval(2)
-    traj = C.run(spec, 4, seed=11, max_iters=20)
-    rng = np.random.default_rng(np.random.SeedSequence(11))
-    pv = C.ProbabilityVector.center(2, 4)
-    for k in range(1, traj.iterations + 1):
-        pv = C.step(pv, spec, rng)
-        assert np.array_equal(pv.counts, traj.counts[k]), k
+    # the tied table exercises the first-sample-wins rule of the shared update
+    specs = (ls.binval(2), ls.table_spec([1.0, 2.0, 2.0, 1.0], n=2),
+             ls.random_injective(3, seed=2), ls.perturbed_onemax(3, 0.125))
+    for spec in specs:
+        for N in (1, 3, 4):
+            traj = C.run(spec, N, seed=11, max_iters=60)
+            rng = np.random.default_rng(np.random.SeedSequence(11))
+            pv = C.ProbabilityVector.center(spec.n, N)
+            for k in range(1, traj.iterations + 1):
+                pv = C.step(pv, spec, rng)
+                assert np.array_equal(pv.counts, traj.counts[k]), (spec, N, k)
 
 
 def test_termination_iff_deterministic():

@@ -47,6 +47,11 @@ def test_config_validation(tmp_path):
     with pytest.raises(DomainError):
         hn.ExperimentConfig.from_json_dict(
             {"spec": {"kind": "binval", "n": 2}, "bogus_field": 1})
+    for field, value in (("runs_per_setting", "3"), ("N_values", 4), ("N_values", ["4"]),
+                         ("master_seed", "x"), ("T_horizon", float("inf")),
+                         ("max_iters", 1.5), ("record_every", True)):
+        with pytest.raises(DomainError, match=field):
+            hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
 
 
 def test_fmt_real_roundtrips():
@@ -202,6 +207,9 @@ def test_cli_unknown_subcommand(capsys):
 def test_cli_missing_spec(capsys):
     assert cli_main(["classify"]) == 1
     assert "spec" in capsys.readouterr().err
+    # flags are checked by the same parser as spec files
+    assert cli_main(["classify", "--spec", "random_injective", "--n", "3"]) == 1
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_malformed_config(tmp_path, capsys):
@@ -209,6 +217,30 @@ def test_cli_malformed_config(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli_main(["classify", "--config", str(bad)]) == 1
     assert "malformed" in capsys.readouterr().err
+    bad.write_text(json.dumps({"spec": {"kind": "binval", "n": 2}, "runs_per_setting": "3"}))
+    assert cli_main(["montecarlo", "--config", str(bad), "--out", str(tmp_path / "mc")]) == 1
+    err = capsys.readouterr().err
+    assert "runs_per_setting" in err and "internal error" not in err
+    # single-spec commands read their config fields through the same check
+    bad.write_text(json.dumps({"spec": {"kind": "binval", "n": 2}, "ode_step": "0.1"}))
+    assert cli_main(["ode", "--config", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "ode_step" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("spec_obj, needle", [
+    ({"kind": "binval"}, "'n'"),
+    ({"kind": "binval", "n": True}, "integer"),
+    ({"kind": "random_injective", "n": 3}, "'seed'"),
+    ({"kind": "table", "n": 1, "table": {"0": float("nan"), "1": 1.0}}, "finite"),
+    ({"kind": "linear", "weights": [1.0, float("inf")]}, "finite"),
+], ids=["missing_n", "bool_n", "missing_seed", "nan_table", "inf_weight"])
+def test_cli_rejects_malformed_spec_file(tmp_path, capsys, spec_obj, needle):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_obj))  # NaN and Infinity as Python's json writes them
+    assert cli_main(["classify", "--spec-file", str(spec_file)]) == 1
+    err = capsys.readouterr().err
+    assert needle in err and "internal error" not in err
 
 
 def test_cli_ode_and_drift(tmp_path):

@@ -183,3 +183,14 @@ def test_spec_from_json_rejects_garbage():
         ls.spec_from_json_dict({"n": 3})
     with pytest.raises(DomainError):
         ls.spec_from_json_dict({"kind": "mystery", "n": 3})
+    # missing and mistyped fields, and fitness values no comparison can order
+    for obj in ({"kind": "binval"}, {"kind": "binval", "n": True},
+                {"kind": "binval", "n": 2.5}, {"kind": "binval", "n": "3"},
+                {"kind": "random_injective", "n": 3}, {"kind": "perturbed_onemax", "n": 3},
+                {"kind": "random_injective", "n": 3, "seed": 1.5},
+                {"kind": "linear", "n": 3, "weights": [1.0, 2.0]},
+                {"kind": "linear", "weights": [1.0, float("inf")]},
+                {"kind": "table", "n": 1, "table": {"0": float("nan"), "1": 1.0}},
+                {"kind": "table", "table": [0.0, 1.0, float("-inf"), 2.0]}):
+        with pytest.raises(DomainError):
+            ls.spec_from_json_dict(obj)

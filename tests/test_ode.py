@@ -45,6 +45,10 @@ def test_zero_horizon():
 def test_partial_final_step_lands_on_T():
     traj = od.integrate(ls.binval(1), [0.5], h=0.1, T=0.35)
     np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3, 0.35])
+    # the stall search walks the same grid, shorter last step included
+    batch = od.find_limit_many(ls.binval(1), [[0.5]], tol=1e-300, T_max=0.35, h=0.1)
+    assert not batch.converged[0] and batch.t_stop[0] == 0.35
+    assert np.max(np.abs(batch.states[0] - traj.states[-1])) <= 1e-15
 
 
 def test_containment_and_no_clamps_from_center():
