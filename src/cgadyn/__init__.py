@@ -54,6 +54,7 @@ from .cga import (
     default_max_iters,
     interpolate,
     run,
+    run_many,
     sample_solution,
     step,
     trajectory_to_jsonl,

@@ -14,12 +14,22 @@ Randomness comes from numpy's PCG64. A run's stream is seeded with
 ``SeedSequence(seed)``; campaign code derives per-run seeds as tuples
 ``(master_seed, N, run_index)`` so results are independent of execution
 order.
+
+Runs are stepped R at a time on an (R, n) counts array (:func:`lockstep`;
+:func:`run` is the case R = 1). Each run draws its uniforms in blocks with
+``rng.random(B * 2 * n)`` and reads them per iteration as the n uniforms
+of sample a, then the n of sample b: the stream order of two
+``rng.random(n)`` calls per iteration, which :func:`step` makes. Corners
+absorb, since at p_i in {0, 1} both samples agree and the update is zero;
+so instead of testing for a corner after every iteration, one vectorised
+scan of a block's snapshots finds each run's first corner, and finished
+runs leave the active set between blocks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,26 +127,37 @@ def compete(a, b, spec: FitnessSpec):
     return b, a
 
 
-def _update(counts: np.ndarray, inv: float, vals, pow2, rng: np.random.Generator) -> None:
-    """One iteration in place: sample a, then b, from p = counts * inv; the
-    fitter by the table ``vals`` (a on a tie) wins; counts += winner - loser."""
+def _pow2(n: int) -> np.ndarray:
+    """Place values that turn a solution's bits (locus 1 first) into its table index."""
+    return 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _update(counts: np.ndarray, inv: float, vals, pow2, ua, ub) -> None:
+    """One iteration of R runs in place, counts of shape (R, n): row r samples
+    a with ``ua[r] < p`` and b with ``ub[r] < p``, p = counts[r] * inv; the
+    fitter by the table ``vals`` (a on a tie) wins; counts[r] += winner - loser."""
     p = counts * inv
-    a = rng.random(p.shape[0]) < p
-    b = rng.random(p.shape[0]) < p
-    if vals[b @ pow2] > vals[a @ pow2]:
-        a, b = b, a
-    counts += a
-    counts -= b
+    a = ua < p
+    b = ub < p
+    # winner - loser is a - b, negated where b is strictly fitter
+    delta = np.subtract(a, b, dtype=np.int64)
+    np.negative(delta, out=delta, where=(vals[b @ pow2] > vals[a @ pow2])[:, None])
+    counts += delta
+
+
+def _at_corner(counts: np.ndarray, two_n: int) -> np.ndarray:
+    return ((counts == 0) | (counts == two_n)).all(axis=-1)
 
 
 def step(pv: ProbabilityVector, spec: FitnessSpec, rng: np.random.Generator) -> ProbabilityVector:
     """One update: sample a and b, compete, move counts by winner - loser."""
     if pv.n != spec.n:
         raise DimensionError(f"pv has n={pv.n}, spec has n={spec.n}")
-    counts = pv.counts.copy()
-    pow2 = 1 << np.arange(spec.n - 1, -1, -1, dtype=np.int64)
-    _update(counts, 1.0 / (2 * pv.alpha_steps), fitness_values(spec), pow2, rng)
-    return ProbabilityVector(counts=counts, alpha_steps=pv.alpha_steps)
+    counts = pv.counts[None, :].copy()
+    ua = rng.random(spec.n)
+    ub = rng.random(spec.n)
+    _update(counts, 1.0 / (2 * pv.alpha_steps), fitness_values(spec), _pow2(spec.n), ua, ub)
+    return ProbabilityVector(counts=counts[0], alpha_steps=pv.alpha_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +200,157 @@ class StochasticTrajectory:
         return ProbabilityVector(counts=self.counts[-1].copy(), alpha_steps=self.alpha_steps)
 
 
+@dataclass
+class LockstepResult:
+    """Where each of R lockstep runs ended: the shared start ``initial`` (n,),
+    final ``counts`` (R, n), ``iterations`` (R,) and ``terminated`` (R,)."""
+
+    initial: np.ndarray
+    counts: np.ndarray
+    iterations: np.ndarray
+    terminated: np.ndarray
+
+
+# uniforms drawn per block, summed over the active runs (256 KiB of float64)
+_BLOCK_UNIFORMS = 1 << 15
+_MIN_BLOCK, _MAX_BLOCK = 8, 256
+
+
+def _initial_counts(initial, N: int, n: int) -> np.ndarray:
+    if initial is None:
+        counts = np.full(n, N, dtype=np.int64)
+    elif isinstance(initial, ProbabilityVector):
+        if initial.alpha_steps != N:
+            raise DomainError("initial pv uses a different N than the run")
+        counts = initial.counts.copy()
+    else:
+        counts = ProbabilityVector.from_p(initial, N).counts.copy()
+    if counts.shape[0] != n:
+        raise DimensionError(f"initial has n={counts.shape[0]}, spec has n={n}")
+    return counts
+
+
+def lockstep(
+    spec: FitnessSpec,
+    N: int,
+    seeds,
+    *,
+    initial=None,
+    max_iters: int | None = None,
+    on_block=None,
+) -> LockstepResult:
+    """Step one run per seed together until each is at a corner or the budget ends.
+
+    All runs start from ``initial`` (default the center) and advance one
+    iteration at a time on an (R, n) counts array, in blocks of B
+    iterations. Run r draws ``rng.random(B * 2 * n)`` per block from its own
+    ``PCG64(SeedSequence(seeds[r]))``, read as a then b per iteration, so it
+    is bit-identical to the same run stepped alone. After each block,
+    ``on_block(rows, k0, snaps, ends)`` sees the runs that were active at its
+    start: ``rows`` their indices, ``snaps[i, j]`` the counts of run
+    ``rows[i]`` after iteration ``k0 + 1 + j``, and ``ends[i]`` that run's
+    last iteration so far (its corner, or the block's end). Snapshots past a
+    corner repeat it; the next block overwrites ``snaps``, so copy what you
+    keep. Runs at a corner leave the active set.
+    """
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
+    n = spec.n
+    if max_iters is None:
+        max_iters = default_max_iters(N, n)
+    if max_iters < 0:
+        raise DomainError(f"max_iters must be >= 0, got {max_iters}")
+    start = _initial_counts(initial, N, n)
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    vals = fitness_values(spec)
+    pow2 = _pow2(n)
+    two_n = 2 * N
+    inv = 1.0 / two_n
+
+    counts = np.tile(start, (len(rngs), 1))
+    iterations = np.zeros(len(rngs), dtype=np.int64)
+    terminated = np.full(len(rngs), bool(_at_corner(start, two_n)))
+    rows = np.flatnonzero(~terminated)
+    # every block reuses one pair of flat buffers; snapshots are kept in the
+    # narrowest integer type that holds 2N
+    size = max(_BLOCK_UNIFORMS, 2 * n * rows.size)
+    u_buf = np.empty(size)
+    snaps_buf = np.empty(size // 2, dtype=next(
+        t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= two_n))
+    k0 = 0
+    while rows.size and k0 < max_iters:
+        c = counts[rows]
+        # the slowest active run needs at least `need` iterations to reach a
+        # corner, so a block of that length never outlasts every run; past
+        # that, iterations stepped beyond the last corner stay under k0 / 8
+        need = int(np.max(np.minimum(c, two_n - c)))
+        m = min(max(need, k0 // 8, _MIN_BLOCK), _MAX_BLOCK, max_iters - k0,
+                max(1, _BLOCK_UNIFORMS // (2 * n * rows.size)))
+        u = u_buf[:m * 2 * rows.size * n].reshape(m, 2, rows.size, n)
+        for i, r in enumerate(rows):
+            u[:, :, i] = rngs[r].random(m * 2 * n).reshape(m, 2, n)
+        snaps = snaps_buf[:rows.size * m * n].reshape(rows.size, m, n)
+        for j in range(m):
+            _update(c, inv, vals, pow2, u[j, 0], u[j, 1])
+            snaps[:, j] = c
+        # at a corner a == b, so the update is zero and the corner absorbs:
+        # a run ends at a corner iff its block does, at its first corner snapshot
+        done = _at_corner(c, two_n)
+        ends = np.full(rows.size, k0 + m, dtype=np.int64)
+        ends[done] = k0 + 1 + np.argmax(_at_corner(snaps[done], two_n), axis=1)
+        counts[rows] = c
+        iterations[rows] = ends
+        terminated[rows] = done
+        if on_block is not None:
+            on_block(rows, k0, snaps, ends)
+        rows = rows[~done]
+        k0 += m
+    return LockstepResult(initial=start, counts=counts, iterations=iterations,
+                          terminated=terminated)
+
+
+def run_many(
+    spec: FitnessSpec,
+    N: int,
+    seeds,
+    *,
+    initial=None,
+    max_iters: int | None = None,
+    record_every: int = 1,
+) -> list[StochasticTrajectory]:
+    """One recorded run per seed, stepped together by :func:`lockstep`.
+
+    Trajectory r is exactly ``run(spec, N, seed=seeds[r], ...)`` with the
+    same ``initial``, ``max_iters`` and ``record_every``.
+    """
+    if record_every < 1:
+        raise DomainError(f"record_every must be >= 1, got {record_every}")
+    seeds = list(seeds)
+    kept = [[] for _ in seeds]
+
+    def keep(rows, k0, snaps, ends):
+        for i, r in enumerate(rows):
+            ks = np.arange(k0 + 1, ends[i] + 1)
+            if record_every > 1:
+                ks = ks[ks % record_every == 0]
+            kept[r].append((ks, snaps[i, ks - k0 - 1]))
+
+    result = lockstep(spec, N, seeds, initial=initial, max_iters=max_iters, on_block=keep)
+    out = []
+    for r, seed in enumerate(seeds):
+        ks = np.concatenate([[0]] + [k for k, _ in kept[r]]).astype(np.int64)
+        counts = np.concatenate([result.initial[None]] + [c for _, c in kept[r]])
+        last = int(result.iterations[r])
+        if ks[-1] != last:  # the final state is always kept
+            ks = np.append(ks, last)
+            counts = np.concatenate([counts, result.counts[r][None]])
+        out.append(StochasticTrajectory(
+            spec=spec, alpha_steps=N, seed=seed, counts=counts, recorded_ks=ks,
+            iterations=last, terminated=bool(result.terminated[r]), record_every=record_every,
+        ))
+    return out
+
+
 def run(
     spec: FitnessSpec,
     N: int,
@@ -207,68 +379,22 @@ def run(
     record_every : int
         Keep every k-th snapshot (first and final always kept).
     """
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every}")
-    n = spec.n
-    if max_iters is None:
-        max_iters = default_max_iters(N, n)
-    if max_iters < 0:
-        raise DomainError(f"max_iters must be >= 0, got {max_iters}")
-
-    if initial is None:
-        counts = np.full(n, N, dtype=np.int64)
-    elif isinstance(initial, ProbabilityVector):
-        if initial.alpha_steps != N:
-            raise DomainError("initial pv uses a different N than the run")
-        counts = initial.counts.copy()
-    else:
-        counts = ProbabilityVector.from_p(initial, N).counts.copy()
-    if counts.shape[0] != n:
-        raise DimensionError(f"initial has n={counts.shape[0]}, spec has n={n}")
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    vals = fitness_values(spec)
-    pow2 = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    two_n = 2 * N
-    inv = 1.0 / two_n
-
-    snapshots = [counts.copy()]
-    ks = [0]
-    k = 0
-
-    def at_corner() -> bool:
-        return bool(np.all((counts == 0) | (counts == two_n)))
-
-    corner = at_corner()
-    while k < max_iters and not corner:
-        _update(counts, inv, vals, pow2, rng)
-        k += 1
-        corner = at_corner()
-        if k % record_every == 0 or corner:
-            snapshots.append(counts.copy())
-            ks.append(k)
-
-    if ks[-1] != k:
-        snapshots.append(counts.copy())
-        ks.append(k)
-
-    return StochasticTrajectory(
-        spec=spec,
-        alpha_steps=N,
-        seed=seed,
-        counts=np.asarray(snapshots, dtype=np.int64),
-        recorded_ks=np.asarray(ks, dtype=np.int64),
-        iterations=k,
-        terminated=corner,
-        record_every=record_every,
-    )
+    return run_many(spec, N, [seed], initial=initial, max_iters=max_iters,
+                    record_every=record_every)[0]
 
 
 # ---------------------------------------------------------------------------
 # continuous-time embedding
 # ---------------------------------------------------------------------------
+
+def _iteration_of(ts: np.ndarray, alpha: float) -> np.ndarray:
+    """The iteration k with k*alpha <= t < (k+1)*alpha, for each time t."""
+    k = np.floor(ts / alpha).astype(np.int64)
+    # repair float rounding at the jump times themselves
+    k = np.where((k + 1) * alpha <= ts, k + 1, k)
+    k = np.where(k * alpha > ts, k - 1, k)
+    return k
+
 
 @dataclass(frozen=True)
 class InterpolatedProcess:
@@ -281,20 +407,12 @@ class InterpolatedProcess:
 
     trajectory: StochasticTrajectory
 
-    def _iteration_of(self, ts: np.ndarray) -> np.ndarray:
-        alpha = self.trajectory.alpha
-        k = np.floor(ts / alpha).astype(np.int64)
-        # repair float rounding at the jump times themselves
-        k = np.where((k + 1) * alpha <= ts, k + 1, k)
-        k = np.where(k * alpha > ts, k - 1, k)
-        return k
-
     def evaluate_many(self, ts) -> np.ndarray:
         traj = self.trajectory
         ts = np.asarray(ts, dtype=np.float64)
         if np.any(ts < 0.0):
             raise HorizonError("time must be nonnegative")
-        k = self._iteration_of(ts)
+        k = _iteration_of(ts, traj.alpha)
         beyond = k > traj.iterations
         if np.any(beyond):
             if not traj.terminated:

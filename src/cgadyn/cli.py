@@ -18,6 +18,7 @@ object; individual flags override config fields. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -26,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
 from .cga import run as cga_run, trajectory_to_jsonl
 from .harness import (
     ExperimentConfig,
@@ -122,6 +122,14 @@ def build_parser() -> _Parser:
     p.add_argument("--config", type=Path)
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> _Parser:
+    """One parser per process. Parsing leaves it unchanged, and a parser is a
+    web of reference cycles: building one per call takes about 2 ms and
+    leaves garbage that only a full collection frees."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +329,7 @@ _CAMPAIGN_COMMANDS = {
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .cga import default_max_iters, interpolate, run
+from .cga import default_max_iters, lockstep
 from .drift_field import corner_indices, drift
 from .landscape import (
     FitnessSpec,
@@ -36,7 +36,7 @@ from .landscape import (
     spec_from_json_dict,
     spec_to_json_dict,
 )
-from .ode import Stability, classify_corner, integrate, sup_distance
+from .ode import LockstepSupDistance, Stability, classify_corner, integrate
 
 
 def fmt_real(x) -> str:
@@ -233,27 +233,23 @@ def monte_carlo(cfg: ExperimentConfig) -> CampaignResult:
     settings = []
     for N in cfg.N_values:
         max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(N, spec.n)
+        seeds = [run_seed(cfg.master_seed, N, r) for r in range(cfg.runs_per_setting)]
+        ends = lockstep(spec, N, seeds, max_iters=max_iters)
         counts: dict[str, int] = {}
-        iters = []
-        non_term = 0
         all_maxima = True
-        for r in range(cfg.runs_per_setting):
-            traj = run(spec, N, seed=run_seed(cfg.master_seed, N, r),
-                       max_iters=max_iters, record_every=cfg.record_every)
-            if traj.terminated:
-                corner = tuple(int(c) for c in (traj.counts[-1] // (2 * N)))
-                counts[bits_to_string(corner)] = counts.get(bits_to_string(corner), 0) + 1
-                iters.append(traj.iterations)
-                if injective and corner not in maxima:
-                    all_maxima = False
-            else:
-                non_term += 1
+        for final in ends.counts[ends.terminated]:
+            corner = tuple(int(c) for c in final // (2 * N))
+            counts[bits_to_string(corner)] = counts.get(bits_to_string(corner), 0) + 1
+            if injective and corner not in maxima:
+                all_maxima = False
+        iters = ends.iterations[ends.terminated]
+        non_term = int(np.count_nonzero(~ends.terminated))
         settings.append(SettingResult(
             N=N,
             alpha=1.0 / (2 * N),
             convergence_counts=counts,
             non_terminated=non_term,
-            mean_iterations=float(np.mean(iters)) if iters else None,
+            mean_iterations=float(np.mean(iters)) if iters.size else None,
             terminal_corners_are_local_maxima=all_maxima if injective else None,
         ))
     return CampaignResult(config=cfg, settings=settings,
@@ -293,12 +289,9 @@ def alpha_sweep(cfg: ExperimentConfig) -> list[AlphaSweepRow]:
     for N in cfg.N_values:
         alpha = 1.0 / (2 * N)
         horizon_iters = int(np.ceil(T / alpha - 1e-12))
-        dists = []
-        for r in range(cfg.runs_per_setting):
-            traj = run(spec, N, seed=run_seed(cfg.master_seed, N, r),
-                       max_iters=horizon_iters)
-            dists.append(sup_distance(interpolate(traj), reference, T))
-        dists = np.asarray(dists)
+        seeds = [run_seed(cfg.master_seed, N, r) for r in range(cfg.runs_per_setting)]
+        sup = LockstepSupDistance(reference, T, N, len(seeds))
+        dists = sup.finish(lockstep(spec, N, seeds, max_iters=horizon_iters, on_block=sup.update))
         rows.append(AlphaSweepRow(
             N=N,
             alpha=alpha,

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, DomainError, HorizonError
-from .cga import InterpolatedProcess
+from .cga import InterpolatedProcess, _iteration_of
 from .drift_field import _as_pv, drift, jacobian_analytic
 from .landscape import FitnessSpec, MaxStatus, is_local_maximum, spec_to_json_dict
 
@@ -258,6 +258,24 @@ def lyapunov_increments(traj: OdeTrajectory, spec: FitnessSpec) -> np.ndarray:
     return np.sum(f * dx, axis=-1)
 
 
+def _flow_times(b: OdeTrajectory, T: float) -> np.ndarray:
+    """The times every comparison with the flow ``b`` over [0, T] includes:
+    b's grid up to T, and the two ends."""
+    if T < 0.0:
+        raise DomainError(f"horizon must be nonnegative, got {T}")
+    if b.horizon < T - 1e-9:
+        raise HorizonError(f"second trajectory ends at {b.horizon} < T={T}")
+    return np.concatenate([b.times[b.times <= T + 1e-12], [0.0, T]])
+
+
+def _jump_times(alpha: float, T: float, last_iteration: int | None = None) -> np.ndarray:
+    """Jump times k*alpha of a step process, up to T and its last iteration."""
+    last_jump = int(np.floor(T / alpha + 1e-12))
+    if last_iteration is not None:
+        last_jump = min(last_jump, last_iteration)
+    return np.arange(last_jump + 1, dtype=np.float64) * alpha
+
+
 def sup_distance(a, b: OdeTrajectory, T: float) -> float:
     """sup over [0, T] of the Euclidean distance between two trajectories.
 
@@ -266,11 +284,7 @@ def sup_distance(a, b: OdeTrajectory, T: float) -> float:
     grids (exact for step functions up to the deterministic grid's
     resolution).
     """
-    if T < 0.0:
-        raise DomainError(f"horizon must be nonnegative, got {T}")
-    if b.horizon < T - 1e-9:
-        raise HorizonError(f"second trajectory ends at {b.horizon} < T={T}")
-    ts_b = b.times[b.times <= T + 1e-12]
+    ts_b = _flow_times(b, T)
 
     if isinstance(a, InterpolatedProcess):
         traj = a.trajectory
@@ -278,20 +292,70 @@ def sup_distance(a, b: OdeTrajectory, T: float) -> float:
             raise HorizonError(
                 f"first trajectory ends at {(traj.iterations + 1) * traj.alpha} <= T={T}"
             )
-        last_jump = min(int(np.floor(T / traj.alpha + 1e-12)), traj.iterations)
-        ts_a = np.arange(last_jump + 1, dtype=np.float64) * traj.alpha
-        ts = np.unique(np.concatenate([ts_a, ts_b, [0.0, T]]))
+        ts = np.unique(np.concatenate([_jump_times(traj.alpha, T, traj.iterations), ts_b]))
         va = a.evaluate_many(ts)
     elif isinstance(a, OdeTrajectory):
         if a.horizon < T - 1e-9:
             raise HorizonError(f"first trajectory ends at {a.horizon} < T={T}")
-        ts = np.unique(np.concatenate([a.times[a.times <= T + 1e-12], ts_b, [0.0, T]]))
+        ts = np.unique(np.concatenate([a.times[a.times <= T + 1e-12], ts_b]))
         va = a.values_at(ts)
     else:
         raise DomainError(f"unsupported trajectory type {type(a).__name__}")
 
     vb = b.values_at(ts)
     return float(np.max(np.linalg.norm(va - vb, axis=-1)))
+
+
+class LockstepSupDistance:
+    """``sup_distance(interpolate(run), b, T)``, bit for bit, for each of R
+    unthinned lockstep runs, computed block by block without keeping
+    trajectories.
+
+    Pass ``update`` as :func:`cgadyn.cga.lockstep`'s ``on_block`` and the
+    lockstep result to ``finish``. Every run is compared at the same times
+    as :func:`sup_distance` would compare it: b's grid, {0, T}, and the
+    run's jump times up to T and up to its last iteration. A time t reads
+    the run's state at iteration floor(t / alpha), or its final state if
+    the run ended at a corner before then.
+    """
+
+    def __init__(self, b: OdeTrajectory, T: float, N: int, runs: int):
+        self.alpha = 1.0 / (2 * N)
+        self.two_n = float(2 * N)
+        self.T = T
+        shared = _flow_times(b, T)
+        self.ts = np.unique(np.concatenate([_jump_times(self.alpha, T), shared]))
+        self.jump_only = ~np.isin(self.ts, shared)
+        self.ks = _iteration_of(self.ts, self.alpha)
+        self.vb = b.values_at(self.ts)
+        self.sup = np.zeros(runs)
+        self.done_ks = np.zeros(runs, dtype=np.int64)  # times up to here are compared
+
+    def _fold(self, rows, at, va, last) -> None:
+        """Fold the distances at the times ``at`` (a slice) into ``sup[rows]``;
+        ``last[i]`` is row i's last iteration, past which its jump times drop out."""
+        d = np.linalg.norm(va - self.vb[at], axis=-1)
+        keep = ~self.jump_only[at] | (self.ts[at] <= last[:, None] * self.alpha)
+        self.sup[rows] = np.maximum(self.sup[rows], np.max(d, axis=-1, where=keep, initial=0.0))
+
+    def update(self, rows, k0, snaps, ends) -> None:
+        m = snaps.shape[1]
+        at = slice(*np.searchsorted(self.ks, [k0 + 1, k0 + m + 1]))
+        self._fold(rows, at, snaps[:, self.ks[at] - k0 - 1] / self.two_n, ends)
+        self.done_ks[rows] = k0 + m
+
+    def finish(self, result) -> np.ndarray:
+        """Compare each run's start and, past its last block, its final state."""
+        first = slice(0, np.searchsorted(self.ks, 1))  # before the first jump
+        d0 = np.linalg.norm(result.initial / self.two_n - self.vb[first], axis=-1)
+        self.sup = np.maximum(self.sup, np.max(d0))
+        for r in range(self.sup.shape[0]):
+            last = result.iterations[r:r + 1]
+            if not result.terminated[r] and (last[0] + 1) * self.alpha <= self.T:
+                raise HorizonError(f"run {r} ends at {(last[0] + 1) * self.alpha} <= T={self.T}")
+            at = slice(np.searchsorted(self.ks, self.done_ks[r] + 1), self.ts.size)
+            self._fold([r], at, (result.counts[r] / self.two_n)[None, None], last)
+        return self.sup
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,46 @@ def pair_oracle_jacobian(spec: ls.FitnessSpec, p, h: float) -> np.ndarray:
     return out
 
 
+def reference_cga_run(spec: ls.FitnessSpec, N: int, seed, *, initial=None, max_iters=None,
+                      record_every: int = 1):
+    """One cGA run as a plain loop, without ``cgadyn.cga``.
+
+    Each iteration draws ``rng.random(n)`` for sample a, then again for
+    sample b (bit i is 1 iff its uniform is below p_i = counts_i / 2N);
+    the fitter wins, a on a tie; every locus where they differ moves one
+    grid step toward the winner. The run stops at a corner or after
+    ``max_iters`` iterations (default 50 * 2N * n). It keeps iteration 0,
+    every ``record_every``-th iteration, the corner, and the last one.
+    Returns (counts, recorded_ks, iterations, terminated).
+    """
+    n = spec.n
+    two_n = 2 * N
+    counts = [N] * n if initial is None else [int(round(p * two_n)) for p in initial]
+    if max_iters is None:
+        max_iters = 50 * two_n * n
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def at_corner():
+        return all(c in (0, two_n) for c in counts)
+
+    snapshots, ks = [list(counts)], [0]
+    k = 0
+    while k < max_iters and not at_corner():
+        p = [c / two_n for c in counts]
+        a = tuple(int(u < pi) for u, pi in zip(rng.random(n), p))
+        b = tuple(int(u < pi) for u, pi in zip(rng.random(n), p))
+        winner, loser = (a, b) if ls.evaluate(spec, a) >= ls.evaluate(spec, b) else (b, a)
+        counts = [c + w - l for c, w, l in zip(counts, winner, loser)]
+        k += 1
+        if k % record_every == 0 or at_corner():
+            snapshots.append(list(counts))
+            ks.append(k)
+    if ks[-1] != k:
+        snapshots.append(list(counts))
+        ks.append(k)
+    return np.asarray(snapshots, dtype=np.int64), np.asarray(ks, dtype=np.int64), k, at_corner()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

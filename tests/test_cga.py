@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgadyn import cga as C
 from cgadyn import drift_field as dr
 from cgadyn import landscape as ls
 from cgadyn.errors import DomainError, HorizonError
+
+from conftest import TWO_MAX_TABLE, reference_cga_run
 
 
 class QueuedRng:
@@ -157,6 +160,67 @@ def test_run_matches_repeated_step():
             for k in range(1, traj.iterations + 1):
                 pv = C.step(pv, spec, rng)
                 assert np.array_equal(pv.counts, traj.counts[k]), (spec, N, k)
+
+
+@st.composite
+def tie_prone_spec(draw):
+    """Injective specs and specs whose ties the first-sample-wins rule decides."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["binval", "random_injective", "onemax", "table", "two_max"]))
+    if kind == "binval":
+        return ls.binval(n)
+    if kind == "random_injective":
+        return ls.random_injective(n, seed=draw(st.integers(0, 1000)))
+    if kind == "onemax":
+        return ls.linear((1.0,) * n)
+    if kind == "table":
+        values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=1 << n, max_size=1 << n))
+        return ls.table_spec(values, n=n)
+    return TWO_MAX_TABLE
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_run_many_matches_reference_and_run(data):
+    spec = data.draw(tie_prone_spec())
+    N = data.draw(st.integers(1, 64))
+    seed = st.one_of(st.integers(0, 2**32), st.tuples(*[st.integers(0, 99)] * 3))
+    seeds = data.draw(st.lists(seed, min_size=1, max_size=12))
+    max_iters = data.draw(st.integers(0, 300))
+    record_every = data.draw(st.integers(1, 7))
+    start = data.draw(st.sampled_from(["center", "corner", "grid"]))
+    if start == "corner":
+        initial = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=spec.n,
+                                     max_size=spec.n))
+    elif start == "grid":
+        initial = [c / (2 * N) for c in data.draw(
+            st.lists(st.integers(0, 2 * N), min_size=spec.n, max_size=spec.n))]
+    else:
+        initial = None
+    kw = dict(initial=initial, max_iters=max_iters, record_every=record_every)
+
+    trajs = C.run_many(spec, N, seeds, **kw)
+    assert len(trajs) == len(seeds)
+    for seed, traj in zip(seeds, trajs):
+        counts, ks, iterations, terminated = reference_cga_run(spec, N, seed, **kw)
+        for got in (traj, C.run(spec, N, seed=seed, **kw)):
+            assert np.array_equal(got.counts, counts), (seed, got.recorded_ks, ks)
+            assert np.array_equal(got.recorded_ks, ks)
+            assert got.iterations == iterations
+            assert got.terminated == terminated
+            assert got.seed == seed and got.record_every == record_every
+
+
+def test_lockstep_reports_where_runs_end():
+    seeds = [(4, 8, r) for r in range(9)]
+    ends = C.lockstep(ls.binval(3), 8, seeds, max_iters=150)
+    for r, seed in enumerate(seeds):
+        traj = C.run(ls.binval(3), 8, seed=seed, max_iters=150)
+        assert np.array_equal(ends.counts[r], traj.counts[-1])
+        assert ends.iterations[r] == traj.iterations
+        assert ends.terminated[r] == traj.terminated
+    assert np.array_equal(ends.initial, [8, 8, 8])
+    assert C.run_many(ls.binval(3), 8, []) == []
 
 
 def test_termination_iff_deterministic():

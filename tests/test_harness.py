@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cgadyn import cga
 from cgadyn import harness as hn
 from cgadyn import landscape as ls
+from cgadyn import ode
 from cgadyn.cli import cli_main
 from cgadyn.errors import DomainError, TheoremScopeError
 
@@ -97,6 +99,41 @@ def test_monte_carlo_non_injective_labeled(tmp_path):
     assert result.settings[0].terminal_corners_are_local_maxima is None
 
 
+def serial_tallies(cfg):
+    """monte_carlo's tallies, recomputed from one cga.run per run seed."""
+    spec = cfg.spec
+    maxima = set(ls.enumerate_local_maxima(spec).maxima) if ls.is_injective(spec) else None
+    out = []
+    for N in cfg.N_values:
+        max_iters = cfg.max_iters if cfg.max_iters is not None else cga.default_max_iters(N, spec.n)
+        counts, iters, non_terminated = {}, [], 0
+        for r in range(cfg.runs_per_setting):
+            traj = cga.run(spec, N, seed=hn.run_seed(cfg.master_seed, N, r), max_iters=max_iters)
+            if traj.terminated:
+                corner = tuple(int(c) // (2 * N) for c in traj.counts[-1])
+                counts[ls.bits_to_string(corner)] = counts.get(ls.bits_to_string(corner), 0) + 1
+                iters.append(traj.iterations)
+            else:
+                non_terminated += 1
+        on_maxima = None if maxima is None else all(ls.string_to_bits(c) in maxima for c in counts)
+        out.append((counts, non_terminated, float(np.mean(iters)) if iters else None, on_maxima))
+    return out
+
+
+@pytest.mark.parametrize("spec, N_values, runs, max_iters", [
+    (ls.binval(2), (1, 2, 4, 64), 30, None),
+    (TWO_MAX_TABLE, (64,), 40, None),
+    (ls.table_spec([1.0, 2.0, 2.0, 1.0], n=2), (3, 8), 25, None),
+    (ls.random_injective(3, seed=12), (5, 16), 30, 40),
+])
+def test_monte_carlo_equals_serial_runs(tmp_path, spec, N_values, runs, max_iters):
+    cfg = small_config(tmp_path, spec=spec, N_values=N_values, runs_per_setting=runs,
+                       max_iters=max_iters)
+    got = [(s.convergence_counts, s.non_terminated, s.mean_iterations,
+            s.terminal_corners_are_local_maxima) for s in hn.monte_carlo(cfg).settings]
+    assert got == serial_tallies(cfg)
+
+
 # --- learning-step sweep ---------------------------------------------------------
 
 def test_alpha_sweep_rows(tmp_path):
@@ -118,6 +155,29 @@ def test_alpha_sweep_deterministic(tmp_path):
     a = [r.to_json_dict() for r in hn.alpha_sweep(cfg)]
     b = [r.to_json_dict() for r in hn.alpha_sweep(cfg)]
     assert a == b
+
+
+@pytest.mark.parametrize("spec, N_values, T, h", [
+    (ls.binval(2), (1, 2, 3), 5.0, 0.01),       # most runs reach a corner before T
+    (ls.binval(8), (8, 32), 2.5, 0.01),
+    (TWO_MAX_TABLE, (3, 16), 1.37, 0.01),       # T on neither grid
+    (ls.table_spec([1.0, 2.0, 2.0, 1.0], n=2), (2, 6), 2.0, 0.03),
+])
+def test_alpha_sweep_equals_serial_sup_distance(tmp_path, spec, N_values, T, h):
+    cfg = small_config(tmp_path, spec=spec, N_values=N_values, runs_per_setting=9,
+                       T_horizon=T, ode_step=h)
+    reference = ode.integrate(spec, np.full(spec.n, 0.5), h=h, T=T)
+    ended_early = 0
+    for row in hn.alpha_sweep(cfg):
+        horizon = int(np.ceil(T / (1.0 / (2 * row.N)) - 1e-12))
+        trajs = [cga.run(spec, row.N, seed=hn.run_seed(cfg.master_seed, row.N, r),
+                         max_iters=horizon) for r in range(cfg.runs_per_setting)]
+        ended_early += sum(t.terminated and t.iterations < horizon for t in trajs)
+        dists = [ode.sup_distance(cga.interpolate(t), reference, T) for t in trajs]
+        assert row.median_sup_distance == float(np.median(dists))
+        assert row.q90_sup_distance == float(np.quantile(dists, 0.9))
+    if spec == ls.binval(2):
+        assert ended_early > 0
 
 
 # --- classification report -------------------------------------------------------
