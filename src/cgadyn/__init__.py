@@ -79,6 +79,7 @@ from .ode import (
     Stability,
     StabilityVerdict,
     classify_corner,
+    classify_corners,
     find_limit,
     find_limit_many,
     integrate,

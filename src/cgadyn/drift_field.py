@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .landscape import (
     FitnessSpec,
+    _neighbor_value_matrix,
     all_bit_matrix,
     bits_to_index,
     fitness_values,
@@ -70,7 +71,8 @@ def _as_pv(p, n: int) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim < 1 or arr.shape[-1] != n:
         raise DimensionError(f"probability vector shape {arr.shape} does not match n={n}")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # written so that NaN fails too
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("probability vector entries must lie in [0, 1]")
     return arr
 
@@ -82,15 +84,22 @@ def _as_pv(p, n: int) -> np.ndarray:
 def sampling_probs(p, n: int) -> np.ndarray:
     """Pr(y|p) for every solution index, shape (..., 2^n).
 
-    Built by tensoring per-locus (1-p_i, p_i) pairs, so deterministic
+    The product 1 * (1-p_0 or p_0) * ... * (1-p_{n-1} or p_{n-1}) is built
+    in one preallocated buffer, doubled in place locus by locus: locus i
+    has stride s = 2^(n-1-i) (locus 0 is the most significant bit), and
+    each filled entry, a multiple of 2s, is split into itself times
+    (1-p_i) and the entry s above it times p_i. Deterministic
     configurations give exact 0/1 probabilities.
     """
     arr = _as_pv(p, n)
-    probs = np.ones(arr.shape[:-1] + (1,), dtype=np.float64)
+    probs = np.empty(arr.shape[:-1] + (1 << n,), dtype=np.float64)
+    probs[..., 0] = 1.0
     for i in range(n):
+        s = 1 << (n - 1 - i)
         pi = arr[..., i : i + 1]
-        pair = np.stack([1.0 - pi, pi], axis=-1)  # (..., 1, 2)
-        probs = (probs[..., :, None] * pair).reshape(arr.shape[:-1] + (-1,))
+        filled = probs[..., :: 2 * s]
+        np.multiply(filled, pi, out=probs[..., s :: 2 * s])
+        filled *= 1.0 - pi
     return probs
 
 
@@ -125,10 +134,9 @@ def sampling_prob_partial(p, z, locus: int) -> float:
 # tournament distributions and drift
 # ---------------------------------------------------------------------------
 
-def _prefix_sums(spec: FitnessSpec, probs: np.ndarray):
+def _prefix_sums(t: _SpecTables, probs: np.ndarray):
     """Per-index sums of Pr(z|p) over z strictly below / tied with / strictly
     above each index's fitness. Shapes match probs."""
-    t = _tables(spec)
     sorted_probs = probs[..., t.order]
     group_sums = np.add.reduceat(sorted_probs, t.group_starts, axis=-1)
     cum = np.cumsum(group_sums, axis=-1)
@@ -143,14 +151,14 @@ def _prefix_sums(spec: FitnessSpec, probs: np.ndarray):
 def winner_probs(p, spec: FitnessSpec) -> np.ndarray:
     """Pr(y wins | p) for all y: Pr(y|p) * (sum_{g<g(y)} + sum_{g<=g(y)}) Pr(z|p)."""
     probs = sampling_probs(p, spec.n)
-    s_lt, s_eq, _ = _prefix_sums(spec, probs)
+    s_lt, s_eq, _ = _prefix_sums(_tables(spec), probs)
     return probs * (2.0 * s_lt + s_eq)
 
 
 def loser_probs(p, spec: FitnessSpec) -> np.ndarray:
     """Pr(y loses | p) for all y: Pr(y|p) * (sum_{g>g(y)} + sum_{g>=g(y)}) Pr(z|p)."""
     probs = sampling_probs(p, spec.n)
-    _, s_eq, s_gt = _prefix_sums(spec, probs)
+    _, s_eq, s_gt = _prefix_sums(_tables(spec), probs)
     return probs * (2.0 * s_gt + s_eq)
 
 
@@ -171,7 +179,7 @@ def drift(p, spec: FitnessSpec) -> np.ndarray:
     """
     t = _tables(spec)
     probs = sampling_probs(p, spec.n)
-    s_lt, _, s_gt = _prefix_sums(spec, probs)
+    s_lt, _, s_gt = _prefix_sums(t, probs)
     return 2.0 * ((probs * (s_lt - s_gt)) @ t.bits_f)
 
 
@@ -203,22 +211,37 @@ class CornerJacobian:
     eigenvalues: np.ndarray
 
 
-def jacobian_analytic(corner, spec: FitnessSpec) -> CornerJacobian:
-    """Exact Jacobian of f at a corner of [0,1]^n (injective specs only)."""
+def _corner_index(corner, spec: FitnessSpec) -> int:
+    """Solution index of a corner of [0,1]^n, given as n bits."""
     bits = np.asarray(corner)
     if bits.ndim != 1 or bits.shape[0] != spec.n:
         raise DimensionError(f"corner shape {bits.shape} does not match n={spec.n}")
     if not np.isin(bits, (0, 1)).all():
         raise DomainError("corner must be a deterministic configuration (bits in {0,1})")
-    require_injective(spec, "jacobian_analytic")
+    return bits_to_index(bits)
+
+
+def corner_spectra(spec: FitnessSpec, indices=None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the corner Jacobians and local-maximum flags, one row
+    per corner index (default: all 2^n, in order), read off the neighbour
+    table: eigenvalue m is +2 when flipping locus m raises fitness and -2
+    otherwise; a corner is a local maximum when no neighbour is fitter.
+
+    The eigenvalues are exact for injective specs only; callers check.
+    """
     vals = fitness_values(spec)
-    idx = bits_to_index(bits)
-    diag = np.empty(spec.n, dtype=np.float64)
-    for m in range(spec.n):
-        neighbor = idx ^ (1 << (spec.n - 1 - m))
-        diag[m] = 2.0 if vals[neighbor] > vals[idx] else -2.0
+    own = (vals if indices is None else vals[indices])[:, None]
+    neighbors = _neighbor_value_matrix(spec, indices)
+    return np.where(neighbors > own, 2.0, -2.0), (own >= neighbors).all(axis=1)
+
+
+def jacobian_analytic(corner, spec: FitnessSpec) -> CornerJacobian:
+    """Exact Jacobian of f at a corner of [0,1]^n (injective specs only)."""
+    idx = _corner_index(corner, spec)
+    require_injective(spec, "jacobian_analytic")
+    diag = corner_spectra(spec, [idx])[0][0]
     return CornerJacobian(
-        corner=tuple(int(b) for b in bits),
+        corner=index_to_bits(idx, spec.n),
         matrix=np.diag(diag),
         eigenvalues=diag.copy(),
     )
@@ -238,9 +261,3 @@ def jacobian_numeric(p, spec: FitnessSpec, h: float) -> np.ndarray:
     points = np.concatenate([arr + h * eye, arr - h * eye], axis=0)  # (2n, n)
     f = drift(points, spec)
     return (f[: spec.n] - f[spec.n :]).T / (2.0 * h)
-
-
-def corner_indices(n: int):
-    """Iterate all 2^n corners as bit tuples."""
-    for i in range(1 << n):
-        yield index_to_bits(i, n)

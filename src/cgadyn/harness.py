@@ -24,10 +24,9 @@ import numpy as np
 from . import __version__
 from .errors import DomainError
 from .cga import default_max_iters, lockstep
-from .drift_field import corner_indices, drift
+from .drift_field import drift
 from .landscape import (
     FitnessSpec,
-    bits_to_index,
     bits_to_string,
     enumerate_local_maxima,
     fitness_values,
@@ -36,7 +35,7 @@ from .landscape import (
     spec_from_json_dict,
     spec_to_json_dict,
 )
-from .ode import LockstepSupDistance, Stability, classify_corner, integrate
+from .ode import LockstepSupDistance, Stability, classify_corners, integrate
 
 
 def fmt_real(x) -> str:
@@ -347,19 +346,16 @@ def classify_all(spec: FitnessSpec) -> ClassificationReport:
     whether the two agree (stable iff local maximum). Injective specs only."""
     require_injective(spec, "classify_all")
     vals = fitness_values(spec)
-    maxima = set(enumerate_local_maxima(spec).maxima)
     rows = []
-    for corner in corner_indices(spec.n):
-        verdict = classify_corner(spec, corner)
-        is_max = corner in maxima
+    for i, verdict in enumerate(classify_corners(spec)):
         stable = verdict.verdict is Stability.ASYMPTOTICALLY_STABLE
         rows.append(ClassificationRow(
-            corner=bits_to_string(corner),
-            fitness=float(vals[bits_to_index(corner)]),
-            local_max=is_max,
+            corner=bits_to_string(verdict.corner),
+            fitness=float(vals[i]),
+            local_max=verdict.local_max,
             verdict=verdict.verdict.value,
             eigenvalues=verdict.eigenvalues,
-            agreement=stable == is_max,
+            agreement=stable == verdict.local_max,
         ))
     return ClassificationReport(spec=spec, rows=rows)
 

@@ -303,12 +303,13 @@ class LocalMaxReport:
         return tuple(int(b) for b in y) in self.maxima
 
 
-def _neighbor_value_matrix(spec: FitnessSpec) -> np.ndarray:
-    """(2^n, n) matrix: column m holds the fitness of each index with locus m flipped."""
+def _neighbor_value_matrix(spec: FitnessSpec, rows=None) -> np.ndarray:
+    """(len(rows), n) matrix: column m holds the fitness of each index in
+    ``rows`` (default: all 2^n, in order) with locus m flipped."""
     vals = fitness_values(spec)
-    idx = np.arange(spec.num_solutions, dtype=np.int64)
-    cols = [vals[idx ^ (1 << (spec.n - 1 - m))] for m in range(spec.n)]
-    return np.stack(cols, axis=1)
+    idx = np.arange(spec.num_solutions) if rows is None else np.asarray(rows, dtype=np.int64)
+    flips = 1 << np.arange(spec.n - 1, -1, -1)
+    return vals[idx[:, None] ^ flips]
 
 
 def enumerate_local_maxima(spec: FitnessSpec) -> LocalMaxReport:

@@ -14,6 +14,7 @@ positive means unstable.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, HorizonError
 from .cga import InterpolatedProcess, _iteration_of
-from .drift_field import _as_pv, drift, jacobian_analytic
-from .landscape import FitnessSpec, MaxStatus, is_local_maximum, spec_to_json_dict
+from .drift_field import _as_pv, _corner_index, corner_spectra, drift
+from .landscape import FitnessSpec, index_to_bits, require_injective, spec_to_json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +57,10 @@ class OdeTrajectory:
         return np.stack(cols, axis=-1)
 
 
-def _rk4_step(x: np.ndarray, h: float, field) -> np.ndarray:
-    k1 = field(x)
+def _rk4_step(x: np.ndarray, h: float, field, k1: np.ndarray | None = None) -> np.ndarray:
+    """One classical RK4 step; ``k1``, if given, is ``field(x)`` already computed."""
+    if k1 is None:
+        k1 = field(x)
     k2 = field(x + 0.5 * h * k1)
     k3 = field(x + 0.5 * h * k2)
     k4 = field(x + h * k3)
@@ -138,7 +141,16 @@ def find_limit_many(
     T_max: float = 200.0,
     h: float = 1e-2,
 ) -> BatchLimitResult:
-    """Integrate a batch of starts until the drift stalls below tol (per row)."""
+    """Integrate a batch of starts until the drift stalls below tol (per row).
+
+    After every step the rows still moving are checked for a stall with
+    one ``drift`` call on exactly those rows. When none of them stalled,
+    the next step moves the same rows from the same states, so that drift
+    is passed on as the step's k1: 4 drift calls per step instead of 5.
+    When some row stalled, k1 is computed afresh on the smaller batch (a
+    batched drift can differ in the last bit with the batch's shape, so
+    rows of the larger batch's drift are not reused).
+    """
     X = _as_pv(x0s, spec.n)
     if X.ndim == 1:
         X = X[None, :]
@@ -153,23 +165,25 @@ def find_limit_many(
 
     field = lambda s: drift(s, spec)
 
-    def mark_stalled(t_now: float) -> None:
-        active = np.flatnonzero(~converged)
-        if active.size == 0:
-            return
+    def stall_check(t_now: float, active: np.ndarray):
+        """Stop the rows of ``active`` whose drift is below tol at t_now.
+        Returns the rows still moving and, if that is all of ``active``,
+        their drift."""
         f = drift(X[active], spec)
         stalled = np.max(np.abs(f), axis=-1) < tol
+        if not stalled.any():
+            return active, f
         converged[active[stalled]] = True
         t_stop[active[stalled]] = t_now
+        return active[~stalled], None
 
     times = _time_grid(T_max, h)
-    mark_stalled(0.0)
+    active, k1 = stall_check(0.0, np.arange(B))
     for t_prev, t_now in zip(times[:-1], times[1:]):
-        if converged.all():
+        if active.size == 0:
             break
-        active = ~converged
-        X[active] = np.clip(_rk4_step(X[active], t_now - t_prev, field), 0.0, 1.0)
-        mark_stalled(t_now)
+        X[active] = np.clip(_rk4_step(X[active], t_now - t_prev, field, k1), 0.0, 1.0)
+        active, k1 = stall_check(t_now, active)
 
     corners = np.where(X >= 0.5, 1, 0).astype(np.int64)
     dists = np.linalg.norm(X - corners, axis=-1)
@@ -214,21 +228,28 @@ class StabilityVerdict:
     local_max: bool
 
 
-def classify_corner(spec: FitnessSpec, corner) -> StabilityVerdict:
-    """Stability of a corner fixed point by the sign of its eigenvalues.
-
-    Requires an injective spec (jacobian_analytic refuses otherwise).
-    """
-    jac = jacobian_analytic(corner, spec)
-    eigs = tuple(float(e) for e in jac.eigenvalues)
-    verdict = Stability.ASYMPTOTICALLY_STABLE if all(e < 0 for e in eigs) else Stability.UNSTABLE
-    status = is_local_maximum(spec, jac.corner)
-    return StabilityVerdict(
-        corner=jac.corner,
-        verdict=verdict,
-        eigenvalues=eigs,
-        local_max=status is not MaxStatus.NOT_MAX,
+def classify_corners(spec: FitnessSpec, indices=None) -> Iterator[StabilityVerdict]:
+    """Stability verdicts of the corners with the given solution indices
+    (default: all 2^n, in index order): asymptotically stable iff every
+    eigenvalue is negative. Requires an injective spec; checks it, and
+    reads the neighbour table, before the first verdict is made."""
+    require_injective(spec, "classify_corners")
+    eigs, local_max = corner_spectra(spec, indices)
+    idx = range(spec.num_solutions) if indices is None else indices
+    return (
+        StabilityVerdict(
+            corner=index_to_bits(int(i), spec.n),
+            verdict=Stability.ASYMPTOTICALLY_STABLE if (e < 0).all() else Stability.UNSTABLE,
+            eigenvalues=tuple(float(x) for x in e),
+            local_max=bool(m),
+        )
+        for i, e, m in zip(idx, eigs, local_max)
     )
+
+
+def classify_corner(spec: FitnessSpec, corner) -> StabilityVerdict:
+    """Stability of one corner fixed point (see :func:`classify_corners`)."""
+    return next(classify_corners(spec, [_corner_index(corner, spec)]))
 
 
 # ---------------------------------------------------------------------------

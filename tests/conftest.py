@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's prefix-sum machinery:
 they enumerate ordered sample pairs directly and apply the
 first-sample-wins tie rule, so they validate the closed forms
-independently.
+independently. The reference loops (``reference_*``) restate a kernel
+in its plainest form, for tests that require bit-identical results.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cgadyn import drift_field as dr
 from cgadyn import landscape as ls
 
 
@@ -68,6 +70,30 @@ def pair_oracle(spec: ls.FitnessSpec, p):
             lose[ls.bits_to_index(l)] += prob
             f += prob * (np.asarray(w, dtype=float) - np.asarray(l, dtype=float))
     return win, lose, f
+
+
+def reference_sampling_probs(p, n: int) -> np.ndarray:
+    """Pr(y|p) for every solution index, locus 0 the most significant bit:
+    the per-locus tensor product 1 * (1-p_0 or p_0) * ... * (1-p_{n-1} or
+    p_{n-1}), built with a new array per locus, for p of shape (..., n)."""
+    arr = np.asarray(p, dtype=np.float64)
+    probs = np.ones(arr.shape[:-1] + (1,))
+    for i in range(n):
+        pi = arr[..., i : i + 1]
+        pair = np.stack([1.0 - pi, pi], axis=-1)  # (..., 1, 2)
+        probs = (probs[..., :, None] * pair).reshape(arr.shape[:-1] + (-1,))
+    return probs
+
+
+def strict_local_maxima(spec: ls.FitnessSpec) -> set[tuple[int, ...]]:
+    """Every y fitter than each of its n Hamming-1 neighbours, by evaluating
+    each neighbour."""
+    out = set()
+    for y in itertools.product((0, 1), repeat=spec.n):
+        neighbors = [y[:m] + (1 - y[m],) + y[m + 1:] for m in range(spec.n)]
+        if all(ls.evaluate(spec, y) > ls.evaluate(spec, z) for z in neighbors):
+            out.add(y)
+    return out
 
 
 def binval_drift_closed_form(p) -> np.ndarray:
@@ -150,6 +176,46 @@ def reference_cga_run(spec: ls.FitnessSpec, N: int, seed, *, initial=None, max_i
         snapshots.append(list(counts))
         ks.append(k)
     return np.asarray(snapshots, dtype=np.int64), np.asarray(ks, dtype=np.int64), k, at_corner()
+
+
+def reference_find_limit_many(spec: ls.FitnessSpec, x0s, *, tol=1e-8, T_max=200.0, h=1e-2):
+    """The stall search as a plain loop, reusing no drift evaluation.
+
+    The grid is 0, h, 2h, ..., with a shorter last step onto T_max. At
+    t = 0 and after every step, the rows still moving get one ``drift``
+    call; a row whose max |drift| is below tol stops there. Each step
+    moves the rows still moving by classical RK4, four ``drift`` calls on
+    exactly those rows, then clamps them to [0, 1].
+    Returns (states, converged, t_stop).
+    """
+    field = lambda x: dr.drift(x, spec)
+    X = np.array(x0s, dtype=np.float64, ndmin=2)
+    converged = np.zeros(X.shape[0], dtype=bool)
+    t_stop = np.full(X.shape[0], T_max)
+    times = list(np.arange(int(np.floor(T_max / h + 1e-12)) + 1) * h)
+    if T_max - times[-1] > 1e-12 * max(1.0, T_max):
+        times.append(T_max)
+
+    def stall_check(t):
+        rows = np.flatnonzero(~converged)
+        if rows.size:
+            stalled = np.max(np.abs(field(X[rows])), axis=-1) < tol
+            converged[rows[stalled]] = True
+            t_stop[rows[stalled]] = t
+
+    stall_check(0.0)
+    for t_prev, t_now in zip(times, times[1:]):
+        rows = np.flatnonzero(~converged)
+        if rows.size == 0:
+            break
+        x, dt = X[rows], t_now - t_prev
+        k1 = field(x)
+        k2 = field(x + 0.5 * dt * k1)
+        k3 = field(x + 0.5 * dt * k2)
+        k4 = field(x + dt * k3)
+        X[rows] = np.clip(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0, 1.0)
+        stall_check(t_now)
+    return X, converged, t_stop
 
 
 @pytest.fixture

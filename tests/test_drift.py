@@ -4,9 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from cgadyn import drift_field as dr
 from cgadyn import landscape as ls
+from cgadyn import ode as od
 from cgadyn.errors import DimensionError, DomainError, TheoremScopeError
 
-from conftest import TWO_MAX_TABLE, binval_drift_closed_form, injective_suite, pair_oracle
+from conftest import (
+    TWO_MAX_TABLE,
+    binval_drift_closed_form,
+    injective_suite,
+    pair_oracle,
+    reference_sampling_probs,
+)
 
 
 # --- sampling distribution -------------------------------------------------
@@ -32,6 +39,21 @@ def test_sampling_probs_normalize(n, data):
     p = data.draw(st.lists(st.floats(0, 1, allow_nan=False), min_size=n, max_size=n))
     total = dr.sampling_probs(np.asarray(p), n).sum()
     assert abs(total - 1.0) <= 1e-12
+
+
+# entries of a probability vector, exact 0 and 1 included
+_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.lists(st.integers(1, 4), max_size=2), st.data())
+def test_sampling_probs_equals_reference(n, batch, data):
+    shape = tuple(batch) + (n,)
+    size = int(np.prod(shape))
+    p = np.asarray(data.draw(st.lists(_PROB, min_size=size, max_size=size))).reshape(shape)
+    probs = dr.sampling_probs(p, n)
+    assert probs.shape == shape[:-1] + (1 << n,)
+    assert np.array_equal(probs, reference_sampling_probs(p, n))
 
 
 def test_sampling_probs_exact_at_corners():
@@ -150,6 +172,17 @@ def test_drift_matches_pair_enumeration(rng):
             np.testing.assert_allclose(dr.drift(p, spec), f, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_drift_matches_pair_enumeration_random_tables(n, data):
+    # few distinct values, so most tables have ties
+    table = data.draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
+    spec = ls.table_spec([float(v) for v in table], n=n)
+    p = np.asarray(data.draw(st.lists(_PROB, min_size=n, max_size=n)))
+    _, _, f = pair_oracle(spec, p)
+    np.testing.assert_allclose(dr.drift(p, spec), f, rtol=0, atol=1e-12)
+
+
 def test_drift_matches_binval_closed_form(rng):
     for n in (1, 2, 4, 6):
         spec = ls.binval(n)
@@ -201,6 +234,17 @@ def test_drift_rejects_out_of_box():
         dr.drift([1.2, 0.5], ls.binval(2))
     with pytest.raises(DimensionError):
         dr.drift([0.5], ls.binval(2))
+
+
+def test_nan_probability_vector_is_refused():
+    spec = ls.binval(2)
+    for p in ([np.nan, 0.5], [[0.5, 0.5], [0.25, np.nan]]):
+        with pytest.raises(DomainError):
+            dr.drift(p, spec)
+        with pytest.raises(DomainError):
+            dr.sampling_probs(p, 2)
+        with pytest.raises(DomainError):
+            od.find_limit_many(spec, p)
 
 
 # --- Jacobians ----------------------------------------------------------------

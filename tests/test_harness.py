@@ -12,7 +12,7 @@ from cgadyn import ode
 from cgadyn.cli import cli_main
 from cgadyn.errors import DomainError, TheoremScopeError
 
-from conftest import TWO_MAX_TABLE
+from conftest import TWO_MAX_TABLE, injective_suite, strict_local_maxima
 
 
 def small_config(tmp_path, **kw):
@@ -196,6 +196,27 @@ def test_classify_all_random_injective_matches_oracle():
     stable = sum(r.verdict == "asymptotically_stable" for r in report.rows)
     assert stable == len(ls.enumerate_local_maxima(spec).maxima)
     assert report.all_agree
+
+
+@pytest.mark.parametrize("spec", [s for n in (2, 3, 4) for s in injective_suite(n)]
+                         + [ls.random_injective(8, seed=8)])
+def test_classify_all_equals_per_corner_verdicts_and_oracle(spec):
+    report = hn.classify_all(spec)
+    maxima = strict_local_maxima(spec)
+    assert len(report.rows) == 1 << spec.n
+    for i, row in enumerate(report.rows):
+        corner = ls.index_to_bits(i, spec.n)
+        verdict = ode.classify_corner(spec, corner)
+        assert (row.corner, row.verdict, row.eigenvalues, row.local_max) == (
+            ls.bits_to_string(verdict.corner), verdict.verdict.value, verdict.eigenvalues,
+            verdict.local_max)
+        own = ls.evaluate(spec, corner)
+        assert row.fitness == own
+        assert row.local_max == (corner in maxima) == (row.verdict == "asymptotically_stable")
+        assert row.agreement
+        for m, e in enumerate(row.eigenvalues):
+            flipped = corner[:m] + (1 - corner[m],) + corner[m + 1:]
+            assert e == (2.0 if ls.evaluate(spec, flipped) > own else -2.0)
 
 
 def test_classify_all_refuses_non_injective():

@@ -7,7 +7,7 @@ from cgadyn import landscape as ls
 from cgadyn import ode as od
 from cgadyn.errors import DomainError, HorizonError, TheoremScopeError
 
-from conftest import TWO_MAX_TABLE, injective_suite
+from conftest import TWO_MAX_TABLE, injective_suite, reference_find_limit_many
 
 
 SIGMOID_2 = 1.0 / (1.0 + np.exp(-2.0))  # exact flow value at t=1 for n=1 binval
@@ -106,6 +106,42 @@ def test_find_limit_many_matches_singles():
         np.testing.assert_allclose(single.state, batch.states[i], atol=1e-12)
         assert single.nearest_corner == tuple(batch.nearest_corners[i])
         assert abs(single.t_stop - batch.t_stop[i]) <= 0.011
+
+
+def _staggered_starts(n, rows, seed):
+    # distances to the corners from 1e-6 to 0.3, so rows stall at different steps
+    rng = np.random.default_rng(seed)
+    corners = rng.integers(0, 2, size=(rows, n)).astype(float)
+    depth = 10.0 ** rng.uniform(-6.0, np.log10(0.3), size=(rows, 1))
+    return np.abs(corners - depth * rng.random((rows, n)))
+
+
+@pytest.mark.parametrize("spec, starts, kw", [
+    # a corner start (stalls at t=0) among staggered ones; 2.35 is not a multiple of 0.1
+    (ls.binval(3), np.vstack([[1.0, 0.0, 1.0], _staggered_starts(3, 11, 0)]),
+     dict(tol=1e-4, T_max=2.35, h=0.1)),
+    (ls.random_injective(4, seed=9), _staggered_starts(4, 16, 1), dict(tol=1e-5, T_max=30.5, h=0.04)),
+    (TWO_MAX_TABLE, _staggered_starts(2, 9, 2), dict()),
+    (ls.table_spec([0.0, 1.0, 1.0, 0.0, 2.0, 2.0, 1.0, 3.0], n=3), _staggered_starts(3, 8, 3),
+     dict(tol=1e-5, T_max=12.3, h=0.05)),
+    (ls.binval(2), np.array([[0.3, 0.6]]), dict(T_max=9.99, h=0.1)),
+    # the corner row stops at t=0 and leaves one row moving, whose k1 must
+    # come from a 1-row drift: that row of the 2-row drift can differ in the
+    # last bit (BLAS picks its kernel by shape), and with a long step the
+    # difference reaches the state
+    (ls.random_injective(6, seed=6), np.vstack([np.ones(6), np.random.default_rng(9).random(6)]),
+     dict(T_max=1.25, h=0.5)),
+    (ls.random_injective(8, seed=8), np.vstack([np.ones(8), np.random.default_rng(2).random(8)]),
+     dict(T_max=1.25, h=0.5)),
+])
+def test_find_limit_many_equals_reference(spec, starts, kw):
+    batch = od.find_limit_many(spec, starts, **kw)
+    states, converged, t_stop = reference_find_limit_many(spec, starts, **kw)
+    assert np.array_equal(batch.states, states)
+    assert np.array_equal(batch.converged, converged)
+    assert np.array_equal(batch.t_stop, t_stop)
+    if len(starts) > 2:  # the case has rows stopping at several different steps
+        assert np.unique(t_stop[converged]).size >= 3
 
 
 def test_unstable_corner_escape():
