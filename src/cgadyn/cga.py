@@ -440,7 +440,12 @@ def interpolate(traj: StochasticTrajectory) -> InterpolatedProcess:
 # ---------------------------------------------------------------------------
 
 def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | None = None) -> None:
-    """Write one header record then one {"k", "p"} record per snapshot."""
+    """Write one header record then one {"k", "p"} record per snapshot.
+
+    The records are formatted in one pass, with ``repr`` for each float:
+    for finite floats that is the text ``json.dumps`` writes, so the bytes
+    are those of one ``json.dumps`` call per record.
+    """
     header = {
         "format": "cga-trajectory",
         "n": traj.n,
@@ -455,6 +460,7 @@ def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | Non
     if extra_header:
         header.update(extra_header)
     fp.write(json.dumps(header, sort_keys=True) + "\n")
-    states = traj.states
-    for row, k in enumerate(traj.recorded_ks):
-        fp.write(json.dumps({"k": int(k), "p": [float(x) for x in states[row]]}) + "\n")
+    fp.write("".join([
+        '{"k": %d, "p": [%s]}\n' % (k, ", ".join(map(repr, row)))
+        for k, row in zip(traj.recorded_ks.tolist(), traj.states.tolist())
+    ]))

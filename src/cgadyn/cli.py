@@ -230,8 +230,9 @@ def _cmd_run(args, cfg, spec):
 
 def _cmd_drift(args, cfg, spec):
     names = [f"p_{i+1}" for i in range(spec.n)] + [f"f_{i+1}" for i in range(spec.n)]
-    rows = ([fmt_real(x) for x in row] for row in drift_grid_rows(spec, args.grid))
-    return {"grid": args.grid}, lambda fp, header: write_csv(fp, names, rows, header=header)
+    # computed before the output is opened, so a refused grid writes no file
+    table = drift_grid_rows(spec, args.grid)
+    return {"grid": args.grid}, lambda fp, header: write_csv(fp, names, table, header=header)
 
 
 def _cmd_ode(args, cfg, spec):

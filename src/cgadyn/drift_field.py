@@ -136,15 +136,23 @@ def sampling_prob_partial(p, z, locus: int) -> float:
 
 def _prefix_sums(t: _SpecTables, probs: np.ndarray):
     """Per-index sums of Pr(z|p) over z strictly below / tied with / strictly
-    above each index's fitness. Shapes match probs."""
-    sorted_probs = probs[..., t.order]
-    group_sums = np.add.reduceat(sorted_probs, t.group_starts, axis=-1)
-    cum = np.cumsum(group_sums, axis=-1)
-    total = cum[..., -1:]
+    above each index's fitness. Shapes match probs.
+
+    On an injective spec every tie group has one member, so the group sums
+    are the sorted probabilities themselves and the tied sum is ``probs``
+    (returned as is, not copied); the grouping passes are skipped there.
+    """
+    cum = probs[..., t.order]
+    if t.group_starts.size == t.order.size:
+        np.cumsum(cum, axis=-1, out=cum)
+        s_eq = probs
+    else:
+        group_sums = np.add.reduceat(cum, t.group_starts, axis=-1)
+        cum = np.cumsum(group_sums, axis=-1)
+        s_eq = np.take(group_sums, t.group_of, axis=-1)
     s_le = np.take(cum, t.group_of, axis=-1)
-    s_eq = np.take(group_sums, t.group_of, axis=-1)
-    s_lt = s_le - s_eq
-    s_gt = total - s_le
+    s_gt = cum[..., -1:] - s_le
+    s_lt = np.subtract(s_le, s_eq, out=s_le)
     return s_lt, s_eq, s_gt
 
 
@@ -180,7 +188,9 @@ def drift(p, spec: FitnessSpec) -> np.ndarray:
     t = _tables(spec)
     probs = sampling_probs(p, spec.n)
     s_lt, _, s_gt = _prefix_sums(t, probs)
-    return 2.0 * ((probs * (s_lt - s_gt)) @ t.bits_f)
+    w = np.subtract(s_lt, s_gt, out=s_lt)
+    w *= probs
+    return 2.0 * (w @ t.bits_f)
 
 
 def drift_naive(p, spec: FitnessSpec) -> np.ndarray:

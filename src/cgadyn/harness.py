@@ -38,9 +38,12 @@ from .landscape import (
 from .ode import LockstepSupDistance, Stability, classify_corners, integrate
 
 
+REAL_FMT = "%.17g"  # 17 significant digits: parses back to the same float
+
+
 def fmt_real(x) -> str:
     """17-significant-digit decimal form; parses back to the same float."""
-    return format(float(x), ".17g")
+    return REAL_FMT % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +163,29 @@ def hash_of(obj) -> str:
 # CSV plumbing
 # ---------------------------------------------------------------------------
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str] | None = None):
-    """Comment-prefixed provenance lines, then an RFC-style CSV table."""
+    """Comment-prefixed provenance lines, then an RFC-style CSV table.
+
+    ``rows`` is either an iterable of rows of strings and other values,
+    written by ``csv.writer``, or a 2-D float array, written a block of
+    rows at a time with every value in ``REAL_FMT``. Reals never need CSV
+    quoting, so both give the same bytes for the same reals.
+    """
     if header:
         for key in sorted(header):
             fp.write(f"# {key}: {header[key]}\n")
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow(row)
+    if isinstance(rows, np.ndarray):
+        line = ",".join([REAL_FMT] * rows.shape[1]) + "\n"
+        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
+            fp.write("".join([line % tuple(row) for row in block]))
+    else:
+        writer.writerows(rows)
     for line in footer or ():
         fp.write(f"# {line}\n")
 
@@ -364,9 +381,16 @@ def classify_all(spec: FitnessSpec) -> ClassificationReport:
 # drift grid export
 # ---------------------------------------------------------------------------
 
-def drift_grid_rows(spec: FitnessSpec, resolution: int, max_rows: int = 1_000_000):
-    """Cartesian grid over [0,1]^n with `resolution` points per axis;
-    yields (p_1..p_n, f_1..f_n) rows."""
+def drift_grid_rows(spec: FitnessSpec, resolution: int, max_rows: int = 1_000_000) -> np.ndarray:
+    """Cartesian grid over [0,1]^n with `resolution` points per axis, the
+    last axis varying fastest: a (resolution**n, 2n) array whose rows are
+    (p_1..p_n, f_1..f_n).
+
+    The drift is one batched call over the whole grid; smaller batches
+    could differ in the last bit (BLAS picks its kernel by shape). A refused
+    resolution raises DomainError before any work is done, so a caller
+    that computes the rows before opening its output leaves no file behind.
+    """
     if resolution < 2:
         raise DomainError(f"grid resolution must be >= 2, got {resolution}")
     total = resolution ** spec.n
@@ -377,6 +401,4 @@ def drift_grid_rows(spec: FitnessSpec, resolution: int, max_rows: int = 1_000_00
     axis = np.linspace(0.0, 1.0, resolution)
     grids = np.meshgrid(*([axis] * spec.n), indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    f = drift(points, spec)
-    for i in range(points.shape[0]):
-        yield tuple(points[i]) + tuple(f[i])
+    return np.concatenate([points, drift(points, spec)], axis=-1)

@@ -384,7 +384,12 @@ class LockstepSupDistance:
 # ---------------------------------------------------------------------------
 
 def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> None:
-    """Same record shape as stochastic trajectories, with "t" replacing "k"."""
+    """Same record shape as stochastic trajectories, with "t" replacing "k".
+
+    Like :func:`cgadyn.cga.trajectory_to_jsonl`, the records are formatted
+    in one pass with ``repr`` for each float, the text ``json.dumps``
+    writes for finite floats.
+    """
     header = {
         "format": "ode-trajectory",
         "n": traj.n,
@@ -396,6 +401,7 @@ def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> N
     if extra_header:
         header.update(extra_header)
     fp.write(json.dumps(header, sort_keys=True) + "\n")
-    for i in range(traj.times.shape[0]):
-        fp.write(json.dumps({"t": float(traj.times[i]),
-                             "p": [float(x) for x in traj.states[i]]}) + "\n")
+    fp.write("".join([
+        '{"t": %r, "p": [%s]}\n' % (t, ", ".join(map(repr, row)))
+        for t, row in zip(traj.times.tolist(), traj.states.tolist())
+    ]))

@@ -9,7 +9,10 @@ in its plainest form, for tests that require bit-identical results.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -83,6 +86,60 @@ def reference_sampling_probs(p, n: int) -> np.ndarray:
         pair = np.stack([1.0 - pi, pi], axis=-1)  # (..., 1, 2)
         probs = (probs[..., :, None] * pair).reshape(arr.shape[:-1] + (-1,))
     return probs
+
+
+def reference_drift(spec: ls.FitnessSpec, p):
+    """(drift, winner_probs, loser_probs) at p of shape (..., n), by the
+    grouped prefix-sum formula with every pass, ties or none: sort Pr(z|p)
+    by fitness, sum each tie group (``np.add.reduceat``), take cumulative
+    sums, and read each index's sums strictly below (s_lt), tied (s_eq) and
+    strictly above (s_gt) its fitness. Then winner = Pr * (2 s_lt + s_eq),
+    loser = Pr * (2 s_gt + s_eq) and f = 2 (Pr * (s_lt - s_gt)) @ bits."""
+    vals = ls.fitness_values(spec)
+    uniq, group_of = np.unique(vals, return_inverse=True)
+    order = np.argsort(vals, kind="stable")
+    starts = np.searchsorted(vals[order], uniq, side="left")
+    probs = reference_sampling_probs(p, spec.n)
+    group_sums = np.add.reduceat(probs[..., order], starts, axis=-1)
+    cum = np.cumsum(group_sums, axis=-1)
+    s_le = np.take(cum, group_of, axis=-1)
+    s_eq = np.take(group_sums, group_of, axis=-1)
+    s_lt = s_le - s_eq
+    s_gt = cum[..., -1:] - s_le
+    bits = ls.all_bit_matrix(spec.n).astype(np.float64)
+    f = 2.0 * ((probs * (s_lt - s_gt)) @ bits)
+    return f, probs * (2.0 * s_lt + s_eq), probs * (2.0 * s_gt + s_eq)
+
+
+def reference_real_csv(fieldnames, rows) -> str:
+    """A CSV table of reals as ``csv.writer`` writes it, every value
+    formatted by ``format(x, ".17g")``, one ``writerow`` per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([format(float(x), ".17g") for x in row])
+    return buf.getvalue()
+
+
+def reference_drift_grid_csv(spec: ls.FitnessSpec, resolution: int) -> str:
+    """The table of ``cgadyn drift --grid``: every grid point, last locus
+    varying fastest, with its drift from one batched ``drift`` call (the
+    same batch shape as the command's), formatted row by row."""
+    axis = np.linspace(0.0, 1.0, resolution)
+    points = np.array(list(itertools.product(axis, repeat=spec.n)))
+    f = dr.drift(points, spec)
+    names = [f"p_{i}" for i in range(1, spec.n + 1)] + [f"f_{i}" for i in range(1, spec.n + 1)]
+    return reference_real_csv(names, (tuple(x) + tuple(y) for x, y in zip(points, f)))
+
+
+def reference_jsonl_records(key: str, labels, states) -> str:
+    """JSON-lines records {key: label, "p": [...]}, one ``json.dumps`` call
+    per record, as the trajectory writers wrote them record by record."""
+    return "".join(
+        json.dumps({key: label, "p": [float(x) for x in row]}) + "\n"
+        for label, row in zip(labels, states)
+    )
 
 
 def strict_local_maxima(spec: ls.FitnessSpec) -> set[tuple[int, ...]]:

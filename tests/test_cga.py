@@ -10,7 +10,7 @@ from cgadyn import drift_field as dr
 from cgadyn import landscape as ls
 from cgadyn.errors import DomainError, HorizonError
 
-from conftest import TWO_MAX_TABLE, reference_cga_run
+from conftest import TWO_MAX_TABLE, reference_cga_run, reference_jsonl_records
 
 
 class QueuedRng:
@@ -314,3 +314,17 @@ def test_jsonl_bytes_reproducible():
         return buf.getvalue()
 
     assert dump() == dump()
+
+
+@pytest.mark.parametrize("spec, N, kw", [
+    (ls.binval(3), 16, dict(seed=2, record_every=3)),  # thinned, last record off the stride
+    (ls.binval(8), 64, dict(seed=1)),  # to absorption
+    (TWO_MAX_TABLE, 4, dict(seed=5, max_iters=7, initial=[0.25, 0.75])),
+], ids=["thinned", "absorbed", "budget"])
+def test_trajectory_jsonl_records_equal_json_dumps(spec, N, kw):
+    traj = C.run(spec, N, **kw)
+    buf = io.StringIO()
+    C.trajectory_to_jsonl(traj, buf)
+    head, body = buf.getvalue().split("\n", 1)
+    assert json.loads(head)["iterations"] == traj.iterations
+    assert body == reference_jsonl_records("k", [int(k) for k in traj.recorded_ks], traj.states)

@@ -12,6 +12,7 @@ from conftest import (
     binval_drift_closed_form,
     injective_suite,
     pair_oracle,
+    reference_drift,
     reference_sampling_probs,
 )
 
@@ -181,6 +182,28 @@ def test_drift_matches_pair_enumeration_random_tables(n, data):
     p = np.asarray(data.draw(st.lists(_PROB, min_size=n, max_size=n)))
     _, _, f = pair_oracle(spec, p)
     np.testing.assert_allclose(dr.drift(p, spec), f, rtol=0, atol=1e-12)
+
+
+def _tied_tables(rng):
+    yield ls.table_spec({"00": 3.0, "01": 1.0, "10": 3.0, "11": 4.0})
+    for n in (1, 3, 5, 7):
+        yield ls.table_spec(rng.integers(0, 4, 1 << n).astype(float), n=n)
+    yield ls.table_spec(np.ones(8), n=3)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (9,), (2, 3)], ids=["single", "1", "9", "2x3"])
+def test_drift_equals_reference_formula(rng, shape):
+    # the grouped prefix-sum formula with every pass; the same shapes on
+    # both sides, since the batch shape can change the matmul's last bit
+    specs = [s for n in range(1, 9) for s in injective_suite(n)] + list(_tied_tables(rng))
+    for spec in specs:
+        p = rng.random(shape + (spec.n,))
+        p[rng.random(p.shape) < 0.15] = 0.0
+        p[rng.random(p.shape) < 0.15] = 1.0
+        f, win, lose = reference_drift(spec, p)
+        assert np.array_equal(dr.drift(p, spec), f)
+        assert np.array_equal(dr.winner_probs(p, spec), win)
+        assert np.array_equal(dr.loser_probs(p, spec), lose)
 
 
 def test_drift_matches_binval_closed_form(rng):

@@ -12,7 +12,13 @@ from cgadyn import ode
 from cgadyn.cli import cli_main
 from cgadyn.errors import DomainError, TheoremScopeError
 
-from conftest import TWO_MAX_TABLE, injective_suite, strict_local_maxima
+from conftest import (
+    TWO_MAX_TABLE,
+    injective_suite,
+    reference_drift_grid_csv,
+    reference_real_csv,
+    strict_local_maxima,
+)
 
 
 def small_config(tmp_path, **kw):
@@ -236,14 +242,17 @@ def test_classify_csv_shape():
 
 # --- drift grid --------------------------------------------------------------------
 
-def test_drift_grid_rows_shape_and_values():
+def test_drift_grid_rows_shape_and_values(monkeypatch):
     from cgadyn.drift_field import drift
 
-    rows = list(hn.drift_grid_rows(ls.binval(2), 3))
-    assert len(rows) == 9
-    for row in rows:
-        p = np.asarray(row[:2])
-        np.testing.assert_allclose(row[2:], drift(p, ls.binval(2)), atol=1e-13)
+    calls = []
+    monkeypatch.setattr(hn, "drift", lambda p, spec: calls.append(p.shape) or drift(p, spec))
+    rows = hn.drift_grid_rows(ls.binval(2), 3)
+    assert calls == [(9, 2)]  # one batch for the whole grid
+    assert rows.shape == (9, 4)
+    axis = np.linspace(0.0, 1.0, 3)
+    assert np.array_equal(rows[:, :2], [[a, b] for a in axis for b in axis])
+    assert np.array_equal(rows[:, 2:], drift(rows[:, :2], ls.binval(2)))
 
 
 def test_drift_grid_guards():
@@ -251,6 +260,61 @@ def test_drift_grid_guards():
         list(hn.drift_grid_rows(ls.binval(2), 1))
     with pytest.raises(DomainError):
         list(hn.drift_grid_rows(ls.binval(8), 101))
+
+
+_EDGE_REALS = [0.0, -0.0, 1.0, 5e-324, 1e-5, 1e16, 2 / 3, float(np.nextafter(1.0, 0.0)),
+               -1e300, 1e-300, 123456789.125, -0.1]
+
+
+@pytest.mark.parametrize("rows", [1, 5, 5000], ids=["1row", "5rows", "5000rows"])
+def test_write_csv_real_array_equals_csv_writer(rng, rows):
+    # 5000 rows cross a block boundary
+    table = rng.random((rows, 3)) * 10.0 ** rng.integers(-30, 30, (rows, 3))
+    flat = table.reshape(-1)
+    k = min(flat.size, len(_EDGE_REALS))
+    flat[:k] = _EDGE_REALS[:k]
+    flat[-k:] = _EDGE_REALS[-k:]
+    names = ["a", "b", "c"]
+    buf = io.StringIO()
+    hn.write_csv(buf, names, table, header={"seed": 1}, footer=["end"])
+    assert buf.getvalue() == "# seed: 1\n" + reference_real_csv(names, table) + "# end\n"
+
+
+def test_fmt_real_is_format_17g():
+    for x in _EDGE_REALS + [float("inf"), float("nan"), 0.1, 1 / 3]:
+        assert hn.fmt_real(x) == format(x, ".17g")
+
+
+def _csv_body(path) -> str:
+    return "".join(l for l in path.read_text().splitlines(keepends=True) if not l.startswith("#"))
+
+
+@pytest.mark.parametrize("spec_args, spec, grid", [
+    (["--spec", "binval", "--n", "2"], ls.binval(2), 5),
+    (["--spec", "random_injective", "--n", "3", "--spec-seed", "4"], ls.random_injective(3, seed=4), 4),
+    (None, ls.table_spec({"00": 3.0, "01": 1.0, "10": 3.0, "11": 4.0}), 6),
+], ids=["binval2", "random3", "tied_table"])
+def test_cli_drift_csv_bytes(tmp_path, spec_args, spec, grid):
+    if spec_args is None:
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(ls.spec_to_json_dict(spec)))
+        spec_args = ["--spec-file", str(spec_file)]
+    out = tmp_path / "grid.csv"
+    assert cli_main(["drift", *spec_args, "--grid", str(grid), "--out", str(out)]) == 0
+    assert _csv_body(out) == reference_drift_grid_csv(spec, grid)
+
+
+@pytest.mark.parametrize("n, grid", [(2, 1), (4, 32)], ids=["grid1", "over_row_cap"])
+def test_cli_refused_grid_leaves_no_file(tmp_path, capsys, n, grid):
+    out = tmp_path / "f.csv"
+    argv = ["drift", "--spec", "binval", "--n", str(n), "--grid", str(grid), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    out.write_text("kept\n")
+    assert cli_main(argv) == 1
+    assert out.read_text() == "kept\n"
+    err = capsys.readouterr().err
+    assert "grid" in err and "internal error" not in err
 
 
 # --- CLI ------------------------------------------------------------------------

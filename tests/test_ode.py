@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,12 @@ from cgadyn import landscape as ls
 from cgadyn import ode as od
 from cgadyn.errors import DomainError, HorizonError, TheoremScopeError
 
-from conftest import TWO_MAX_TABLE, injective_suite, reference_find_limit_many
+from conftest import (
+    TWO_MAX_TABLE,
+    injective_suite,
+    reference_find_limit_many,
+    reference_jsonl_records,
+)
 
 
 SIGMOID_2 = 1.0 / (1.0 + np.exp(-2.0))  # exact flow value at t=1 for n=1 binval
@@ -49,6 +57,20 @@ def test_partial_final_step_lands_on_T():
     batch = od.find_limit_many(ls.binval(1), [[0.5]], tol=1e-300, T_max=0.35, h=0.1)
     assert not batch.converged[0] and batch.t_stop[0] == 0.35
     assert np.max(np.abs(batch.states[0] - traj.states[-1])) <= 1e-15
+
+
+@pytest.mark.parametrize("spec, h, T", [
+    (ls.binval(4), 0.03, 1.0),  # a short last step onto T
+    (ls.random_injective(5, seed=2), 0.01, 0.5),
+    (ls.binval(1), 0.1, 0.0),
+], ids=["short_last_step", "random5", "T0"])
+def test_ode_jsonl_records_equal_json_dumps(spec, h, T):
+    traj = od.integrate(spec, np.full(spec.n, 0.5), h=h, T=T)
+    buf = io.StringIO()
+    od.ode_to_jsonl(traj, buf)
+    head, body = buf.getvalue().split("\n", 1)
+    assert json.loads(head)["T"] == traj.horizon
+    assert body == reference_jsonl_records("t", [float(t) for t in traj.times], traj.states)
 
 
 def test_containment_and_no_clamps_from_center():
