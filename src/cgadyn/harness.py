@@ -67,9 +67,7 @@ _CONFIG_FIELDS = {
     "master_seed": ("an integer", _is_int),
     "output_dir": ("a path", lambda v: isinstance(v, (str, Path))),
     "ode_step": ("a finite number", _is_real),
-    "find_limit_tol": ("a finite number", _is_real),
     "max_iters": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "record_every": ("an integer", _is_int),
 }
 
 
@@ -95,9 +93,7 @@ class ExperimentConfig:
     master_seed: int = 0
     output_dir: Path = Path("outputs")
     ode_step: float = 1e-2
-    find_limit_tol: float = 1e-8
     max_iters: int | None = None
-    record_every: int = 1
 
     def __post_init__(self):
         self.N_values = tuple(int(N) for N in self.N_values)
@@ -110,8 +106,6 @@ class ExperimentConfig:
             raise DomainError(f"T_horizon must be nonnegative, got {self.T_horizon}")
         if not self.ode_step > 0:
             raise DomainError(f"ode_step must be positive, got {self.ode_step}")
-        if self.record_every < 1:
-            raise DomainError(f"record_every must be >= 1, got {self.record_every}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,9 +116,7 @@ class ExperimentConfig:
             "master_seed": self.master_seed,
             "output_dir": str(self.output_dir),
             "ode_step": self.ode_step,
-            "find_limit_tol": self.find_limit_tol,
             "max_iters": self.max_iters,
-            "record_every": self.record_every,
         }
 
     @classmethod

@@ -301,11 +301,15 @@ def sup_distance(a, b: OdeTrajectory, T: float) -> float:
     """sup over [0, T] of the Euclidean distance between two trajectories.
 
     ``a`` is an InterpolatedProcess or OdeTrajectory, ``b`` an
-    OdeTrajectory. The supremum is taken over the union of both time
-    grids (exact for step functions up to the deterministic grid's
-    resolution).
+    OdeTrajectory; both are compared at the union of their time grids.
+    Between two such times b is linear and a is linear or constant, so
+    the distance is convex there and its supremum sits at an end. For a
+    step process that includes the left limit at each jump time k*alpha
+    (1 <= k <= its last iteration): p(k-1) against b(k*alpha). The result
+    is exact for the piecewise-linear b.
     """
     ts_b = _flow_times(b, T)
+    left = 0.0
 
     if isinstance(a, InterpolatedProcess):
         traj = a.trajectory
@@ -313,8 +317,11 @@ def sup_distance(a, b: OdeTrajectory, T: float) -> float:
             raise HorizonError(
                 f"first trajectory ends at {(traj.iterations + 1) * traj.alpha} <= T={T}"
             )
-        ts = np.unique(np.concatenate([_jump_times(traj.alpha, T, traj.iterations), ts_b]))
+        jumps = _jump_times(traj.alpha, T, traj.iterations)
+        ts = np.unique(np.concatenate([jumps, ts_b]))
         va = a.evaluate_many(ts)
+        d_left = np.linalg.norm(a.evaluate_many(jumps[:-1]) - b.values_at(jumps[1:]), axis=-1)
+        left = np.max(d_left, initial=0.0)
     elif isinstance(a, OdeTrajectory):
         if a.horizon < T - 1e-9:
             raise HorizonError(f"first trajectory ends at {a.horizon} < T={T}")
@@ -324,7 +331,7 @@ def sup_distance(a, b: OdeTrajectory, T: float) -> float:
         raise DomainError(f"unsupported trajectory type {type(a).__name__}")
 
     vb = b.values_at(ts)
-    return float(np.max(np.linalg.norm(va - vb, axis=-1)))
+    return float(max(np.max(np.linalg.norm(va - vb, axis=-1)), left))
 
 
 class LockstepSupDistance:
@@ -337,7 +344,8 @@ class LockstepSupDistance:
     as :func:`sup_distance` would compare it: b's grid, {0, T}, and the
     run's jump times up to T and up to its last iteration. A time t reads
     the run's state at iteration floor(t / alpha), or its final state if
-    the run ended at a corner before then.
+    the run ended at a corner before then. The left limit at jump time
+    k*alpha reads the state at iteration k-1.
     """
 
     def __init__(self, b: OdeTrajectory, T: float, N: int, runs: int):
@@ -345,12 +353,15 @@ class LockstepSupDistance:
         self.two_n = float(2 * N)
         self.T = T
         shared = _flow_times(b, T)
-        self.ts = np.unique(np.concatenate([_jump_times(self.alpha, T), shared]))
+        jumps = _jump_times(self.alpha, T)
+        self.ts = np.unique(np.concatenate([jumps, shared]))
         self.jump_only = ~np.isin(self.ts, shared)
         self.ks = _iteration_of(self.ts, self.alpha)
         self.vb = b.values_at(self.ts)
+        self.left = np.searchsorted(self.ts, jumps[1:])  # entry k-1: jump time k*alpha
         self.sup = np.zeros(runs)
         self.done_ks = np.zeros(runs, dtype=np.int64)  # times up to here are compared
+        self.pending = np.zeros(runs)  # left limit at the jump after done_ks
 
     def _fold(self, rows, at, va, last) -> None:
         """Fold the distances at the times ``at`` (a slice) into ``sup[rows]``;
@@ -363,13 +374,28 @@ class LockstepSupDistance:
         m = snaps.shape[1]
         at = slice(*np.searchsorted(self.ks, [k0 + 1, k0 + m + 1]))
         self._fold(rows, at, snaps[:, self.ks[at] - k0 - 1] / self.two_n, ends)
+        # left limits: the one at jump k0+1 was measured with the previous
+        # block, and these rows have now made that jump
+        self.sup[rows] = np.maximum(self.sup[rows], self.pending[rows])
+        # those at k0+2 .. k0+m+1, from the states one iteration earlier, up
+        # to each run's end; whether a run makes jump k0+m+1 shows next block
+        count = max(0, min(m, self.left.size - k0 - 1))
+        vb = self.vb[self.left[k0 + 1:k0 + 1 + count]]
+        d = np.linalg.norm(snaps[:, :count] / self.two_n - vb, axis=-1)
+        keep = k0 + 2 + np.arange(count) <= ends[:, None]
+        self.sup[rows] = np.maximum(self.sup[rows], np.max(d, axis=-1, where=keep, initial=0.0))
+        self.pending[rows] = d[:, m - 1] if count == m else 0.0
         self.done_ks[rows] = k0 + m
 
     def finish(self, result) -> np.ndarray:
-        """Compare each run's start and, past its last block, its final state."""
+        """Compare each run's start (and the left limit at the first jump,
+        for runs that made it) and, past its last block, its final state."""
         first = slice(0, np.searchsorted(self.ks, 1))  # before the first jump
         d0 = np.linalg.norm(result.initial / self.two_n - self.vb[first], axis=-1)
         self.sup = np.maximum(self.sup, np.max(d0))
+        if self.left.size:
+            d1 = np.linalg.norm(result.initial / self.two_n - self.vb[self.left[:1]], axis=-1)
+            self.sup = np.where(result.iterations >= 1, np.maximum(self.sup, d1), self.sup)
         for r in range(self.sup.shape[0]):
             last = result.iterations[r:r + 1]
             if not result.terminated[r] and (last[0] + 1) * self.alpha <= self.T:

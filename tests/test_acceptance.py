@@ -262,7 +262,7 @@ def test_criterion_10_weak_convergence_trend():
     elapsed = time.perf_counter() - t0
     decreasing = medians[0] > medians[1] > medians[2]
     # threshold frozen after a one-time N=2048 calibration run
-    # (scripts/calibrate_alpha_sweep.py: medians 0.309 / 0.154 / 0.083 / 0.040)
+    # (scripts/calibrate_alpha_sweep.py: medians 0.310 / 0.154 / 0.083 / 0.040)
     report("criterion 10: median sup distance falls with the step; < 0.15 at N=512",
            decreasing and medians[2] < 0.15 and elapsed < 300.0,
            f"medians = {[f'{m:.4f}' for m in medians]}, {elapsed:.1f}s")

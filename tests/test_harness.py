@@ -62,6 +62,20 @@ def test_config_validation(tmp_path):
             hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
 
 
+@pytest.mark.parametrize("field, value", [("find_limit_tol", 1e-8), ("record_every", 1)])
+def test_removed_config_fields_are_refused(tmp_path, capsys, field, value):
+    obj = {"spec": {"kind": "binval", "n": 2}, field: value}
+    with pytest.raises(DomainError, match=f"unknown config fields: \\['{field}'\\]"):
+        hn.ExperimentConfig.from_json_dict(obj)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    assert cli_main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 1
+    assert cli_main(["ode", "--config", str(cfg), "--out", str(tmp_path / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.count(field) == 2 and "internal error" not in err
+    assert field not in small_config(tmp_path).to_json_dict()
+
+
 def test_fmt_real_roundtrips():
     for x in (0.1, 1 / 3, 2.0 ** -52, 123456.789, 0.0):
         assert float(hn.fmt_real(x)) == x

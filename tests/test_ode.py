@@ -256,8 +256,69 @@ def test_sup_distance_step_vs_flow_manual():
     got = od.sup_distance(ip, ode, 1.0)
     ts = np.unique(np.concatenate([np.arange(5) * 0.25, ode.times, [1.0]]))
     want = max(abs(ip.evaluate_at(t)[0] - ode.values_at([t])[0][0]) for t in ts)
+    # left limits: the step still holds p(k-1) as the flow reaches k * alpha
+    jumps = np.arange(1, min(4, traj.iterations) + 1) * 0.25
+    want = max([want] + [abs(ip.evaluate_at(t - 0.25)[0] - ode.values_at([t])[0][0])
+                         for t in jumps])
     assert got == pytest.approx(want, abs=1e-15)
     assert got <= 1.0  # trajectories live in [0,1]
+
+
+@pytest.mark.parametrize("spec, N, T, seed", [
+    (ls.binval(3), 4, 2.0, 7),
+    (ls.binval(2), 1, 3.0, 0),  # ends at a corner before T
+    (TWO_MAX_TABLE, 2, 1.5, 4),
+], ids=["binval3", "absorbed", "two_max"])
+def test_sup_distance_counts_left_limits(spec, N, T, seed):
+    # b runs through the run's own states at its jump times, so every
+    # right-continuous value lies on b and the distance lives only in the
+    # left limits: on [(k-1) alpha, k alpha) the run holds p(k-1) while b
+    # moves on to p(k)
+    alpha = 1.0 / (2 * N)
+    steps = int(round(T / alpha))
+    traj = C.run(spec, N, seed=seed, max_iters=steps)
+    ks = np.arange(steps + 1)
+    states = traj.states[np.minimum(ks, traj.iterations)]
+    b = od.OdeTrajectory(times=ks * alpha, states=states, step=alpha, initial=states[0],
+                         clamp_count=0, spec=spec)
+    moves = np.linalg.norm(np.diff(traj.states, axis=0), axis=-1)
+    assert moves.max() > 0
+    assert od.sup_distance(C.interpolate(traj), b, T) == moves.max()
+    tracker = od.LockstepSupDistance(b, T, N, 1)
+    result = C.lockstep(spec, N, [seed], max_iters=steps, on_block=tracker.update)
+    assert tracker.finish(result)[0] == moves.max()
+
+
+@pytest.mark.parametrize("spec, N, T", [
+    (ls.binval(3), 8, 4.0),
+    (ls.binval(2), 2, 3.0),  # most runs end at a corner before T
+    (TWO_MAX_TABLE, 16, 2.5),
+], ids=["binval3", "absorbed", "two_max"])
+def test_lockstep_sup_distance_equals_serial_on_shadowing_flows(spec, N, T):
+    # b shadows one run: b(k alpha) = p(k) + c_k (p(k) - p(k-1)) with random
+    # c_k in [0, 1), so that run's supremum is a left limit at a random jump,
+    # block boundaries and the first jump included
+    rng = np.random.default_rng(N)
+    alpha = 1.0 / (2 * N)
+    steps = int(round(T / alpha))
+    seeds = [(3, N, r) for r in range(40)]
+    serial = [C.run(spec, N, seed=s, max_iters=steps) for s in seeds]
+
+    def shadow(traj):
+        p = traj.states[np.minimum(np.arange(steps + 1), traj.iterations)]
+        states = p + rng.random((steps + 1, 1)) * np.diff(p, axis=0, prepend=p[:1])
+        return od.OdeTrajectory(times=np.arange(steps + 1) * alpha, states=states, step=alpha,
+                                initial=p[0], clamp_count=0, spec=spec)
+
+    def tracked(b, seeds):
+        tracker = od.LockstepSupDistance(b, T, N, len(seeds))
+        return tracker.finish(C.lockstep(spec, N, seeds, max_iters=steps, on_block=tracker.update))
+
+    for seed, traj in zip(seeds, serial):
+        b = shadow(traj)
+        assert tracked(b, [seed]).tolist() == [od.sup_distance(C.interpolate(traj), b, T)]
+    b = shadow(serial[0])  # every run against one run's shadow
+    assert tracked(b, seeds).tolist() == [od.sup_distance(C.interpolate(t), b, T) for t in serial]
 
 
 def test_sup_distance_bounded_by_sqrt_n():
