@@ -76,9 +76,15 @@ def test_removed_config_fields_are_refused(tmp_path, capsys, field, value):
     assert field not in small_config(tmp_path).to_json_dict()
 
 
+_EDGE_REALS = [0.0, -0.0, 1.0, 5e-324, 1e-5, 1e16, 2 / 3, float(np.nextafter(1.0, 0.0)),
+               -1e300, 1e-300, 123456789.125, -0.1]
+
+
 def test_fmt_real_roundtrips():
-    for x in (0.1, 1 / 3, 2.0 ** -52, 123456.789, 0.0):
+    for x in (0.1, 1 / 3, 2.0 ** -52, 123456.789, *_EDGE_REALS):
         assert float(hn.fmt_real(x)) == x
+        assert hn.fmt_real(x) == format(x, ".17g")
+    assert [hn.fmt_real(x) for x in (np.inf, -np.inf, np.nan)] == ["inf", "-inf", "nan"]
 
 
 # --- Monte Carlo campaign ------------------------------------------------------
@@ -276,10 +282,6 @@ def test_drift_grid_guards():
         list(hn.drift_grid_rows(ls.binval(8), 101))
 
 
-_EDGE_REALS = [0.0, -0.0, 1.0, 5e-324, 1e-5, 1e16, 2 / 3, float(np.nextafter(1.0, 0.0)),
-               -1e300, 1e-300, 123456789.125, -0.1]
-
-
 @pytest.mark.parametrize("rows", [1, 5, 5000], ids=["1row", "5rows", "5000rows"])
 def test_write_csv_real_array_equals_csv_writer(rng, rows):
     # 5000 rows cross a block boundary
@@ -292,11 +294,6 @@ def test_write_csv_real_array_equals_csv_writer(rng, rows):
     buf = io.StringIO()
     hn.write_csv(buf, names, table, header={"seed": 1}, footer=["end"])
     assert buf.getvalue() == "# seed: 1\n" + reference_real_csv(names, table) + "# end\n"
-
-
-def test_fmt_real_is_format_17g():
-    for x in _EDGE_REALS + [float("inf"), float("nan"), 0.1, 1 / 3]:
-        assert hn.fmt_real(x) == format(x, ".17g")
 
 
 def _csv_body(path) -> str:
