@@ -57,8 +57,13 @@ def test_config_validation(tmp_path):
             {"spec": {"kind": "binval", "n": 2}, "bogus_field": 1})
     for field, value in (("runs_per_setting", "3"), ("N_values", 4), ("N_values", ["4"]),
                          ("master_seed", "x"), ("T_horizon", float("inf")),
-                         ("max_iters", 1.5), ("record_every", True)):
+                         ("max_iters", 1.5)):
         with pytest.raises(DomainError, match=field):
+            hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
+    # a JSON bool is not an integer, though Python's bool is an int
+    for field, value in (("runs_per_setting", True), ("master_seed", False),
+                         ("max_iters", True), ("N_values", [True])):
+        with pytest.raises(DomainError, match=f"'{field}' must be an? .*integer"):
             hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
 
 
