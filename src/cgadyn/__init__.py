@@ -28,7 +28,6 @@ from .landscape import (
     ENUMERATION_CAP,
     FitnessSpec,
     LocalMaxReport,
-    MaxStatus,
     binval,
     bits_to_index,
     bits_to_string,
@@ -37,7 +36,6 @@ from .landscape import (
     fitness_values,
     index_to_bits,
     is_injective,
-    is_local_maximum,
     linear,
     perturbed_onemax,
     random_injective,
@@ -65,12 +63,8 @@ from .drift_field import (
     drift_naive,
     jacobian_analytic,
     jacobian_numeric,
-    loser_prob,
     loser_probs,
-    sampling_prob,
-    sampling_prob_partial,
     sampling_probs,
-    winner_prob,
     winner_probs,
 )
 from .ode import (

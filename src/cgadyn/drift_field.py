@@ -14,7 +14,8 @@ winner/loser distributions). Ties in fitness are handled throughout via
 the first-sample-wins rule.
 
 All functions accept a single vector p of shape (n,) or a batch of shape
-(..., n) and vectorize over the leading axes.
+(..., n) and vectorize over the leading axes. Each row's result is the
+same, bit for bit, whatever batch it comes in.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .landscape import (
 
 @dataclass(frozen=True)
 class _SpecTables:
-    bits_f: np.ndarray       # (2^n, n) float
+    bits_f: np.ndarray       # (2^n, n) float, all_bit_matrix(n): one per n, not per spec
     group_of: np.ndarray     # (2^n,) id of each index's fitness-tie group, ascending
     order: np.ndarray        # (2^n,) indices sorted by fitness (stable)
     group_starts: np.ndarray  # (G,) start offsets of groups within `order`
@@ -58,7 +59,7 @@ def _tables(spec: FitnessSpec) -> _SpecTables:
         order = np.argsort(vals, kind="stable")
         group_starts = np.searchsorted(vals[order], uniq, side="left")
         t = _SpecTables(
-            bits_f=all_bit_matrix(spec.n).astype(np.float64),
+            bits_f=all_bit_matrix(spec.n),
             group_of=group_of.astype(np.int64),
             order=order.astype(np.int64),
             group_starts=group_starts.astype(np.int64),
@@ -103,33 +104,6 @@ def sampling_probs(p, n: int) -> np.ndarray:
     return probs
 
 
-def sampling_prob(p, y) -> float:
-    """Pr(y|p) = prod_i p_i^y_i (1-p_i)^(1-y_i)."""
-    yb = np.atleast_1d(np.asarray(y))
-    arr = _as_pv(p, int(yb.shape[0]))
-    if arr.ndim != 1:
-        raise DimensionError("sampling_prob expects a single probability vector")
-    factors = np.where(yb.astype(bool), arr, 1.0 - arr)
-    return float(np.prod(factors))
-
-
-def sampling_prob_partial(p, z, locus: int) -> float:
-    """d Pr(z|p) / d p_locus at the point p (locus is 0-based, leftmost = 0).
-
-    At a deterministic p this reduces to the corner cases: +-1 when z
-    matches p off-locus (sign from z_locus), 0 otherwise.
-    """
-    zb = np.atleast_1d(np.asarray(z))
-    arr = _as_pv(p, int(zb.shape[0]))
-    if arr.ndim != 1:
-        raise DimensionError("sampling_prob_partial expects a single probability vector")
-    if not 0 <= locus < arr.shape[-1]:
-        raise DomainError(f"locus {locus} out of range for n={arr.shape[-1]}")
-    factors = np.where(zb.astype(bool), arr, 1.0 - arr)
-    rest = np.prod(np.delete(factors, locus))
-    return float(rest if zb[locus] else -rest)
-
-
 # ---------------------------------------------------------------------------
 # tournament distributions and drift
 # ---------------------------------------------------------------------------
@@ -170,12 +144,14 @@ def loser_probs(p, spec: FitnessSpec) -> np.ndarray:
     return probs * (2.0 * s_gt + s_eq)
 
 
-def winner_prob(p, spec: FitnessSpec, y) -> float:
-    return float(winner_probs(p, spec)[..., bits_to_index(y)])
+def _bit_sums(w: np.ndarray, t: _SpecTables) -> np.ndarray:
+    """sum_y y_i w(y) for each locus i, shape (..., n).
 
-
-def loser_prob(p, spec: FitnessSpec, y) -> float:
-    return float(loser_probs(p, spec)[..., bits_to_index(y)])
+    Every row goes through its own (1, 2^n) @ (2^n, n) product. A plain
+    ``w @ bits`` lets BLAS pick gemv or gemm by the batch's shape, and the
+    two round differently, so a row's last bits would depend on its batch.
+    """
+    return (w[..., None, :] @ t.bits_f)[..., 0, :]
 
 
 def drift(p, spec: FitnessSpec) -> np.ndarray:
@@ -190,7 +166,7 @@ def drift(p, spec: FitnessSpec) -> np.ndarray:
     s_lt, _, s_gt = _prefix_sums(t, probs)
     w = np.subtract(s_lt, s_gt, out=s_lt)
     w *= probs
-    return 2.0 * (w @ t.bits_f)
+    return 2.0 * _bit_sums(w, t)
 
 
 def drift_naive(p, spec: FitnessSpec) -> np.ndarray:
@@ -199,8 +175,7 @@ def drift_naive(p, spec: FitnessSpec) -> np.ndarray:
     Algebraically identical to :func:`drift`; kept as a second route for
     cross-checking.
     """
-    t = _tables(spec)
-    return (winner_probs(p, spec) - loser_probs(p, spec)) @ t.bits_f
+    return _bit_sums(winner_probs(p, spec) - loser_probs(p, spec), _tables(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -378,10 +378,11 @@ def drift_grid_rows(spec: FitnessSpec, resolution: int, max_rows: int = 1_000_00
     last axis varying fastest: a (resolution**n, 2n) array whose rows are
     (p_1..p_n, f_1..f_n).
 
-    The drift is one batched call over the whole grid; smaller batches
-    could differ in the last bit (BLAS picks its kernel by shape). A refused
-    resolution raises DomainError before any work is done, so a caller
-    that computes the rows before opening its output leaves no file behind.
+    The drift is computed in blocks of ``_CSV_BLOCK_ROWS`` points, which
+    bounds its temporaries; its rows do not depend on the batch, so this
+    equals one call over the whole grid. A refused resolution raises
+    DomainError before any work is done, so a caller that computes the rows
+    before opening its output leaves no file behind.
     """
     if resolution < 2:
         raise DomainError(f"grid resolution must be >= 2, got {resolution}")
@@ -392,5 +393,9 @@ def drift_grid_rows(spec: FitnessSpec, resolution: int, max_rows: int = 1_000_00
         )
     axis = np.linspace(0.0, 1.0, resolution)
     grids = np.meshgrid(*([axis] * spec.n), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    return np.concatenate([points, drift(points, spec)], axis=-1)
+    rows = np.empty((total, 2 * spec.n))
+    rows[:, :spec.n] = np.stack([g.ravel() for g in grids], axis=-1)
+    for start in range(0, total, _CSV_BLOCK_ROWS):
+        block = rows[start:start + _CSV_BLOCK_ROWS]
+        block[:, spec.n:] = drift(block[:, :spec.n], spec)
+    return rows

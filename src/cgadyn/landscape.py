@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -68,12 +67,13 @@ _BIT_MATRIX_CACHE: dict[int, np.ndarray] = {}
 
 
 def all_bit_matrix(n: int) -> np.ndarray:
-    """(2^n, n) uint8 matrix whose row i is index_to_bits(i, n). Read-only."""
+    """(2^n, n) float64 matrix whose row i is index_to_bits(i, n). Read-only,
+    one per n, shared by every spec of that length."""
     mat = _BIT_MATRIX_CACHE.get(n)
     if mat is None:
         idx = np.arange(1 << n, dtype=np.int64)
         shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-        mat = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+        mat = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.float64)
         mat.setflags(write=False)
         _BIT_MATRIX_CACHE[n] = mat
     return mat
@@ -223,10 +223,9 @@ def fitness_values(spec: FitnessSpec) -> np.ndarray:
     if spec.kind == "binval":
         vals = np.arange(size, dtype=np.float64)
     elif spec.kind == "linear":
-        bits = all_bit_matrix(spec.n).astype(np.float64)
-        vals = bits @ np.asarray(spec.weights, dtype=np.float64)
+        vals = all_bit_matrix(spec.n) @ np.asarray(spec.weights, dtype=np.float64)
     elif spec.kind == "perturbed_onemax":
-        ones = all_bit_matrix(spec.n).sum(axis=1).astype(np.float64)
+        ones = all_bit_matrix(spec.n).sum(axis=1)
         vals = ones + spec.epsilon * np.arange(size, dtype=np.float64)
     elif spec.kind == "table":
         vals = np.asarray(spec.table, dtype=np.float64)
@@ -286,12 +285,6 @@ def require_injective(spec: FitnessSpec, operation: str) -> None:
 # local maxima
 # ---------------------------------------------------------------------------
 
-class MaxStatus(Enum):
-    NOT_MAX = "not_max"
-    LOCAL_MAX = "local_max"
-    STRICT_LOCAL_MAX = "strict_local_max"
-
-
 @dataclass(frozen=True)
 class LocalMaxReport:
     """All local maxima of a spec, with per-maximum strictness flags."""
@@ -322,22 +315,6 @@ def enumerate_local_maxima(spec: FitnessSpec) -> LocalMaxReport:
     maxima = tuple(index_to_bits(int(i), spec.n) for i in np.flatnonzero(ge))
     strict = tuple(bool(gt[int(i)]) for i in np.flatnonzero(ge))
     return LocalMaxReport(maxima=maxima, strict_flags=strict)
-
-
-def is_local_maximum(spec: FitnessSpec, y) -> MaxStatus:
-    """Classify one solution against its n Hamming-1 neighbors."""
-    bits = _as_bits(spec, y)
-    gy = evaluate(spec, bits)
-    ge = gt = True
-    for m in range(spec.n):
-        z = bits.copy()
-        z[m] ^= 1
-        gz = evaluate(spec, z)
-        ge &= gy >= gz
-        gt &= gy > gz
-    if not ge:
-        return MaxStatus.NOT_MAX
-    return MaxStatus.STRICT_LOCAL_MAX if gt else MaxStatus.LOCAL_MAX
 
 
 # ---------------------------------------------------------------------------

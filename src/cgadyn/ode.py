@@ -32,8 +32,14 @@ from .landscape import FitnessSpec, index_to_bits, require_injective, spec_to_js
 
 @dataclass
 class OdeTrajectory:
+    """A flow on a time grid: from one start, ``states`` is (M+1, n); from a
+    batch of starts, (M+1, B, n), where ``states[:, b]`` is the flow from
+    start b (more batch axes work alike).
+    ``values_at`` (so :func:`sup_distance`) and :func:`ode_to_jsonl` take
+    one-start trajectories only."""
+
     times: np.ndarray    # (M+1,)
-    states: np.ndarray   # (M+1, n), all inside [0,1]^n
+    states: np.ndarray   # (M+1, n) or (M+1, B, n), all inside [0,1]^n
     step: float
     initial: np.ndarray
     clamp_count: int
@@ -41,7 +47,7 @@ class OdeTrajectory:
 
     @property
     def n(self) -> int:
-        return int(self.states.shape[1])
+        return int(self.states.shape[-1])
 
     @property
     def horizon(self) -> float:
@@ -49,6 +55,8 @@ class OdeTrajectory:
 
     def values_at(self, ts) -> np.ndarray:
         """Linear interpolation between grid points, shape (len(ts), n)."""
+        if self.states.ndim != 2:
+            raise DimensionError("values_at needs a one-start trajectory")
         ts = np.asarray(ts, dtype=np.float64)
         if np.any(ts < -1e-12) or np.any(ts > self.horizon + 1e-9):
             raise HorizonError(f"time outside [0, {self.horizon}]")
@@ -78,14 +86,14 @@ def _time_grid(T: float, h: float) -> np.ndarray:
 
 
 def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTrajectory:
-    """Integrate the flow from x0 over [0, T] with fixed step h.
+    """Integrate the flow from x0, one start (n,) or a batch (..., n), over
+    [0, T] with fixed step h. Each start's flow is the same, bit for bit,
+    alone or in any batch.
 
     The grid is 0, h, 2h, ...; a shorter final step lands exactly on T
-    when T is not a multiple of h. T = 0 yields the single initial state.
+    when T is not a multiple of h. T = 0 yields the initial states only.
     """
     x = _as_pv(x0, spec.n)
-    if x.ndim != 1:
-        raise DimensionError("integrate expects a single initial state")
     if not h > 0.0:
         raise DomainError(f"step size must be positive, got {h}")
     if T < 0.0:
@@ -93,11 +101,9 @@ def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTra
 
     field = lambda s: drift(s, spec)
     times = _time_grid(T, h)
-    states = np.empty((times.shape[0], spec.n), dtype=np.float64)
+    states = np.empty(times.shape + x.shape, dtype=np.float64)
     states[0] = x
     clamps = 0
-    # one state at a time, not a (1, n) batch: BLAS picks its kernel by
-    # shape, and the batched drift differs in the last bit
     for i in range(1, times.shape[0]):
         nxt = _rk4_step(states[i - 1], float(times[i] - times[i - 1]), field)
         clipped = np.clip(nxt, 0.0, 1.0)
@@ -144,12 +150,9 @@ def find_limit_many(
     """Integrate a batch of starts until the drift stalls below tol (per row).
 
     After every step the rows still moving are checked for a stall with
-    one ``drift`` call on exactly those rows. When none of them stalled,
-    the next step moves the same rows from the same states, so that drift
-    is passed on as the step's k1: 4 drift calls per step instead of 5.
-    When some row stalled, k1 is computed afresh on the smaller batch (a
-    batched drift can differ in the last bit with the batch's shape, so
-    rows of the larger batch's drift are not reused).
+    one ``drift`` call on exactly those rows. The rows that did not stall
+    move on from the same states, so their rows of that drift are the next
+    step's k1: 4 drift calls per step instead of 5.
     """
     X = _as_pv(x0s, spec.n)
     if X.ndim == 1:
@@ -167,15 +170,12 @@ def find_limit_many(
 
     def stall_check(t_now: float, active: np.ndarray):
         """Stop the rows of ``active`` whose drift is below tol at t_now.
-        Returns the rows still moving and, if that is all of ``active``,
-        their drift."""
+        Returns the rows still moving and their drift."""
         f = drift(X[active], spec)
         stalled = np.max(np.abs(f), axis=-1) < tol
-        if not stalled.any():
-            return active, f
         converged[active[stalled]] = True
         t_stop[active[stalled]] = t_now
-        return active[~stalled], None
+        return active[~stalled], f[~stalled]
 
     times = _time_grid(T_max, h)
     active, k1 = stall_check(0.0, np.arange(B))
@@ -416,6 +416,8 @@ def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> N
     in one pass with ``repr`` for each float, the text ``json.dumps``
     writes for finite floats.
     """
+    if traj.states.ndim != 2:
+        raise DimensionError("ode_to_jsonl needs a one-start trajectory")
     header = {
         "format": "ode-trajectory",
         "n": traj.n,

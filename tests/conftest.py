@@ -94,7 +94,8 @@ def reference_drift(spec: ls.FitnessSpec, p):
     by fitness, sum each tie group (``np.add.reduceat``), take cumulative
     sums, and read each index's sums strictly below (s_lt), tied (s_eq) and
     strictly above (s_gt) its fitness. Then winner = Pr * (2 s_lt + s_eq),
-    loser = Pr * (2 s_gt + s_eq) and f = 2 (Pr * (s_lt - s_gt)) @ bits."""
+    loser = Pr * (2 s_gt + s_eq) and f = 2 (Pr * (s_lt - s_gt)) @ bits, one
+    row at a time, so no row's product depends on the rows around it."""
     vals = ls.fitness_values(spec)
     uniq, group_of = np.unique(vals, return_inverse=True)
     order = np.argsort(vals, kind="stable")
@@ -106,8 +107,10 @@ def reference_drift(spec: ls.FitnessSpec, p):
     s_eq = np.take(group_sums, group_of, axis=-1)
     s_lt = s_le - s_eq
     s_gt = cum[..., -1:] - s_le
-    bits = ls.all_bit_matrix(spec.n).astype(np.float64)
-    f = 2.0 * ((probs * (s_lt - s_gt)) @ bits)
+    bits = ls.all_bit_matrix(spec.n)
+    w = probs * (s_lt - s_gt)
+    f = 2.0 * np.array([row @ bits for row in w.reshape(-1, w.shape[-1])])
+    f = f.reshape(w.shape[:-1] + (spec.n,))
     return f, probs * (2.0 * s_lt + s_eq), probs * (2.0 * s_gt + s_eq)
 
 
@@ -142,15 +145,22 @@ def reference_jsonl_records(key: str, labels, states) -> str:
     )
 
 
-def strict_local_maxima(spec: ls.FitnessSpec) -> set[tuple[int, ...]]:
-    """Every y fitter than each of its n Hamming-1 neighbours, by evaluating
-    each neighbour."""
-    out = set()
+def local_maxima(spec: ls.FitnessSpec) -> dict[tuple[int, ...], bool]:
+    """Every y at least as fit as each of its n Hamming-1 neighbours, mapped
+    to whether it is strictly fitter than all of them, by flipping each
+    locus and evaluating the neighbour. Keys in solution-index order."""
+    out = {}
     for y in itertools.product((0, 1), repeat=spec.n):
-        neighbors = [y[:m] + (1 - y[m],) + y[m + 1:] for m in range(spec.n)]
-        if all(ls.evaluate(spec, y) > ls.evaluate(spec, z) for z in neighbors):
-            out.add(y)
+        g = ls.evaluate(spec, y)
+        neighbors = [ls.evaluate(spec, y[:m] + (1 - y[m],) + y[m + 1:]) for m in range(spec.n)]
+        if all(g >= gz for gz in neighbors):
+            out[y] = all(g > gz for gz in neighbors)
     return out
+
+
+def strict_local_maxima(spec: ls.FitnessSpec) -> set[tuple[int, ...]]:
+    """Every y fitter than each of its n Hamming-1 neighbours."""
+    return {y for y, strict in local_maxima(spec).items() if strict}
 
 
 def binval_drift_closed_form(p) -> np.ndarray:

@@ -239,10 +239,9 @@ def test_criterion_09_lyapunov_monotonicity():
     rng = np.random.default_rng(MASTER_SEED + 9)
     worst = np.inf
     for spec in spec_pool((2, 3, 4)):
-        starts = [np.full(spec.n, 0.5)] + list(interior_points(rng, 3, spec.n))
-        for x0 in starts:
-            traj = od.integrate(spec, x0, h=1e-2, T=10.0)
-            worst = min(worst, float(od.lyapunov_increments(traj, spec).min()))
+        starts = np.vstack([np.full(spec.n, 0.5), interior_points(rng, 3, spec.n)])
+        traj = od.integrate(spec, starts, h=1e-2, T=10.0)
+        worst = min(worst, float(od.lyapunov_increments(traj, spec).min()))
     big = od.integrate(ls.binval(8), np.full(8, 0.5), h=1e-2, T=5.0)
     worst = min(worst, float(od.lyapunov_increments(big, ls.binval(8)).min()))
     report("criterion 9: line-integral increments f(X_k) . dX (squared speed) >= -1e-9",

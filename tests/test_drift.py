@@ -20,18 +20,17 @@ from conftest import (
 # --- sampling distribution -------------------------------------------------
 
 def test_sampling_prob_examples():
-    assert dr.sampling_prob([0.5, 0.5], (1, 1)) == 0.25
-    assert dr.sampling_prob([1.0, 0.0], (1, 0)) == 1.0
-    assert dr.sampling_prob([1.0, 0.0], (1, 1)) == 0.0
-    assert dr.sampling_prob([0.25, 0.75], (0, 1)) == 0.75 * 0.75
+    index = ls.bits_to_index
+    assert dr.sampling_probs([0.5, 0.5], 2)[index((1, 1))] == 0.25
+    assert dr.sampling_probs([1.0, 0.0], 2)[index((1, 0))] == 1.0
+    assert dr.sampling_probs([1.0, 0.0], 2)[index((1, 1))] == 0.0
+    assert dr.sampling_probs([0.25, 0.75], 2)[index((0, 1))] == 0.75 * 0.75
 
 
 def test_sampling_probs_vector_matches_scalar(rng):
     for n in (1, 3, 5):
         p = rng.random(n)
-        probs = dr.sampling_probs(p, n)
-        for i in range(1 << n):
-            assert probs[i] == pytest.approx(dr.sampling_prob(p, ls.index_to_bits(i, n)), abs=1e-15)
+        assert np.array_equal(dr.sampling_probs(p, n), reference_sampling_probs(p, n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -64,49 +63,13 @@ def test_sampling_probs_exact_at_corners():
     assert np.array_equal(probs, expected)
 
 
-# --- partial derivatives of the sampling distribution ----------------------
-
-def test_partials_at_corner_four_cases():
-    y = (1, 0, 1)
-    # same solution: sign follows the bit at the locus
-    assert dr.sampling_prob_partial(y, y, 0) == 1.0
-    assert dr.sampling_prob_partial(y, y, 1) == -1.0
-    # Hamming distance >= 2: flat
-    assert dr.sampling_prob_partial(y, (0, 1, 1), 0) == 0.0
-    # distance 1, differing exactly at the locus: sign follows z's bit
-    assert dr.sampling_prob_partial(y, (1, 1, 1), 1) == 1.0
-    assert dr.sampling_prob_partial(y, (0, 0, 1), 0) == -1.0
-    # distance 1 but differing elsewhere: flat
-    assert dr.sampling_prob_partial(y, (1, 1, 1), 0) == 0.0
-
-
-def test_partials_match_finite_differences(rng):
-    n = 4
-    p = 0.1 + 0.8 * rng.random(n)
-    h = 1e-7
-    for _ in range(20):
-        z = ls.index_to_bits(int(rng.integers(0, 1 << n)), n)
-        m = int(rng.integers(0, n))
-        up, down = p.copy(), p.copy()
-        up[m] += h
-        down[m] -= h
-        fd = (dr.sampling_prob(up, z) - dr.sampling_prob(down, z)) / (2 * h)
-        assert dr.sampling_prob_partial(p, z, m) == pytest.approx(fd, abs=1e-6)
-
-
-def test_partials_locus_out_of_range():
-    with pytest.raises(DomainError):
-        dr.sampling_prob_partial((1, 0), (1, 0), 2)
-
-
 # --- winner / loser distributions ------------------------------------------
 
 def test_winner_loser_binval_n1():
+    # index 0 is the solution (0,), index 1 is (1,)
     spec = ls.binval(1)
-    assert dr.winner_prob([0.5], spec, (1,)) == pytest.approx(0.75, abs=1e-15)
-    assert dr.winner_prob([0.5], spec, (0,)) == pytest.approx(0.25, abs=1e-15)
-    assert dr.loser_prob([0.5], spec, (1,)) == pytest.approx(0.25, abs=1e-15)
-    assert dr.loser_prob([0.5], spec, (0,)) == pytest.approx(0.75, abs=1e-15)
+    assert np.array_equal(dr.winner_probs([0.5], spec), [0.25, 0.75])
+    assert np.array_equal(dr.loser_probs([0.5], spec), [0.75, 0.25])
 
 
 def test_winner_loser_at_corner_are_indicators():
@@ -193,8 +156,8 @@ def _tied_tables(rng):
 
 @pytest.mark.parametrize("shape", [(), (1,), (9,), (2, 3)], ids=["single", "1", "9", "2x3"])
 def test_drift_equals_reference_formula(rng, shape):
-    # the grouped prefix-sum formula with every pass; the same shapes on
-    # both sides, since the batch shape can change the matmul's last bit
+    # the grouped prefix-sum formula with every pass, its product taken
+    # one row at a time
     specs = [s for n in range(1, 9) for s in injective_suite(n)] + list(_tied_tables(rng))
     for spec in specs:
         p = rng.random(shape + (spec.n,))
@@ -235,13 +198,26 @@ def test_drift_bounded_by_one(rng):
 
 
 def test_drift_batch_matches_loop(rng):
-    # batch and single-vector calls may take different BLAS paths; they
-    # agree to rounding
-    spec = ls.random_injective(4, seed=2)
-    batch = rng.random((10, 4))
-    f = dr.drift(batch, spec)
-    for i in range(10):
-        np.testing.assert_allclose(f[i], dr.drift(batch[i], spec), rtol=1e-13, atol=1e-15)
+    # every row is bit-identical whatever batch it comes in: a plain matmul
+    # over the batch (gemm) rounds differently from one row (gemv)
+    for n in (1, 2, 4, 8, 12, 16):
+        spec = ls.random_injective(n, seed=2)
+        batch = rng.random((2, 3, n))
+        rows = batch.reshape(6, n)
+        singles = np.array([dr.drift(row, spec) for row in rows])
+        assert np.array_equal(dr.drift(batch, spec).reshape(6, n), singles)
+        assert np.array_equal(dr.drift(rows, spec), singles)
+        assert np.array_equal(dr.drift(rows[1:4], spec), singles[1:4])
+        for i in range(6):
+            assert np.array_equal(dr.drift(rows[i:i + 1], spec)[0], singles[i])
+        naive = np.array([dr.drift_naive(row, spec) for row in rows])
+        assert np.array_equal(dr.drift_naive(batch, spec).reshape(6, n), naive)
+
+
+def test_specs_of_one_length_share_the_bit_matrix():
+    a, b = dr._tables(ls.binval(6)), dr._tables(ls.random_injective(6, seed=1))
+    assert a.bits_f is b.bits_f is ls.all_bit_matrix(6)
+    assert a.bits_f.dtype == np.float64 and not a.bits_f.flags.writeable
 
 
 def test_interior_non_stationarity(rng):

@@ -273,11 +273,23 @@ def test_drift_grid_rows_shape_and_values(monkeypatch):
     calls = []
     monkeypatch.setattr(hn, "drift", lambda p, spec: calls.append(p.shape) or drift(p, spec))
     rows = hn.drift_grid_rows(ls.binval(2), 3)
-    assert calls == [(9, 2)]  # one batch for the whole grid
+    assert calls == [(9, 2)]  # one block for a grid this small
     assert rows.shape == (9, 4)
     axis = np.linspace(0.0, 1.0, 3)
     assert np.array_equal(rows[:, :2], [[a, b] for a in axis for b in axis])
     assert np.array_equal(rows[:, 2:], drift(rows[:, :2], ls.binval(2)))
+
+
+def test_drift_grid_rows_in_blocks_equal_one_call(monkeypatch):
+    # 9^4 = 6561 points span two blocks; drift rows do not depend on the batch
+    from cgadyn.drift_field import drift
+
+    spec = ls.random_injective(4, seed=5)
+    calls = []
+    monkeypatch.setattr(hn, "drift", lambda p, s: calls.append(p.shape[0]) or drift(p, s))
+    rows = hn.drift_grid_rows(spec, 9)
+    assert calls == [hn._CSV_BLOCK_ROWS, 9 ** 4 - hn._CSV_BLOCK_ROWS]
+    assert np.array_equal(rows[:, 4:], drift(rows[:, :4], spec))
 
 
 def test_drift_grid_guards():

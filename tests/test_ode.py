@@ -8,7 +8,7 @@ from cgadyn import cga as C
 from cgadyn import drift_field as dr
 from cgadyn import landscape as ls
 from cgadyn import ode as od
-from cgadyn.errors import DomainError, HorizonError, TheoremScopeError
+from cgadyn.errors import DimensionError, DomainError, HorizonError, TheoremScopeError
 
 from conftest import (
     TWO_MAX_TABLE,
@@ -48,6 +48,30 @@ def test_zero_horizon():
     traj = od.integrate(ls.binval(2), [0.5, 0.5], h=0.1, T=0.0)
     assert traj.times.shape == (1,)
     assert np.array_equal(traj.states[0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("spec", [ls.binval(3), ls.random_injective(5, seed=3), TWO_MAX_TABLE,
+                                  ls.table_spec([0.0, 1.0, 1.0, 0.0, 2.0, 2.0, 1.0, 3.0], n=3)])
+def test_integrate_batch_equals_single_starts(spec):
+    # one RK4 loop for a start and a batch; each row is bit-identical to its
+    # start alone, a corner start, a long step and a short last step included
+    rng = np.random.default_rng(spec.n)
+    starts = np.vstack([np.ones(spec.n), rng.random((4, spec.n))])
+    for h, T in ((1e-2, 2.05), (0.5, 4.2)):
+        batch = od.integrate(spec, starts, h=h, T=T)
+        singles = [od.integrate(spec, x0, h=h, T=T) for x0 in starts]
+        assert batch.states.shape == (singles[0].times.shape[0], 5, spec.n)
+        assert np.array_equal(batch.times, singles[0].times)
+        for b, single in enumerate(singles):
+            assert np.array_equal(batch.states[:, b], single.states)
+            assert np.array_equal(od.integrate(spec, starts[b:b + 1], h=h, T=T).states[:, 0],
+                                  single.states)
+        assert batch.clamp_count == sum(s.clamp_count for s in singles)
+    # readers of one flow refuse a batch
+    with pytest.raises(DimensionError):
+        od.sup_distance(singles[0], batch, 1.0)
+    with pytest.raises(DimensionError):
+        od.ode_to_jsonl(batch, io.StringIO())
 
 
 def test_partial_final_step_lands_on_T():
@@ -117,7 +141,8 @@ def test_find_limit_stationary_start_stays():
 
 
 def test_find_limit_many_matches_singles():
-    # batch and single integration agree up to BLAS rounding differences
+    # drift rows do not depend on the batch, so each row of the batch is
+    # bit-identical to its start searched alone
     spec = ls.random_injective(3, seed=4)
     rng = np.random.default_rng(0)
     starts = 0.05 + 0.9 * rng.random((8, 3))
@@ -125,9 +150,9 @@ def test_find_limit_many_matches_singles():
     assert batch.converged.all()
     for i in range(8):
         single = od.find_limit(spec, starts[i], T_max=100.0)
-        np.testing.assert_allclose(single.state, batch.states[i], atol=1e-12)
+        assert np.array_equal(single.state, batch.states[i])
         assert single.nearest_corner == tuple(batch.nearest_corners[i])
-        assert abs(single.t_stop - batch.t_stop[i]) <= 0.011
+        assert single.t_stop == batch.t_stop[i]
 
 
 def _staggered_starts(n, rows, seed):
@@ -147,10 +172,9 @@ def _staggered_starts(n, rows, seed):
     (ls.table_spec([0.0, 1.0, 1.0, 0.0, 2.0, 2.0, 1.0, 3.0], n=3), _staggered_starts(3, 8, 3),
      dict(tol=1e-5, T_max=12.3, h=0.05)),
     (ls.binval(2), np.array([[0.3, 0.6]]), dict(T_max=9.99, h=0.1)),
-    # the corner row stops at t=0 and leaves one row moving, whose k1 must
-    # come from a 1-row drift: that row of the 2-row drift can differ in the
-    # last bit (BLAS picks its kernel by shape), and with a long step the
-    # difference reaches the state
+    # the corner row stops at t=0 and leaves one row moving, whose k1 is
+    # its row of the 2-row drift; the reference takes it from a 1-row drift,
+    # and with a long step a last-bit difference would reach the state
     (ls.random_injective(6, seed=6), np.vstack([np.ones(6), np.random.default_rng(9).random(6)]),
      dict(T_max=1.25, h=0.5)),
     (ls.random_injective(8, seed=8), np.vstack([np.ones(8), np.random.default_rng(2).random(8)]),
@@ -225,9 +249,8 @@ def test_lyapunov_rate():
 def test_lyapunov_increments_nonnegative():
     rng = np.random.default_rng(17)
     for spec in injective_suite(3):
-        for x0 in (np.full(3, 0.5), rng.random(3)):
-            traj = od.integrate(spec, x0, h=1e-2, T=8.0)
-            assert od.lyapunov_increments(traj, spec).min() >= -1e-9
+        traj = od.integrate(spec, np.stack([np.full(3, 0.5), rng.random(3)]), h=1e-2, T=8.0)
+        assert od.lyapunov_increments(traj, spec).min() >= -1e-9
 
 
 # --- trajectory distance --------------------------------------------------------
