@@ -439,12 +439,28 @@ def interpolate(traj: StochasticTrajectory) -> InterpolatedProcess:
 # serialization
 # ---------------------------------------------------------------------------
 
+def format_cells(a, fmt: str) -> np.ndarray:
+    """``fmt % x`` for every cell x of float array ``a``, as an object array
+    of ``a``'s shape.
+
+    Each distinct bit pattern is formatted once and its text gathered back
+    into place; written states and drifts repeat few values (a run's states
+    lie on the 1/(2N) grid). Keying on bits, not values, keeps ``0.0`` and
+    ``-0.0`` apart.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    keys, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    text = np.array([fmt % x for x in keys.view(np.float64).tolist()], dtype=object)
+    # numpy versions disagree on the shape of the inverse
+    return text[inverse.reshape(a.shape)]
+
+
 def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | None = None) -> None:
     """Write one header record then one {"k", "p"} record per snapshot.
 
-    The records are formatted in one pass, with ``repr`` for each float:
-    for finite floats that is the text ``json.dumps`` writes, so the bytes
-    are those of one ``json.dumps`` call per record.
+    The records are formatted in one pass, each float by ``repr`` through
+    :func:`format_cells`: for finite floats that is the text ``json.dumps``
+    writes, so the bytes are those of one ``json.dumps`` call per record.
     """
     header = {
         "format": "cga-trajectory",
@@ -461,6 +477,6 @@ def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | Non
         header.update(extra_header)
     fp.write(json.dumps(header, sort_keys=True) + "\n")
     fp.write("".join([
-        '{"k": %d, "p": [%s]}\n' % (k, ", ".join(map(repr, row)))
-        for k, row in zip(traj.recorded_ks.tolist(), traj.states.tolist())
+        '{"k": %d, "p": [%s]}\n' % (k, ", ".join(row))
+        for k, row in zip(traj.recorded_ks.tolist(), format_cells(traj.states, "%r").tolist())
     ]))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .cga import default_max_iters, lockstep
+from .cga import default_max_iters, format_cells, lockstep
 from .drift_field import drift
 from .landscape import (
     FitnessSpec,
@@ -163,8 +163,9 @@ def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str
 
     ``rows`` is either an iterable of rows of strings and other values,
     written by ``csv.writer``, or a 2-D float array, written a block of
-    rows at a time with every value in ``REAL_FMT``. Reals never need CSV
-    quoting, so both give the same bytes for the same reals.
+    rows at a time with every value in ``REAL_FMT``; a block formats each
+    distinct value once (:func:`cgadyn.cga.format_cells`). Reals never need
+    CSV quoting, so both give the same bytes for the same reals.
     """
     if header:
         for key in sorted(header):
@@ -172,10 +173,9 @@ def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(fieldnames)
     if isinstance(rows, np.ndarray):
-        line = ",".join([REAL_FMT] * rows.shape[1]) + "\n"
         for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
-            fp.write("".join([line % tuple(row) for row in block]))
+            block = format_cells(rows[start:start + _CSV_BLOCK_ROWS], REAL_FMT).tolist()
+            fp.write("".join([",".join(row) + "\n" for row in block]))
     else:
         writer.writerows(rows)
     for line in footer or ():

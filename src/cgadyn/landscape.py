@@ -105,6 +105,12 @@ class FitnessSpec:
             raise DomainError(f"unknown fitness kind {self.kind!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"solution length must be a positive integer, got {self.n!r}")
+        # hashed once: specs key the per-spec caches, and a table has 2^n values
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.n, self.weights, self.epsilon, self.table, self.seed)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_solutions(self) -> int:

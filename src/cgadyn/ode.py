@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, DomainError, HorizonError
-from .cga import InterpolatedProcess, _iteration_of
+from .cga import InterpolatedProcess, _iteration_of, format_cells
 from .drift_field import _as_pv, _corner_index, corner_spectra, drift
 from .landscape import FitnessSpec, index_to_bits, require_injective, spec_to_json_dict
 
@@ -413,8 +413,9 @@ def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> N
     """Same record shape as stochastic trajectories, with "t" replacing "k".
 
     Like :func:`cgadyn.cga.trajectory_to_jsonl`, the records are formatted
-    in one pass with ``repr`` for each float, the text ``json.dumps``
-    writes for finite floats.
+    in one pass with ``repr`` for each float (the states through
+    :func:`cgadyn.cga.format_cells`), the text ``json.dumps`` writes for
+    finite floats.
     """
     if traj.states.ndim != 2:
         raise DimensionError("ode_to_jsonl needs a one-start trajectory")
@@ -430,6 +431,6 @@ def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> N
         header.update(extra_header)
     fp.write(json.dumps(header, sort_keys=True) + "\n")
     fp.write("".join([
-        '{"t": %r, "p": [%s]}\n' % (t, ", ".join(map(repr, row)))
-        for t, row in zip(traj.times.tolist(), traj.states.tolist())
+        '{"t": %r, "p": [%s]}\n' % (t, ", ".join(row))
+        for t, row in zip(traj.times.tolist(), format_cells(traj.states, "%r").tolist())
     ]))

@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 
-from cgadyn import cga as C
 from cgadyn import drift_field as dr
 from cgadyn import harness as hn
 from cgadyn import landscape as ls

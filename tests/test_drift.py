@@ -220,6 +220,18 @@ def test_specs_of_one_length_share_the_bit_matrix():
     assert a.bits_f.dtype == np.float64 and not a.bits_f.flags.writeable
 
 
+def test_equal_specs_hash_alike_and_share_tables(rng):
+    values = rng.permutation(1 << 10).astype(float)
+    a, b = ls.table_spec(values), ls.table_spec(list(values))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ls.table_spec(values[::-1]) and a != ls.binval(10)
+    dr._TABLES_CACHE.pop(a, None)
+    before = len(dr._TABLES_CACHE)
+    assert dr._tables(a) is dr._tables(b)
+    assert len(dr._TABLES_CACHE) == before + 1
+    assert {a: 1}[b] == 1 and {ls.binval(3), ls.binval(3)} == {ls.binval(3)}
+
+
 def test_interior_non_stationarity(rng):
     for n in (2, 3, 4):
         for spec in injective_suite(n):

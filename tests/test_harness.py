@@ -1,6 +1,6 @@
 import io
 import json
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from conftest import (
     TWO_MAX_TABLE,
     injective_suite,
     reference_drift_grid_csv,
+    reference_jsonl_records,
     reference_real_csv,
     strict_local_maxima,
 )
@@ -299,18 +300,72 @@ def test_drift_grid_guards():
         list(hn.drift_grid_rows(ls.binval(8), 101))
 
 
-@pytest.mark.parametrize("rows", [1, 5, 5000], ids=["1row", "5rows", "5000rows"])
-def test_write_csv_real_array_equals_csv_writer(rng, rows):
+# every real a writer may meet: both zeros, neighbours one ulp apart, the
+# smallest subnormal, the non-finite values and the edge reals
+_ULP_PAIR = [0.1, float(np.nextafter(0.1, 1.0))]
+_REAL_POOL = np.array([0.0, -0.0, *_ULP_PAIR, 5e-324, np.nan, np.inf, -np.inf, *_EDGE_REALS])
+
+
+def _pool_table(rng, rows, cols, finite=False):
+    """A table of few distinct values, drawn from ``_REAL_POOL``."""
+    pool = _REAL_POOL[np.isfinite(_REAL_POOL)] if finite else _REAL_POOL
+    table = rng.choice(pool, (rows, cols))
+    table[0, :2] = [0.0, -0.0]  # one block formats both zeros
+    table[-1, :2] = _ULP_PAIR
+    return table
+
+
+@pytest.mark.parametrize("rows, pooled", [(1, False), (5, False), (5000, False), (5000, True)],
+                         ids=["1row", "5rows", "5000rows", "5000rows_pool"])
+def test_write_csv_real_array_equals_csv_writer(rng, rows, pooled):
     # 5000 rows cross a block boundary
-    table = rng.random((rows, 3)) * 10.0 ** rng.integers(-30, 30, (rows, 3))
-    flat = table.reshape(-1)
-    k = min(flat.size, len(_EDGE_REALS))
-    flat[:k] = _EDGE_REALS[:k]
-    flat[-k:] = _EDGE_REALS[-k:]
+    if pooled:
+        table = _pool_table(rng, rows, 3)
+    else:
+        table = rng.random((rows, 3)) * 10.0 ** rng.integers(-30, 30, (rows, 3))
+        flat = table.reshape(-1)
+        k = min(flat.size, len(_EDGE_REALS))
+        flat[:k] = _EDGE_REALS[:k]
+        flat[-k:] = _EDGE_REALS[-k:]
     names = ["a", "b", "c"]
     buf = io.StringIO()
     hn.write_csv(buf, names, table, header={"seed": 1}, footer=["end"])
     assert buf.getvalue() == "# seed: 1\n" + reference_real_csv(names, table) + "# end\n"
+
+
+@pytest.mark.parametrize("shape", [(7,), (0, 3), (2, 3, 4), (40, 6)])
+def test_format_cells_formats_every_cell(rng, shape):
+    a = rng.choice(_REAL_POOL, shape)
+    for fmt in (hn.REAL_FMT, "%r"):
+        cells = cga.format_cells(a, fmt)
+        assert cells.shape == a.shape
+        assert cells.ravel().tolist() == [fmt % x for x in a.ravel().tolist()]
+    strided = a[..., ::2]
+    assert cga.format_cells(strided, "%r").tolist() == cga.format_cells(strided.copy(), "%r").tolist()
+    assert cga.format_cells(np.array([0.0, -0.0, 0.0]), "%r").tolist() == ["0.0", "-0.0", "0.0"]
+
+
+class _GivenStates(cga.StochasticTrajectory):
+    """A run record whose states are set directly, not counts / (2N)."""
+
+    states = None
+
+
+def test_jsonl_writers_real_pool_equal_json_dumps(rng):
+    states = _pool_table(rng, 300, 3, finite=True)
+    run = _GivenStates(**vars(cga.run(ls.binval(3), 8, seed=1)))
+    run.states, run.recorded_ks = states, np.arange(len(states)) * 2
+    buf = io.StringIO()
+    cga.trajectory_to_jsonl(run, buf)
+    assert buf.getvalue().split("\n", 1)[1] == reference_jsonl_records(
+        "k", run.recorded_ks.tolist(), states)
+
+    times = np.linspace(0.0, 3.0, len(states))
+    flow = replace(ode.integrate(ls.binval(3), np.full(3, 0.5), h=0.5, T=1.0),
+                   times=times, states=states)
+    buf = io.StringIO()
+    ode.ode_to_jsonl(flow, buf)
+    assert buf.getvalue().split("\n", 1)[1] == reference_jsonl_records("t", times.tolist(), states)
 
 
 def _csv_body(path) -> str:
@@ -321,7 +376,8 @@ def _csv_body(path) -> str:
     (["--spec", "binval", "--n", "2"], ls.binval(2), 5),
     (["--spec", "random_injective", "--n", "3", "--spec-seed", "4"], ls.random_injective(3, seed=4), 4),
     (None, ls.table_spec({"00": 3.0, "01": 1.0, "10": 3.0, "11": 4.0}), 6),
-], ids=["binval2", "random3", "tied_table"])
+    (["--spec", "binval", "--n", "4"], ls.binval(4), 9),  # 6 561 rows: two CSV blocks
+], ids=["binval2", "random3", "tied_table", "binval4_two_blocks"])
 def test_cli_drift_csv_bytes(tmp_path, spec_args, spec, grid):
     if spec_args is None:
         spec_file = tmp_path / "spec.json"

@@ -1,0 +1,38 @@
+"""Every name imported in src/, tests/ and scripts/ is referenced in its module.
+
+A package ``__init__.py`` imports names to export them, so it is skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for pattern in ("src/**/*.py", "tests/*.py", "scripts/*.py")
+                 for p in ROOT.glob(pattern) if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names ``source`` binds by an import and never mentions again."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_unused_imports_finds_each_form():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path\nimport numpy as np\nfrom a import b, c as d\n"
+              "def f(x: np.ndarray):\n    return b(x)\n")
+    assert unused_imports(source) == ["os", "os", "d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
