@@ -195,10 +195,6 @@ class StochasticTrajectory:
     def states(self) -> np.ndarray:
         return self.counts / float(2 * self.alpha_steps)
 
-    @property
-    def final_pv(self) -> ProbabilityVector:
-        return ProbabilityVector(counts=self.counts[-1].copy(), alpha_steps=self.alpha_steps)
-
 
 @dataclass
 class LockstepResult:
@@ -248,8 +244,10 @@ def lockstep(
     is bit-identical to the same run stepped alone. After each block,
     ``on_block(rows, k0, snaps, ends)`` sees the runs that were active at its
     start: ``rows`` their indices, ``snaps[i, j]`` the counts of run
-    ``rows[i]`` after iteration ``k0 + 1 + j``, and ``ends[i]`` that run's
-    last iteration so far (its corner, or the block's end). Snapshots past a
+    ``rows[i]`` after iteration ``k0 + j`` for j = 0..B, and ``ends[i]`` that
+    run's last iteration so far (its corner, or the block's end). So
+    ``snaps[:, 0]`` is the block's start: ``initial`` in the first block, the
+    previous block's last column in every later one. Snapshots past a
     corner repeat it; the next block overwrites ``snaps``, so copy what you
     keep. Runs at a corner leave the active set.
     """
@@ -275,7 +273,7 @@ def lockstep(
     # narrowest integer type that holds 2N
     size = max(_BLOCK_UNIFORMS, 2 * n * rows.size)
     u_buf = np.empty(size)
-    snaps_buf = np.empty(size // 2, dtype=next(
+    snaps_buf = np.empty(size // 2 + n * rows.size, dtype=next(
         t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= two_n))
     k0 = 0
     while rows.size and k0 < max_iters:
@@ -289,15 +287,16 @@ def lockstep(
         u = u_buf[:m * 2 * rows.size * n].reshape(m, 2, rows.size, n)
         for i, r in enumerate(rows):
             u[:, :, i] = rngs[r].random(m * 2 * n).reshape(m, 2, n)
-        snaps = snaps_buf[:rows.size * m * n].reshape(rows.size, m, n)
+        snaps = snaps_buf[:rows.size * (m + 1) * n].reshape(rows.size, m + 1, n)
+        snaps[:, 0] = c
         for j in range(m):
             _update(c, inv, vals, pow2, u[j, 0], u[j, 1])
-            snaps[:, j] = c
+            snaps[:, j + 1] = c
         # at a corner a == b, so the update is zero and the corner absorbs:
         # a run ends at a corner iff its block does, at its first corner snapshot
         done = _at_corner(c, two_n)
         ends = np.full(rows.size, k0 + m, dtype=np.int64)
-        ends[done] = k0 + 1 + np.argmax(_at_corner(snaps[done], two_n), axis=1)
+        ends[done] = k0 + np.argmax(_at_corner(snaps[done], two_n), axis=1)
         counts[rows] = c
         iterations[rows] = ends
         terminated[rows] = done
@@ -333,7 +332,7 @@ def run_many(
             ks = np.arange(k0 + 1, ends[i] + 1)
             if record_every > 1:
                 ks = ks[ks % record_every == 0]
-            kept[r].append((ks, snaps[i, ks - k0 - 1]))
+            kept[r].append((ks, snaps[i, ks - k0]))
 
     result = lockstep(spec, N, seeds, initial=initial, max_iters=max_iters, on_block=keep)
     out = []
@@ -444,9 +443,10 @@ def format_cells(a, fmt: str) -> np.ndarray:
     of ``a``'s shape.
 
     Each distinct bit pattern is formatted once and its text gathered back
-    into place; written states and drifts repeat few values (a run's states
-    lie on the 1/(2N) grid). Keying on bits, not values, keeps ``0.0`` and
-    ``-0.0`` apart.
+    into place. That pays where values repeat, as in a run's states (they
+    lie on the 1/(2N) grid) and a drift grid; a flow's states are nearly all
+    distinct, so :func:`cgadyn.ode.ode_to_jsonl` does not use it. Keying on
+    bits, not values, keeps ``0.0`` and ``-0.0`` apart.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     keys, inverse = np.unique(a.view(np.uint64), return_inverse=True)

@@ -128,8 +128,7 @@ class ExperimentConfig:
         return cls(spec=spec_from_json_dict(obj["spec"]), **kwargs)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return hash_of(self.to_json_dict())
 
 
 def run_seed(master_seed: int, N: int, run_index: int) -> tuple[int, int, int]:
@@ -196,8 +195,6 @@ class SettingResult:
     non_terminated: int
     mean_iterations: float | None
     terminal_corners_are_local_maxima: bool | None
-    sup_distance_median: float | None = None
-    sup_distance_q90: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,8 +204,6 @@ class SettingResult:
             "non_terminated": self.non_terminated,
             "mean_iterations": self.mean_iterations,
             "terminal_corners_are_local_maxima": self.terminal_corners_are_local_maxima,
-            "sup_distance_median": self.sup_distance_median,
-            "sup_distance_q90": self.sup_distance_q90,
         }
 
 
@@ -373,23 +368,27 @@ def classify_all(spec: FitnessSpec) -> ClassificationReport:
 # drift grid export
 # ---------------------------------------------------------------------------
 
-def drift_grid_rows(spec: FitnessSpec, resolution: int, max_rows: int = 1_000_000) -> np.ndarray:
+_GRID_MAX_ROWS = 1_000_000
+
+
+def drift_grid_rows(spec: FitnessSpec, resolution: int) -> np.ndarray:
     """Cartesian grid over [0,1]^n with `resolution` points per axis, the
     last axis varying fastest: a (resolution**n, 2n) array whose rows are
     (p_1..p_n, f_1..f_n).
 
     The drift is computed in blocks of ``_CSV_BLOCK_ROWS`` points, which
     bounds its temporaries; its rows do not depend on the batch, so this
-    equals one call over the whole grid. A refused resolution raises
-    DomainError before any work is done, so a caller that computes the rows
+    equals one call over the whole grid. A refused resolution (below 2, or
+    a grid of more than ``_GRID_MAX_ROWS`` points) raises DomainError
+    before any work is done, so a caller that computes the rows
     before opening its output leaves no file behind.
     """
     if resolution < 2:
         raise DomainError(f"grid resolution must be >= 2, got {resolution}")
     total = resolution ** spec.n
-    if total > max_rows:
+    if total > _GRID_MAX_ROWS:
         raise DomainError(
-            f"grid of {total} points exceeds the {max_rows} row limit; lower the resolution"
+            f"grid of {total} points exceeds the {_GRID_MAX_ROWS} row limit; lower the resolution"
         )
     axis = np.linspace(0.0, 1.0, resolution)
     grids = np.meshgrid(*([axis] * spec.n), indexing="ij")

@@ -298,9 +298,6 @@ class LocalMaxReport:
     maxima: tuple[tuple[int, ...], ...]
     strict_flags: tuple[bool, ...]
 
-    def __contains__(self, y) -> bool:
-        return tuple(int(b) for b in y) in self.maxima
-
 
 def _neighbor_value_matrix(spec: FitnessSpec, rows=None) -> np.ndarray:
     """(len(rows), n) matrix: column m holds the fitness of each index in

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, DomainError, HorizonError
-from .cga import InterpolatedProcess, _iteration_of, format_cells
+from .cga import InterpolatedProcess, _iteration_of
 from .drift_field import _as_pv, _corner_index, corner_spectra, drift
 from .landscape import FitnessSpec, index_to_bits, require_injective, spec_to_json_dict
 
@@ -345,7 +345,9 @@ class LockstepSupDistance:
     run's jump times up to T and up to its last iteration. A time t reads
     the run's state at iteration floor(t / alpha), or its final state if
     the run ended at a corner before then. The left limit at jump time
-    k*alpha reads the state at iteration k-1.
+    k*alpha reads the state at iteration k-1. A block's snapshots begin
+    with its start state, so each block holds every state its times and
+    left limits read, and nothing but ``sup`` is carried between blocks.
     """
 
     def __init__(self, b: OdeTrajectory, T: float, N: int, runs: int):
@@ -360,8 +362,6 @@ class LockstepSupDistance:
         self.vb = b.values_at(self.ts)
         self.left = np.searchsorted(self.ts, jumps[1:])  # entry k-1: jump time k*alpha
         self.sup = np.zeros(runs)
-        self.done_ks = np.zeros(runs, dtype=np.int64)  # times up to here are compared
-        self.pending = np.zeros(runs)  # left limit at the jump after done_ks
 
     def _fold(self, rows, at, va, last) -> None:
         """Fold the distances at the times ``at`` (a slice) into ``sup[rows]``;
@@ -371,36 +371,26 @@ class LockstepSupDistance:
         self.sup[rows] = np.maximum(self.sup[rows], np.max(d, axis=-1, where=keep, initial=0.0))
 
     def update(self, rows, k0, snaps, ends) -> None:
-        m = snaps.shape[1]
-        at = slice(*np.searchsorted(self.ks, [k0 + 1, k0 + m + 1]))
-        self._fold(rows, at, snaps[:, self.ks[at] - k0 - 1] / self.two_n, ends)
-        # left limits: the one at jump k0+1 was measured with the previous
-        # block, and these rows have now made that jump
-        self.sup[rows] = np.maximum(self.sup[rows], self.pending[rows])
-        # those at k0+2 .. k0+m+1, from the states one iteration earlier, up
-        # to each run's end; whether a run makes jump k0+m+1 shows next block
-        count = max(0, min(m, self.left.size - k0 - 1))
-        vb = self.vb[self.left[k0 + 1:k0 + 1 + count]]
-        d = np.linalg.norm(snaps[:, :count] / self.two_n - vb, axis=-1)
-        keep = k0 + 2 + np.arange(count) <= ends[:, None]
+        """Fold a block of m iterations: the times whose iteration lies in
+        [k0, k0 + m], and the left limits at jumps k0+1 .. k0+m, each up to
+        the run's end."""
+        m = snaps.shape[1] - 1
+        at = slice(*np.searchsorted(self.ks, [k0, k0 + m + 1]))
+        self._fold(rows, at, snaps[:, self.ks[at] - k0] / self.two_n, ends)
+        vb = self.vb[self.left[k0:k0 + m]]  # jumps k0+1 .. k0+m that are <= T
+        d = np.linalg.norm(snaps[:, :len(vb)] / self.two_n - vb, axis=-1)
+        keep = k0 + 1 + np.arange(len(vb)) <= ends[:, None]
         self.sup[rows] = np.maximum(self.sup[rows], np.max(d, axis=-1, where=keep, initial=0.0))
-        self.pending[rows] = d[:, m - 1] if count == m else 0.0
-        self.done_ks[rows] = k0 + m
 
     def finish(self, result) -> np.ndarray:
-        """Compare each run's start (and the left limit at the first jump,
-        for runs that made it) and, past its last block, its final state."""
-        first = slice(0, np.searchsorted(self.ks, 1))  # before the first jump
-        d0 = np.linalg.norm(result.initial / self.two_n - self.vb[first], axis=-1)
-        self.sup = np.maximum(self.sup, np.max(d0))
-        if self.left.size:
-            d1 = np.linalg.norm(result.initial / self.two_n - self.vb[self.left[:1]], axis=-1)
-            self.sup = np.where(result.iterations >= 1, np.maximum(self.sup, d1), self.sup)
+        """Fold each run's final state at the times from its last iteration
+        on (all of them for a run that took no block, such as a corner
+        start), and return the R sup distances."""
         for r in range(self.sup.shape[0]):
             last = result.iterations[r:r + 1]
             if not result.terminated[r] and (last[0] + 1) * self.alpha <= self.T:
                 raise HorizonError(f"run {r} ends at {(last[0] + 1) * self.alpha} <= T={self.T}")
-            at = slice(np.searchsorted(self.ks, self.done_ks[r] + 1), self.ts.size)
+            at = slice(np.searchsorted(self.ks, last[0]), self.ts.size)
             self._fold([r], at, (result.counts[r] / self.two_n)[None, None], last)
         return self.sup
 
@@ -413,9 +403,8 @@ def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> N
     """Same record shape as stochastic trajectories, with "t" replacing "k".
 
     Like :func:`cgadyn.cga.trajectory_to_jsonl`, the records are formatted
-    in one pass with ``repr`` for each float (the states through
-    :func:`cgadyn.cga.format_cells`), the text ``json.dumps`` writes for
-    finite floats.
+    in one pass with ``repr`` for each float, the text ``json.dumps`` writes
+    for finite floats.
     """
     if traj.states.ndim != 2:
         raise DimensionError("ode_to_jsonl needs a one-start trajectory")
@@ -431,6 +420,6 @@ def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> N
         header.update(extra_header)
     fp.write(json.dumps(header, sort_keys=True) + "\n")
     fp.write("".join([
-        '{"t": %r, "p": [%s]}\n' % (t, ", ".join(row))
-        for t, row in zip(traj.times.tolist(), format_cells(traj.states, "%r").tolist())
+        '{"t": %r, "p": [%s]}\n' % (t, ", ".join(map(repr, row)))
+        for t, row in zip(traj.times.tolist(), traj.states.tolist())
     ]))

@@ -213,12 +213,26 @@ def test_run_many_matches_reference_and_run(data):
 
 def test_lockstep_reports_where_runs_end():
     seeds = [(4, 8, r) for r in range(9)]
-    ends = C.lockstep(ls.binval(3), 8, seeds, max_iters=150)
+    starts = []
+    block_ends = {}  # run -> its counts at the end of its last block so far
+
+    def check_block_start(rows, k0, snaps, ends):
+        # each block starts where the run stood: the start, then the
+        # previous block's last column
+        for i, r in enumerate(rows):
+            assert np.array_equal(snaps[i, 0], block_ends.get(r, [8, 8, 8]))
+            assert (k0 == 0) == (r not in block_ends)
+            block_ends[r] = snaps[i, -1].copy()
+        starts.append(k0)
+
+    ends = C.lockstep(ls.binval(3), 8, seeds, max_iters=150, on_block=check_block_start)
+    assert len(starts) > 2
     for r, seed in enumerate(seeds):
         traj = C.run(ls.binval(3), 8, seed=seed, max_iters=150)
         assert np.array_equal(ends.counts[r], traj.counts[-1])
         assert ends.iterations[r] == traj.iterations
         assert ends.terminated[r] == traj.terminated
+        assert np.array_equal(block_ends[r], ends.counts[r])
     assert np.array_equal(ends.initial, [8, 8, 8])
     assert C.run_many(ls.binval(3), 8, []) == []
 

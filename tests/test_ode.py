@@ -312,30 +312,39 @@ def test_sup_distance_counts_left_limits(spec, N, T, seed):
     assert tracker.finish(result)[0] == moves.max()
 
 
-@pytest.mark.parametrize("spec, N, T", [
-    (ls.binval(3), 8, 4.0),
-    (ls.binval(2), 2, 3.0),  # most runs end at a corner before T
-    (TWO_MAX_TABLE, 16, 2.5),
-], ids=["binval3", "absorbed", "two_max"])
-def test_lockstep_sup_distance_equals_serial_on_shadowing_flows(spec, N, T):
+@pytest.mark.parametrize("spec, N, T, initial, away", [
+    (ls.binval(3), 8, 4.0, None, False),
+    (ls.binval(2), 2, 3.0, None, False),  # most runs end at a corner before T
+    (TWO_MAX_TABLE, 16, 2.5, None, False),
+    (ls.binval(3), 8, 4.0, [1.0, 0.0, 1.0], True),  # a corner start takes no block
+    (ls.binval(3), 8, 4.0, [1.0, 1.0, 0.9375], False),  # one step from a corner
+    (ls.binval(3), 8, 4.0, None, True),
+], ids=["binval3", "absorbed", "two_max", "corner_start", "near_corner", "away"])
+def test_lockstep_sup_distance_equals_serial_on_shadowing_flows(spec, N, T, initial, away):
     # b shadows one run: b(k alpha) = p(k) + c_k (p(k) - p(k-1)) with random
     # c_k in [0, 1), so that run's supremum is a left limit at a random jump,
-    # block boundaries and the first jump included
+    # block boundaries and the first jump included. With `away`, b starts
+    # off p(0) and its first jump overshoots away from p(0), so the supremum
+    # sits at t = 0 or at the first left limit.
     rng = np.random.default_rng(N)
     alpha = 1.0 / (2 * N)
     steps = int(round(T / alpha))
     seeds = [(3, N, r) for r in range(40)]
-    serial = [C.run(spec, N, seed=s, max_iters=steps) for s in seeds]
+    serial = [C.run(spec, N, seed=s, initial=initial, max_iters=steps) for s in seeds]
 
     def shadow(traj):
         p = traj.states[np.minimum(np.arange(steps + 1), traj.iterations)]
         states = p + rng.random((steps + 1, 1)) * np.diff(p, axis=0, prepend=p[:1])
+        if away:
+            states[0] += 0.5 * rng.random()
+            states[1] += 0.5 * rng.random() * np.sign(p[1] - p[0])
         return od.OdeTrajectory(times=np.arange(steps + 1) * alpha, states=states, step=alpha,
                                 initial=p[0], clamp_count=0, spec=spec)
 
     def tracked(b, seeds):
         tracker = od.LockstepSupDistance(b, T, N, len(seeds))
-        return tracker.finish(C.lockstep(spec, N, seeds, max_iters=steps, on_block=tracker.update))
+        return tracker.finish(C.lockstep(spec, N, seeds, initial=initial, max_iters=steps,
+                                         on_block=tracker.update))
 
     for seed, traj in zip(seeds, serial):
         b = shadow(traj)

@@ -1,0 +1,66 @@
+"""Every private module-level name and private method defined in src/ is
+mentioned again somewhere in src/, so a refactor leaves no orphaned helper.
+
+A name is private if it starts with one underscore and is not a dunder.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src").glob("**/*.py"))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The private names a module defines at module level or as methods."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for target in targets for t in ast.walk(target)
+                        if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [m.name for m in node.body
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [name for name in defined if _is_private(name)]
+
+
+def mentions(tree: ast.Module) -> set[str]:
+    """The names a module reads, as a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def orphans(sources: list[str]) -> list[str]:
+    """The private names defined in ``sources`` that none of them mentions."""
+    trees = [ast.parse(source) for source in sources]
+    used = set().union(*map(mentions, trees))
+    return [name for tree in trees for name in private_definitions(tree) if name not in used]
+
+
+def test_orphans_finds_each_form():
+    defining = ("_A, B = 1, 2\n_C: int = 3\n_D = 4\n"
+                "def _f():\n    return _A\n"
+                "def _g():\n    pass\n"
+                "class _K:\n    def _m(self):\n        return self._n()\n"
+                "    def _n(self):\n        pass\n    def __len__(self):\n        return 0\n")
+    using = "from defining import _g\nprint(_C)\n"
+    assert orphans([defining, using]) == ["_D", "_f", "_K", "_m"]
+
+
+def test_no_orphaned_private_names_in_src():
+    assert SOURCES
+    assert orphans([path.read_text() for path in SOURCES]) == []
