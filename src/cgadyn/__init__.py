@@ -45,16 +45,10 @@ from .landscape import (
     table_spec,
 )
 from .cga import (
-    InterpolatedProcess,
-    ProbabilityVector,
     StochasticTrajectory,
-    compete,
     default_max_iters,
-    interpolate,
     run,
     run_many,
-    sample_solution,
-    step,
     trajectory_to_jsonl,
 )
 from .drift_field import (

@@ -16,14 +16,15 @@ Randomness comes from numpy's PCG64. A run's stream is seeded with
 order.
 
 Runs are stepped R at a time on an (R, n) counts array (:func:`lockstep`;
-:func:`run` is the case R = 1). Each run draws its uniforms in blocks with
+:func:`run` is the case R = 1), and ``_update`` is the only code that
+samples and competes. Each run draws its uniforms in blocks with
 ``rng.random(B * 2 * n)`` and reads them per iteration as the n uniforms
 of sample a, then the n of sample b: the stream order of two
-``rng.random(n)`` calls per iteration, which :func:`step` makes. Corners
-absorb, since at p_i in {0, 1} both samples agree and the update is zero;
-so instead of testing for a corner after every iteration, one vectorised
-scan of a block's snapshots finds each run's first corner, and finished
-runs leave the active set between blocks.
+``rng.random(n)`` calls per iteration. Corners absorb, since at p_i in
+{0, 1} both samples agree and the update is zero; so instead of testing
+for a corner after every iteration, one vectorised scan of a block's
+snapshots finds each run's first corner, and finished runs leave the
+active set between blocks.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drift_field import _as_pv
 from .errors import DimensionError, DomainError, HorizonError
-from .landscape import FitnessSpec, evaluate, fitness_values, spec_to_json_dict
+from .landscape import FitnessSpec, fitness_values, spec_to_json_dict
 
 
 def default_max_iters(N: int, n: int) -> int:
@@ -43,89 +45,8 @@ def default_max_iters(N: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# probability vectors on the 1/(2N) grid
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ProbabilityVector:
-    """A grid-aligned probability vector: p = counts / (2N).
-
-    ``counts`` is an integer array in [0, 2N]; ``alpha_steps`` is N, so the
-    learning step is alpha = 1/(2N).
-    """
-
-    counts: np.ndarray
-    alpha_steps: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1:
-            raise DimensionError("counts must be one-dimensional")
-        if self.alpha_steps < 1:
-            raise DomainError(f"N must be >= 1, got {self.alpha_steps}")
-        if np.any(counts < 0) or np.any(counts > 2 * self.alpha_steps):
-            raise DomainError("counts must lie in [0, 2N]")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 / (2 * self.alpha_steps)
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.counts / float(2 * self.alpha_steps)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return bool(np.all((self.counts == 0) | (self.counts == 2 * self.alpha_steps)))
-
-    def __array__(self, dtype=None, copy=None):
-        arr = self.p
-        return arr.astype(dtype) if dtype is not None else arr
-
-    @classmethod
-    def center(cls, n: int, N: int) -> "ProbabilityVector":
-        return cls(counts=np.full(n, N, dtype=np.int64), alpha_steps=N)
-
-    @classmethod
-    def from_p(cls, p, N: int, tol: float = 1e-9) -> "ProbabilityVector":
-        """Build from float probabilities; they must sit on the 1/(2N) grid."""
-        arr = np.asarray(p, dtype=np.float64)
-        counts = np.rint(arr * 2 * N).astype(np.int64)
-        if np.any(np.abs(counts / (2.0 * N) - arr) > tol):
-            raise DomainError(
-                f"initial probabilities must be integer multiples of 1/(2N) = {1.0 / (2 * N)}"
-            )
-        return cls(counts=counts, alpha_steps=N)
-
-
-# ---------------------------------------------------------------------------
 # one iteration
 # ---------------------------------------------------------------------------
-
-def sample_solution(pv, rng: np.random.Generator) -> np.ndarray:
-    """Draw one solution: bit i is 1 with probability p_i, loci independent."""
-    p = np.asarray(pv, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise DomainError("probability vector entries must lie in [0, 1]")
-    return (rng.random(p.shape[-1]) < p).astype(np.uint8)
-
-
-def compete(a, b, spec: FitnessSpec):
-    """Rank two solutions: returns (winner, loser); exact ties go to a."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.shape[-1] != spec.n:
-        raise DimensionError("solutions must both have the spec's length")
-    if evaluate(spec, a) >= evaluate(spec, b):
-        return a, b
-    return b, a
-
 
 def _pow2(n: int) -> np.ndarray:
     """Place values that turn a solution's bits (locus 1 first) into its table index."""
@@ -149,17 +70,6 @@ def _at_corner(counts: np.ndarray, two_n: int) -> np.ndarray:
     return ((counts == 0) | (counts == two_n)).all(axis=-1)
 
 
-def step(pv: ProbabilityVector, spec: FitnessSpec, rng: np.random.Generator) -> ProbabilityVector:
-    """One update: sample a and b, compete, move counts by winner - loser."""
-    if pv.n != spec.n:
-        raise DimensionError(f"pv has n={pv.n}, spec has n={spec.n}")
-    counts = pv.counts[None, :].copy()
-    ua = rng.random(spec.n)
-    ub = rng.random(spec.n)
-    _update(counts, 1.0 / (2 * pv.alpha_steps), fitness_values(spec), _pow2(spec.n), ua, ub)
-    return ProbabilityVector(counts=counts[0], alpha_steps=pv.alpha_steps)
-
-
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
@@ -177,8 +87,8 @@ class StochasticTrajectory:
     spec: FitnessSpec
     alpha_steps: int
     seed: object
-    counts: np.ndarray          # (R, n) int64
-    recorded_ks: np.ndarray     # (R,) int64
+    counts: np.ndarray          # (K, n) int64, one row per snapshot
+    recorded_ks: np.ndarray     # (K,) int64
     iterations: int
     terminated: bool
     record_every: int = 1
@@ -194,6 +104,31 @@ class StochasticTrajectory:
     @property
     def states(self) -> np.ndarray:
         return self.counts / float(2 * self.alpha_steps)
+
+    def values_at(self, ts) -> np.ndarray:
+        """The run as a step function of time, shape (len(ts), n): p(k) on
+        [k*alpha, (k+1)*alpha), so right-continuous.
+
+        Past the last iteration a terminated run holds its absorbing corner;
+        an unterminated one raises HorizonError, as do negative times. A
+        thinned run answers only at recorded iterations.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        if np.any(ts < 0.0):
+            raise HorizonError("time must be nonnegative")
+        k = _iteration_of(ts, self.alpha)
+        if np.any(k > self.iterations):
+            if not self.terminated:
+                raise HorizonError(
+                    f"t beyond the recorded horizon {(self.iterations + 1) * self.alpha}"
+                )
+            k = np.minimum(k, self.iterations)
+        rows = np.searchsorted(self.recorded_ks, k, side="right") - 1
+        if np.any(self.recorded_ks[rows] != k):
+            raise DomainError(
+                "trajectory was thinned; interpolation only answers at recorded iterations"
+            )
+        return self.states[rows]
 
 
 @dataclass
@@ -213,16 +148,18 @@ _MIN_BLOCK, _MAX_BLOCK = 8, 256
 
 
 def _initial_counts(initial, N: int, n: int) -> np.ndarray:
+    """The grid positions of the start ``initial`` (default the center), a
+    probability vector of length n on the 1/(2N) grid."""
     if initial is None:
-        counts = np.full(n, N, dtype=np.int64)
-    elif isinstance(initial, ProbabilityVector):
-        if initial.alpha_steps != N:
-            raise DomainError("initial pv uses a different N than the run")
-        counts = initial.counts.copy()
-    else:
-        counts = ProbabilityVector.from_p(initial, N).counts.copy()
-    if counts.shape[0] != n:
-        raise DimensionError(f"initial has n={counts.shape[0]}, spec has n={n}")
+        return np.full(n, N, dtype=np.int64)
+    p = _as_pv(initial, n)
+    if p.ndim != 1:
+        raise DimensionError("initial must be one-dimensional")
+    counts = np.rint(p * 2 * N).astype(np.int64)
+    if np.any(np.abs(counts / (2.0 * N) - p) > 1e-9):
+        raise DomainError(
+            f"initial probabilities must be integer multiples of 1/(2N) = {1.0 / (2 * N)}"
+        )
     return counts
 
 
@@ -367,9 +304,9 @@ def run(
         Fitness to maximize.
     N : int
         Grid resolution; the learning step is alpha = 1/(2N).
-    initial : ProbabilityVector or array-like, optional
-        Starting configuration; defaults to (0.5, ..., 0.5). Float inputs
-        must sit on the 1/(2N) grid.
+    initial : array-like, optional
+        Starting probability vector of length n; defaults to (0.5, ..., 0.5).
+        Its entries must lie in [0, 1] and on the 1/(2N) grid.
     max_iters : int, optional
         Iteration budget, default ``50 * 2N * n``. Exhausting it is
         reported via ``terminated=False``, not raised.
@@ -393,45 +330,6 @@ def _iteration_of(ts: np.ndarray, alpha: float) -> np.ndarray:
     k = np.where((k + 1) * alpha <= ts, k + 1, k)
     k = np.where(k * alpha > ts, k - 1, k)
     return k
-
-
-@dataclass(frozen=True)
-class InterpolatedProcess:
-    """Step-function embedding of a run: value p(k) on [k*alpha, (k+1)*alpha).
-
-    Right-continuous. For a terminated run queries beyond the last
-    iteration return the absorbing corner; otherwise they raise
-    HorizonError. Thinned trajectories only answer at recorded iterations.
-    """
-
-    trajectory: StochasticTrajectory
-
-    def evaluate_many(self, ts) -> np.ndarray:
-        traj = self.trajectory
-        ts = np.asarray(ts, dtype=np.float64)
-        if np.any(ts < 0.0):
-            raise HorizonError("time must be nonnegative")
-        k = _iteration_of(ts, traj.alpha)
-        beyond = k > traj.iterations
-        if np.any(beyond):
-            if not traj.terminated:
-                raise HorizonError(
-                    f"t beyond the recorded horizon {(traj.iterations + 1) * traj.alpha}"
-                )
-            k = np.minimum(k, traj.iterations)
-        rows = np.searchsorted(traj.recorded_ks, k, side="right") - 1
-        if np.any(traj.recorded_ks[rows] != k):
-            raise DomainError(
-                "trajectory was thinned; interpolation only answers at recorded iterations"
-            )
-        return traj.states[rows]
-
-    def evaluate_at(self, t: float) -> np.ndarray:
-        return self.evaluate_many(np.asarray([float(t)]))[0]
-
-
-def interpolate(traj: StochasticTrajectory) -> InterpolatedProcess:
-    return InterpolatedProcess(trajectory=traj)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,13 @@ from .harness import (
     provenance,
     write_csv,
 )
-from .landscape import enumerate_local_maxima, evaluate, spec_from_json_dict, spec_to_json_dict
+from .landscape import (
+    bits_to_string,
+    enumerate_local_maxima,
+    evaluate,
+    spec_from_json_dict,
+    spec_to_json_dict,
+)
 from .ode import integrate, ode_to_jsonl
 
 
@@ -249,7 +255,7 @@ def _cmd_classify(args, cfg, spec):
 def _cmd_localmaxima(args, cfg, spec):
     report = enumerate_local_maxima(spec)
     rows = [
-        ("".join(str(b) for b in bits), fmt_real(evaluate(spec, bits)), strict)
+        (bits_to_string(bits), fmt_real(evaluate(spec, bits)), strict)
         for bits, strict in zip(report.maxima, report.strict_flags)
     ]
     return {}, lambda fp, header: write_csv(fp, ["solution", "fitness", "strict"], rows,

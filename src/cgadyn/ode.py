@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, DomainError, HorizonError
-from .cga import InterpolatedProcess, _iteration_of
+from .cga import StochasticTrajectory, _iteration_of
 from .drift_field import _as_pv, _corner_index, corner_spectra, drift
 from .landscape import FitnessSpec, index_to_bits, require_injective, spec_to_json_dict
 
@@ -300,27 +300,27 @@ def _jump_times(alpha: float, T: float, last_iteration: int | None = None) -> np
 def sup_distance(a, b: OdeTrajectory, T: float) -> float:
     """sup over [0, T] of the Euclidean distance between two trajectories.
 
-    ``a`` is an InterpolatedProcess or OdeTrajectory, ``b`` an
-    OdeTrajectory; both are compared at the union of their time grids.
-    Between two such times b is linear and a is linear or constant, so
-    the distance is convex there and its supremum sits at an end. For a
-    step process that includes the left limit at each jump time k*alpha
-    (1 <= k <= its last iteration): p(k-1) against b(k*alpha). The result
-    is exact for the piecewise-linear b.
+    ``a`` is a StochasticTrajectory, read as the step function of its
+    ``values_at``, or an OdeTrajectory; ``b`` is an OdeTrajectory. Both are
+    compared at the union of their time grids. Between two such times b
+    is linear and a is linear or constant, so the distance is convex there
+    and its supremum sits at an end. For a step process that includes the
+    left limit at each jump time k*alpha (1 <= k <= its last iteration):
+    p(k-1) against b(k*alpha). The result is exact for the
+    piecewise-linear b.
     """
     ts_b = _flow_times(b, T)
     left = 0.0
 
-    if isinstance(a, InterpolatedProcess):
-        traj = a.trajectory
-        if not traj.terminated and (traj.iterations + 1) * traj.alpha <= T:
+    if isinstance(a, StochasticTrajectory):
+        if not a.terminated and (a.iterations + 1) * a.alpha <= T:
             raise HorizonError(
-                f"first trajectory ends at {(traj.iterations + 1) * traj.alpha} <= T={T}"
+                f"first trajectory ends at {(a.iterations + 1) * a.alpha} <= T={T}"
             )
-        jumps = _jump_times(traj.alpha, T, traj.iterations)
+        jumps = _jump_times(a.alpha, T, a.iterations)
         ts = np.unique(np.concatenate([jumps, ts_b]))
-        va = a.evaluate_many(ts)
-        d_left = np.linalg.norm(a.evaluate_many(jumps[:-1]) - b.values_at(jumps[1:]), axis=-1)
+        va = a.values_at(ts)
+        d_left = np.linalg.norm(a.values_at(jumps[:-1]) - b.values_at(jumps[1:]), axis=-1)
         left = np.max(d_left, initial=0.0)
     elif isinstance(a, OdeTrajectory):
         if a.horizon < T - 1e-9:
@@ -335,9 +335,9 @@ def sup_distance(a, b: OdeTrajectory, T: float) -> float:
 
 
 class LockstepSupDistance:
-    """``sup_distance(interpolate(run), b, T)``, bit for bit, for each of R
-    unthinned lockstep runs, computed block by block without keeping
-    trajectories.
+    """``sup_distance(traj, b, T)``, bit for bit, for the trajectory ``traj``
+    of each of R unthinned lockstep runs, computed block by block without
+    keeping trajectories.
 
     Pass ``update`` as :func:`cgadyn.cga.lockstep`'s ``on_block`` and the
     lockstep result to ``finish``. Every run is compared at the same times

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,105 +9,124 @@ from hypothesis import given, settings, strategies as st
 from cgadyn import cga as C
 from cgadyn import drift_field as dr
 from cgadyn import landscape as ls
-from cgadyn.errors import DomainError, HorizonError
+from cgadyn.errors import DimensionError, DomainError, HorizonError
 
 from conftest import TWO_MAX_TABLE, reference_cga_run, reference_jsonl_records
 
 
-class QueuedRng:
-    """Stands in for a Generator; returns preset uniform draws."""
-
-    def __init__(self, *arrays):
-        self.arrays = [np.asarray(a, dtype=float) for a in arrays]
-
-    def random(self, n):
-        out = self.arrays.pop(0)
-        assert out.shape == (n,)
-        return out
+def _update(spec, N, counts, ua, ub):
+    """One ``cga._update`` of the rows ``counts`` on the preset uniforms."""
+    counts = np.array(counts, dtype=np.int64)
+    C._update(counts, 1.0 / (2 * N), ls.fitness_values(spec), C._pow2(spec.n),
+              np.asarray(ua, dtype=float), np.asarray(ub, dtype=float))
+    return counts
 
 
-# --- probability vectors -----------------------------------------------------
+FLAT = ls.table_spec([1.0, 1.0], n=1)  # every pair ties, so a wins and the move is a - b
+
+
+# --- start states ------------------------------------------------------------
 
 def test_pv_center_and_grid():
-    pv = C.ProbabilityVector.center(3, 4)
-    assert pv.alpha == 0.125
-    assert np.array_equal(pv.p, [0.5, 0.5, 0.5])
-    assert not pv.is_deterministic
+    traj = C.run(ls.binval(3), 4, max_iters=0)
+    assert traj.alpha == 0.125
+    assert np.array_equal(traj.counts, [[4, 4, 4]])
+    assert np.array_equal(traj.states, [[0.5, 0.5, 0.5]])
+    assert not traj.terminated
 
 
 def test_pv_from_p_requires_grid_alignment():
-    pv = C.ProbabilityVector.from_p([0.75, 0.25], 2)
-    assert np.array_equal(pv.counts, [3, 1])
-    with pytest.raises(DomainError):
-        C.ProbabilityVector.from_p([0.3], 2)
+    for initial in ([0.75, 0.25], [0.75 + 1e-12, 0.25 - 1e-12]):
+        traj = C.run(TWO_MAX_TABLE, 2, initial=initial, max_iters=0)
+        assert np.array_equal(traj.counts, [[3, 1]])
+    with pytest.raises(DomainError, match="multiples of 1/\\(2N\\)"):
+        C.run(ls.binval(1), 2, initial=[0.3])
+    with pytest.raises(DimensionError):
+        C.run(ls.binval(2), 2, initial=[0.5, 0.5, 0.5])
+    with pytest.raises(DimensionError):
+        C.run(ls.binval(2), 2, initial=[[0.5, 0.5]])
 
 
 def test_pv_bounds():
-    with pytest.raises(DomainError):
-        C.ProbabilityVector(counts=np.array([5]), alpha_steps=2)
+    # refused by the probability-vector check, before any count is formed
+    # and without a cast warning; 1.25 and -0.25 lie on the N=2 grid
+    for bad in (np.nan, np.inf, -np.inf, 1.25, -0.25):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must lie in \\[0, 1\\]"):
+                C.run(ls.binval(2), 2, initial=[bad, 0.5])
+            with pytest.raises(DomainError, match="must lie in \\[0, 1\\]"):
+                C.lockstep(ls.binval(2), 2, [0], initial=[0.5, bad])
 
 
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_deterministic_corner():
-    for seed in (0, 1, 99):
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(C.sample_solution([1.0, 0.0], rng), [1, 0])
+    # p_i in {0, 1} samples the same bit in a and b whatever the uniforms,
+    # u = 0 included, so a corner does not move
+    corner = [[4, 0, 4]] * 4
+    ua = [[0.0, 0.0, 0.0], [0.999, 0.999, 0.999], [0.5, 0.0, 0.25], [0.0, 0.5, 0.999]]
+    for spec in (ls.binval(3), ls.random_injective(3, seed=0)):
+        assert np.array_equal(_update(spec, 2, corner, ua, ua[::-1]), corner)
+
+
+def test_sample_is_strictly_below_p():
+    # bit i is 1 iff u_i < p_i: at u = p the bit is 0
+    assert np.array_equal(_update(ls.binval(1), 2, [[1], [1]], [[0.25], [0.2]], [[0.3], [0.25]]),
+                          [[1], [2]])
 
 
 def test_sample_marginal_frequency():
-    rng = np.random.default_rng(7)
-    hits = sum(int(C.sample_solution([0.5], rng)[0]) for _ in range(100_000))
-    assert abs(hits / 100_000 - 0.5) < 0.01
+    # on the flat table with b all zeros the move is a itself
+    ua = np.random.default_rng(7).random((100_000, 1))
+    moved = _update(FLAT, 1, np.ones((100_000, 1)), ua, np.full((100_000, 1), 0.75)) - 1
+    assert abs(moved.sum() / 100_000 - 0.5) < 0.01
 
 
 def test_sample_joint_frequency():
-    rng = np.random.default_rng(8)
-    hits = 0
-    for _ in range(100_000):
-        s = C.sample_solution([0.5, 0.5], rng)
-        hits += int(s[0] == 1 and s[1] == 1)
+    ua = np.random.default_rng(8).random((100_000, 2))
+    flat2 = ls.table_spec([1.0] * 4, n=2)
+    moved = _update(flat2, 1, np.ones((100_000, 2)), ua, np.full((100_000, 2), 0.75)) - 1
+    hits = int(np.count_nonzero((moved[:, 0] == 1) & (moved[:, 1] == 1)))
     assert abs(hits / 100_000 - 0.25) < 0.01
 
 
 # --- competition -------------------------------------------------------------
 
 def test_compete_orders_by_fitness():
-    spec = ls.binval(2)
-    w, l = C.compete((0, 1), (1, 0), spec)
-    assert np.array_equal(w, (1, 0)) and np.array_equal(l, (0, 1))
+    # row 0: a = 10 beats b = 01; row 1: b = 10 beats a = 01, so the move is b - a
+    got = _update(ls.binval(2), 2, [[2, 2], [1, 3]], [[0.2, 0.9], [0.9, 0.2]],
+                  [[0.9, 0.2], [0.2, 0.9]])
+    assert np.array_equal(got, [[3, 1], [2, 2]])
 
 
 def test_compete_tie_goes_to_first():
-    spec = ls.binval(2)
-    w, _ = C.compete((1, 1), (1, 1), spec)
-    assert np.array_equal(w, (1, 1))
-    flat = ls.table_spec([1.0, 1.0], n=1)
-    w, l = C.compete((0,), (1,), flat)
-    assert np.array_equal(w, (0,)) and np.array_equal(l, (1,))
+    # a = 0 and b = 1 tie on the flat table, so p moves toward a
+    assert np.array_equal(_update(FLAT, 1, [[1]], [[0.7]], [[0.3]]), [[0]])
+    assert np.array_equal(_update(FLAT, 1, [[1]], [[0.3]], [[0.7]]), [[2]])
+    # identical samples tie and leave p where it is
+    assert np.array_equal(_update(ls.binval(2), 2, [[2, 2]], [[0.1, 0.1]], [[0.2, 0.3]]),
+                          [[2, 2]])
 
 
 # --- single update -----------------------------------------------------------
 
 def test_step_at_corner_is_identity():
-    spec = ls.binval(3)
-    pv = C.ProbabilityVector.from_p([1.0, 1.0, 1.0], 2)
-    out = C.step(pv, spec, np.random.default_rng(0))
-    assert np.array_equal(out.counts, pv.counts)
+    rng = np.random.default_rng(0)
+    corner = [[4, 4, 4]]
+    assert np.array_equal(_update(ls.binval(3), 2, corner, rng.random((1, 3)),
+                                  rng.random((1, 3))), corner)
 
 
 def test_step_single_coordinate():
     # a = 1 wins against b = 0: p moves up by alpha = 0.25
-    pv = C.ProbabilityVector.from_p([0.5], 2)
-    out = C.step(pv, ls.binval(1), QueuedRng([0.3], [0.7]))
-    assert np.array_equal(out.p, [0.75])
+    assert np.array_equal(_update(ls.binval(1), 2, [[2]], [[0.3]], [[0.7]]), [[3]])
 
 
 def test_step_coordinatewise():
     # a = 10 beats b = 01: update is +alpha at locus 1, -alpha at locus 2
-    pv = C.ProbabilityVector.from_p([0.5, 0.5], 2)
-    out = C.step(pv, ls.binval(2), QueuedRng([0.2, 0.9], [0.9, 0.2]))
-    assert np.array_equal(out.p, [0.75, 0.25])
+    assert np.array_equal(_update(ls.binval(2), 2, [[2, 2]], [[0.2, 0.9]], [[0.9, 0.2]]),
+                          [[3, 1]])
 
 
 # --- full runs ---------------------------------------------------------------
@@ -155,11 +175,10 @@ def test_run_matches_repeated_step():
     for spec in specs:
         for N in (1, 3, 4):
             traj = C.run(spec, N, seed=11, max_iters=60)
-            rng = np.random.default_rng(np.random.SeedSequence(11))
-            pv = C.ProbabilityVector.center(spec.n, N)
-            for k in range(1, traj.iterations + 1):
-                pv = C.step(pv, spec, rng)
-                assert np.array_equal(pv.counts, traj.counts[k]), (spec, N, k)
+            counts, ks, iterations, terminated = reference_cga_run(spec, N, 11, max_iters=60)
+            assert np.array_equal(traj.counts, counts), (spec, N)
+            assert np.array_equal(traj.recorded_ks, ks)
+            assert (traj.iterations, traj.terminated) == (iterations, terminated)
 
 
 @st.composite
@@ -248,13 +267,12 @@ def test_empirical_step_mean_matches_drift():
     # over many single updates from a fixed interior state, the average
     # move per unit alpha agrees with the exact expected-update field
     spec = ls.binval(3)
-    pv = C.ProbabilityVector.from_p([0.5, 0.25, 0.75], 8)
-    f = dr.drift(pv.p, spec)
-    rng = np.random.default_rng(1234)
+    p = np.array([0.5, 0.25, 0.75])
+    f = dr.drift(p, spec)
     M = 100_000
-    deltas = np.empty((M, 3))
-    for i in range(M):
-        deltas[i] = C.step(pv, spec, rng).counts - pv.counts
+    result = C.lockstep(spec, 8, [(1234, r) for r in range(M)], initial=p, max_iters=1)
+    assert np.all(result.iterations == 1)
+    deltas = result.counts - result.initial
     mean = deltas.mean(axis=0)
     se = deltas.std(axis=0, ddof=1) / np.sqrt(M)
     assert np.all(np.abs(mean - f) <= 3.0 * se + 1e-12)
@@ -270,37 +288,37 @@ def _toy_trajectory():
 
 
 def test_interpolation_right_continuous_steps():
-    ip = C.interpolate(_toy_trajectory())
-    assert np.array_equal(ip.evaluate_at(0.1), [0.5])
-    assert np.array_equal(ip.evaluate_at(0.25), [0.75])
-    assert np.array_equal(ip.evaluate_at(0.9999), [0.25])
-    assert np.array_equal(ip.evaluate_at(0.0), [0.5])
+    traj = _toy_trajectory()
+    assert np.array_equal(traj.values_at([0.1]), [[0.5]])
+    assert np.array_equal(traj.values_at([0.25]), [[0.75]])
+    assert np.array_equal(traj.values_at([0.9999]), [[0.25]])
+    assert np.array_equal(traj.values_at([0.0]), [[0.5]])
+    assert np.array_equal(traj.values_at([0.0, 0.5, 0.25, 0.49]), [[0.5], [0.5], [0.75], [0.75]])
+    assert traj.values_at([]).shape == (0, 1)
 
 
 def test_interpolation_horizon():
-    ip = C.interpolate(_toy_trajectory())
+    traj = _toy_trajectory()
     with pytest.raises(HorizonError):
-        ip.evaluate_at(1.0)
+        traj.values_at([1.0])
     with pytest.raises(HorizonError):
-        ip.evaluate_at(-0.01)
+        traj.values_at([-0.01])
 
 
 def test_interpolation_absorbing_after_termination():
     traj = C.run(ls.binval(2), 2, seed=1, max_iters=10_000)
     assert traj.terminated
-    ip = C.interpolate(traj)
-    far = ip.evaluate_at(1000.0)
-    assert np.array_equal(far, traj.states[-1])
+    far = traj.values_at([1000.0])
+    assert np.array_equal(far, traj.states[-1:])
 
 
 def test_interpolation_thinned_refuses_fine_queries():
     traj = C.run(ls.binval(2), 8, seed=3, record_every=5, max_iters=300)
     assert traj.iterations > 6
-    ip = C.interpolate(traj)
     alpha = traj.alpha
-    assert np.array_equal(ip.evaluate_at(5 * alpha), traj.states[1])
+    assert np.array_equal(traj.values_at([5 * alpha]), traj.states[1:2])
     with pytest.raises(DomainError):
-        ip.evaluate_at(3 * alpha)
+        traj.values_at([3 * alpha])
     # final state is always recorded, even off the thinning stride
     assert traj.recorded_ks[-1] == traj.iterations
 

@@ -274,14 +274,13 @@ def test_sup_distance_constant_gap():
 def test_sup_distance_step_vs_flow_manual():
     spec = ls.binval(1)
     traj = C.run(spec, 2, seed=9, max_iters=6)
-    ip = C.interpolate(traj)
     ode = od.integrate(spec, [0.5], h=0.05, T=1.0)
-    got = od.sup_distance(ip, ode, 1.0)
+    got = od.sup_distance(traj, ode, 1.0)
     ts = np.unique(np.concatenate([np.arange(5) * 0.25, ode.times, [1.0]]))
-    want = max(abs(ip.evaluate_at(t)[0] - ode.values_at([t])[0][0]) for t in ts)
+    want = max(abs(traj.values_at([t])[0][0] - ode.values_at([t])[0][0]) for t in ts)
     # left limits: the step still holds p(k-1) as the flow reaches k * alpha
     jumps = np.arange(1, min(4, traj.iterations) + 1) * 0.25
-    want = max([want] + [abs(ip.evaluate_at(t - 0.25)[0] - ode.values_at([t])[0][0])
+    want = max([want] + [abs(traj.values_at([t - 0.25])[0][0] - ode.values_at([t])[0][0])
                          for t in jumps])
     assert got == pytest.approx(want, abs=1e-15)
     assert got <= 1.0  # trajectories live in [0,1]
@@ -306,7 +305,7 @@ def test_sup_distance_counts_left_limits(spec, N, T, seed):
                          clamp_count=0, spec=spec)
     moves = np.linalg.norm(np.diff(traj.states, axis=0), axis=-1)
     assert moves.max() > 0
-    assert od.sup_distance(C.interpolate(traj), b, T) == moves.max()
+    assert od.sup_distance(traj, b, T) == moves.max()
     tracker = od.LockstepSupDistance(b, T, N, 1)
     result = C.lockstep(spec, N, [seed], max_iters=steps, on_block=tracker.update)
     assert tracker.finish(result)[0] == moves.max()
@@ -348,16 +347,16 @@ def test_lockstep_sup_distance_equals_serial_on_shadowing_flows(spec, N, T, init
 
     for seed, traj in zip(seeds, serial):
         b = shadow(traj)
-        assert tracked(b, [seed]).tolist() == [od.sup_distance(C.interpolate(traj), b, T)]
+        assert tracked(b, [seed]).tolist() == [od.sup_distance(traj, b, T)]
     b = shadow(serial[0])  # every run against one run's shadow
-    assert tracked(b, seeds).tolist() == [od.sup_distance(C.interpolate(t), b, T) for t in serial]
+    assert tracked(b, seeds).tolist() == [od.sup_distance(t, b, T) for t in serial]
 
 
 def test_sup_distance_bounded_by_sqrt_n():
     spec = ls.binval(3)
     traj = C.run(spec, 4, seed=2, max_iters=int(np.ceil(2.0 / (1 / 8))))
     ode = od.integrate(spec, np.full(3, 0.5), h=0.01, T=2.0)
-    assert od.sup_distance(C.interpolate(traj), ode, 2.0) <= np.sqrt(3)
+    assert od.sup_distance(traj, ode, 2.0) <= np.sqrt(3)
 
 
 def test_sup_distance_horizon_mismatch():
@@ -374,6 +373,6 @@ def test_sup_distance_nonterminated_stochastic_horizon():
     traj = C.run(spec, 8, seed=9, max_iters=3)  # defined on [0, 4 * 1/16) only
     assert not traj.terminated
     ode = od.integrate(spec, [0.5, 0.5], h=0.1, T=2.0)
-    assert od.sup_distance(C.interpolate(traj), ode, 0.2) >= 0.0
+    assert od.sup_distance(traj, ode, 0.2) >= 0.0
     with pytest.raises(HorizonError):
-        od.sup_distance(C.interpolate(traj), ode, 0.5)
+        od.sup_distance(traj, ode, 0.5)
