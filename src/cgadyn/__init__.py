@@ -62,13 +62,11 @@ from .drift_field import (
     winner_probs,
 )
 from .ode import (
-    LimitResult,
     OdeTrajectory,
     Stability,
     StabilityVerdict,
     classify_corner,
     classify_corners,
-    find_limit,
     find_limit_many,
     integrate,
     lyapunov_increments,

@@ -356,3 +356,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

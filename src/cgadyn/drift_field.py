@@ -73,7 +73,8 @@ def _as_pv(p, n: int) -> np.ndarray:
     if arr.ndim < 1 or arr.shape[-1] != n:
         raise DimensionError(f"probability vector shape {arr.shape} does not match n={n}")
     # written so that NaN fails too
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+    if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0
+                         and np.maximum.reduce(arr, axis=None) <= 1.0):
         raise DomainError("probability vector entries must lie in [0, 1]")
     return arr
 
@@ -85,22 +86,24 @@ def _as_pv(p, n: int) -> np.ndarray:
 def sampling_probs(p, n: int) -> np.ndarray:
     """Pr(y|p) for every solution index, shape (..., 2^n).
 
-    The product 1 * (1-p_0 or p_0) * ... * (1-p_{n-1} or p_{n-1}) is built
-    in one preallocated buffer, doubled in place locus by locus: locus i
-    has stride s = 2^(n-1-i) (locus 0 is the most significant bit), and
-    each filled entry, a multiple of 2s, is split into itself times
-    (1-p_i) and the entry s above it times p_i. Deterministic
-    configurations give exact 0/1 probabilities.
+    The product (1-p_0 or p_0) * ... * (1-p_{n-1} or p_{n-1}) is built in
+    one preallocated buffer. Locus 0 (the most significant bit) writes
+    1-p_0 and p_0 straight into entries 0 and 2^(n-1). Every later locus i
+    doubles the buffer in place: with stride s = 2^(n-1-i), each filled
+    entry, a multiple of 2s, is split into itself times (1-p_i) and the
+    entry s above it times p_i. Deterministic configurations give exact
+    0/1 probabilities.
     """
     arr = _as_pv(p, n)
+    q = 1.0 - arr
     probs = np.empty(arr.shape[:-1] + (1 << n,), dtype=np.float64)
-    probs[..., 0] = 1.0
-    for i in range(n):
+    probs[..., 0] = q[..., 0]
+    probs[..., 1 << (n - 1)] = arr[..., 0]
+    for i in range(1, n):
         s = 1 << (n - 1 - i)
-        pi = arr[..., i : i + 1]
         filled = probs[..., :: 2 * s]
-        np.multiply(filled, pi, out=probs[..., s :: 2 * s])
-        filled *= 1.0 - pi
+        np.multiply(filled, arr[..., i : i + 1], out=probs[..., s :: 2 * s])
+        filled *= q[..., i : i + 1]
     return probs
 
 
@@ -116,16 +119,16 @@ def _prefix_sums(t: _SpecTables, probs: np.ndarray):
     are the sorted probabilities themselves and the tied sum is ``probs``
     (returned as is, not copied); the grouping passes are skipped there.
     """
-    cum = probs[..., t.order]
+    cum = probs.take(t.order, axis=-1)
     if t.group_starts.size == t.order.size:
-        np.cumsum(cum, axis=-1, out=cum)
+        np.add.accumulate(cum, axis=-1, out=cum)
         s_eq = probs
     else:
         group_sums = np.add.reduceat(cum, t.group_starts, axis=-1)
-        cum = np.cumsum(group_sums, axis=-1)
-        s_eq = np.take(group_sums, t.group_of, axis=-1)
-    s_le = np.take(cum, t.group_of, axis=-1)
-    s_gt = cum[..., -1:] - s_le
+        cum = np.add.accumulate(group_sums, axis=-1)
+        s_eq = group_sums.take(t.group_of, axis=-1)
+    s_le = cum.take(t.group_of, axis=-1)
+    s_gt = np.subtract(cum[..., -1:], s_le)
     s_lt = np.subtract(s_le, s_eq, out=s_le)
     return s_lt, s_eq, s_gt
 

@@ -118,20 +118,11 @@ def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTra
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LimitResult:
-    """Where the flow ended: final state, whether the stall criterion
-    ||f||_inf < tol was met, the stop time, and the nearest corner
-    (reported, never applied to the state)."""
-
-    state: np.ndarray
-    converged: bool
-    t_stop: float
-    nearest_corner: tuple[int, ...]
-    corner_distance: float
-
-
-@dataclass
 class BatchLimitResult:
+    """Where the flow ended, one row per start: final state, whether the
+    stall criterion ||f||_inf < tol was met, the stop time, and the nearest
+    corner (reported, never applied to the state)."""
+
     states: np.ndarray           # (B, n)
     converged: np.ndarray        # (B,) bool
     t_stop: np.ndarray           # (B,)
@@ -147,12 +138,16 @@ def find_limit_many(
     T_max: float = 200.0,
     h: float = 1e-2,
 ) -> BatchLimitResult:
-    """Integrate a batch of starts until the drift stalls below tol (per row).
+    """Integrate a batch of starts, (B, n) or one (n,) start as a batch of
+    one, until the drift stalls below tol (per row).
 
-    After every step the rows still moving are checked for a stall with
-    one ``drift`` call on exactly those rows. The rows that did not stall
-    move on from the same states, so their rows of that drift are the next
-    step's k1: 4 drift calls per step instead of 5.
+    The rows still moving are kept in one compact array, which each RK4
+    step updates as a whole. After every step they are checked for a stall
+    with one ``drift`` call on exactly those rows. A row that stalls is
+    written back into the result there and leaves the compact array; the
+    rows still moving at T_max are written back at the end. The rows that
+    did not stall move on from the same states, so their rows of that
+    drift are the next step's k1: 4 drift calls per step instead of 5.
     """
     X = _as_pv(x0s, spec.n)
     if X.ndim == 1:
@@ -168,47 +163,34 @@ def find_limit_many(
 
     field = lambda s: drift(s, spec)
 
-    def stall_check(t_now: float, active: np.ndarray):
-        """Stop the rows of ``active`` whose drift is below tol at t_now.
-        Returns the rows still moving and their drift."""
-        f = drift(X[active], spec)
+    def stall_check(t_now: float, rows: np.ndarray, x: np.ndarray):
+        """Stop the rows of X listed in ``rows``, whose states are ``x``,
+        where the drift is below tol at t_now. Returns the rows still
+        moving, their states and their drift."""
+        f = drift(x, spec)
         stalled = np.max(np.abs(f), axis=-1) < tol
-        converged[active[stalled]] = True
-        t_stop[active[stalled]] = t_now
-        return active[~stalled], f[~stalled]
+        if not stalled.any():
+            return rows, x, f
+        done = rows[stalled]
+        X[done] = x[stalled]
+        converged[done] = True
+        t_stop[done] = t_now
+        moving = ~stalled
+        return rows[moving], x[moving], f[moving]
 
     times = _time_grid(T_max, h)
-    active, k1 = stall_check(0.0, np.arange(B))
+    rows, x, k1 = stall_check(0.0, np.arange(B), X)
     for t_prev, t_now in zip(times[:-1], times[1:]):
-        if active.size == 0:
+        if rows.size == 0:
             break
-        X[active] = np.clip(_rk4_step(X[active], t_now - t_prev, field, k1), 0.0, 1.0)
-        active, k1 = stall_check(t_now, active)
+        x = np.clip(_rk4_step(x, t_now - t_prev, field, k1), 0.0, 1.0)
+        rows, x, k1 = stall_check(t_now, rows, x)
+    X[rows] = x
 
     corners = np.where(X >= 0.5, 1, 0).astype(np.int64)
     dists = np.linalg.norm(X - corners, axis=-1)
     return BatchLimitResult(states=X, converged=converged, t_stop=t_stop,
                             nearest_corners=corners, corner_distances=dists)
-
-
-def find_limit(
-    spec: FitnessSpec,
-    x0,
-    *,
-    tol: float = 1e-8,
-    T_max: float = 200.0,
-    h: float = 1e-2,
-) -> LimitResult:
-    """Single-start convenience wrapper around :func:`find_limit_many`."""
-    batch = find_limit_many(spec, np.atleast_2d(np.asarray(x0, dtype=np.float64)),
-                            tol=tol, T_max=T_max, h=h)
-    return LimitResult(
-        state=batch.states[0],
-        converged=bool(batch.converged[0]),
-        t_stop=float(batch.t_stop[0]),
-        nearest_corner=tuple(int(b) for b in batch.nearest_corners[0]),
-        corner_distance=float(batch.corner_distances[0]),
-    )
 
 
 # ---------------------------------------------------------------------------

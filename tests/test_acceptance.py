@@ -202,10 +202,11 @@ def test_criterion_07_flow_reaches_local_maxima():
     starts_checked = 0
     for spec in spec_pool((2, 3, 4)):
         maxima = set(ls.enumerate_local_maxima(spec).maxima)
-        center = od.find_limit(spec, np.full(spec.n, 0.5))
-        assert center.converged and center.nearest_corner in maxima, spec
-        assert np.max(np.abs(dr.drift(center.state, spec))) < 1e-8
-        assert center.corner_distance < 1e-6
+        center = od.find_limit_many(spec, np.full((1, spec.n), 0.5))
+        assert center.converged[0], spec
+        assert tuple(int(b) for b in center.nearest_corners[0]) in maxima, spec
+        assert np.max(np.abs(dr.drift(center.states[0], spec))) < 1e-8
+        assert center.corner_distances[0] < 1e-6
 
         batch = od.find_limit_many(spec, interior_points(rng, 100, spec.n))
         assert batch.converged.all(), spec

@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cgadyn
 from cgadyn import cga
 from cgadyn import harness as hn
 from cgadyn import landscape as ls
@@ -402,6 +407,40 @@ def test_cli_refused_grid_leaves_no_file(tmp_path, capsys, n, grid):
 
 
 # --- CLI ------------------------------------------------------------------------
+
+def test_cli_ode_refuses_a_too_long_step(tmp_path, capsys):
+    # an RK4 stage state leaves [0, 1]^3 at step 5, and drift's range
+    # check refuses it before the output file is opened
+    out = tmp_path / "flow.jsonl"
+    argv = ["ode", "--spec", "binval", "--n", "3", "--horizon", "20", "--out", str(out)]
+    assert cli_main([*argv, "--step", "5"]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "[0, 1]" in err and "internal error" not in err
+    assert cli_main([*argv, "--step", "0.5"]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("module", ["cgadyn", "cgadyn.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    env = {**os.environ, "PYTHONPATH": str(Path(cgadyn.__file__).parents[1])}
+
+    def run(n, out):
+        return subprocess.run([sys.executable, "-m", module, "run", "--spec", "binval", "--n", n,
+                               "--N", "8", "--seed", "2", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    done = run("3", tmp_path / "run.jsonl")
+    assert done.returncode == 0, done.stderr
+    assert cli_main(["run", "--spec", "binval", "--n", "3", "--N", "8", "--seed", "2",
+                     "--out", str(tmp_path / "in_process.jsonl")]) == 0
+    assert (tmp_path / "run.jsonl").read_bytes() == (tmp_path / "in_process.jsonl").read_bytes()
+
+    done = run("0", tmp_path / "refused.jsonl")
+    assert done.returncode == 1
+    assert "cgadyn: error:" in done.stderr
+    assert not (tmp_path / "refused.jsonl").exists()
+
 
 def test_cli_classify_stdout(capsys):
     assert cli_main(["classify", "--spec", "binval", "--n", "3"]) == 0

@@ -116,28 +116,28 @@ def test_integrate_input_guards():
 # --- limits ------------------------------------------------------------------
 
 def test_find_limit_binval_center():
-    res = od.find_limit(ls.binval(2), [0.5, 0.5])
-    assert res.converged
-    assert np.max(np.abs(res.state - [1.0, 1.0])) < 1e-6
-    assert res.nearest_corner == (1, 1)
-    assert np.max(np.abs(dr.drift(res.state, ls.binval(2)))) < 1e-8
+    res = od.find_limit_many(ls.binval(2), [[0.5, 0.5]])
+    assert res.converged[0]
+    assert np.max(np.abs(res.states[0] - [1.0, 1.0])) < 1e-6
+    assert tuple(res.nearest_corners[0].tolist()) == (1, 1)
+    assert np.max(np.abs(dr.drift(res.states[0], ls.binval(2)))) < 1e-8
 
 
 def test_find_limit_two_max_table_center():
-    res = od.find_limit(TWO_MAX_TABLE, [0.5, 0.5])
-    assert res.converged
-    assert res.nearest_corner in {(0, 0), (1, 1)}
-    assert res.corner_distance < 1e-6
+    res = od.find_limit_many(TWO_MAX_TABLE, [[0.5, 0.5]])
+    assert res.converged[0]
+    assert tuple(res.nearest_corners[0].tolist()) in {(0, 0), (1, 1)}
+    assert res.corner_distances[0] < 1e-6
 
 
 def test_find_limit_stationary_start_stays():
     # the all-zeros corner of binval is a fixed point (an unstable one);
     # starting exactly there the flow never moves
-    res = od.find_limit(ls.binval(2), [0.0, 0.0])
-    assert res.converged
-    assert res.t_stop == 0.0
-    assert np.array_equal(res.state, [0.0, 0.0])
-    assert res.nearest_corner == (0, 0)
+    res = od.find_limit_many(ls.binval(2), [[0.0, 0.0]])
+    assert res.converged[0]
+    assert res.t_stop[0] == 0.0
+    assert np.array_equal(res.states[0], [0.0, 0.0])
+    assert tuple(res.nearest_corners[0].tolist()) == (0, 0)
 
 
 def test_find_limit_many_matches_singles():
@@ -149,10 +149,10 @@ def test_find_limit_many_matches_singles():
     batch = od.find_limit_many(spec, starts, T_max=100.0)
     assert batch.converged.all()
     for i in range(8):
-        single = od.find_limit(spec, starts[i], T_max=100.0)
-        assert np.array_equal(single.state, batch.states[i])
-        assert single.nearest_corner == tuple(batch.nearest_corners[i])
-        assert single.t_stop == batch.t_stop[i]
+        single = od.find_limit_many(spec, starts[i : i + 1], T_max=100.0)
+        assert np.array_equal(single.states[0], batch.states[i])
+        assert np.array_equal(single.nearest_corners[0], batch.nearest_corners[i])
+        assert single.t_stop[0] == batch.t_stop[i]
 
 
 def _staggered_starts(n, rows, seed):
@@ -179,6 +179,14 @@ def _staggered_starts(n, rows, seed):
      dict(T_max=1.25, h=0.5)),
     (ls.random_injective(8, seed=8), np.vstack([np.ones(8), np.random.default_rng(2).random(8)]),
      dict(T_max=1.25, h=0.5)),
+    # T_max = 0: no step is taken, and the interior rows end where they start
+    (ls.binval(3), np.array([[0.3, 0.6, 0.2], [0.9, 0.1, 0.5]]), dict(T_max=0.0)),
+    # every start is a corner, so every row stalls at t = 0
+    (ls.random_injective(3, seed=2), np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), dict()),
+    # rows stall at 5.1, 5.4 and 5.8; row 3 stalls on the last, shorter
+    # step 5.8 -> 5.895, and rows 1 and 2 are still moving at T_max
+    (ls.binval(3), 0.05 + 0.9 * np.random.default_rng(5).random((6, 3)),
+     dict(tol=1e-4, T_max=5.895, h=0.1)),
 ])
 def test_find_limit_many_equals_reference(spec, starts, kw):
     batch = od.find_limit_many(spec, starts, **kw)
@@ -188,6 +196,18 @@ def test_find_limit_many_equals_reference(spec, starts, kw):
     assert np.array_equal(batch.t_stop, t_stop)
     if len(starts) > 2:  # the case has rows stopping at several different steps
         assert np.unique(t_stop[converged]).size >= 3
+
+
+def test_too_long_step_fails_the_stage_check():
+    # at h = 1 an RK4 stage state of this flow leaves [0, 1]^3 (the start
+    # and the clamped steps cannot), and drift's range check refuses it
+    spec, x0 = ls.binval(3), [0.3, 0.6, 0.2]
+    with pytest.raises(DomainError):
+        od.integrate(spec, x0, h=1.0, T=5.0)
+    with pytest.raises(DomainError):
+        od.find_limit_many(spec, [x0], h=1.0)
+    assert np.all(np.isfinite(od.integrate(spec, x0, h=0.5, T=5.0).states))
+    assert od.find_limit_many(spec, [x0], h=0.5).converged[0]
 
 
 def test_unstable_corner_escape():
