@@ -8,11 +8,11 @@ The package has five parts:
   recording, and the step-function time embedding;
 * :mod:`cgadyn.drift_field` -- exact tournament distributions, the
   expected-update field f(p), and its Jacobians;
-* :mod:`cgadyn.ode` -- fixed-step integration of dX/dt = f(X), limit
-  detection, and corner stability classification;
+* :mod:`cgadyn.ode` -- fixed-step integration of dX/dt = f(X) and limit
+  detection;
 * :mod:`cgadyn.harness` -- reproducible campaigns (Monte Carlo tallies,
-  learning-step sweeps, classification reports) plus the `cgadyn` CLI in
-  :mod:`cgadyn.cli`.
+  learning-step sweeps, corner stability reports built from the corner
+  spectra) plus the `cgadyn` CLI in :mod:`cgadyn.cli`.
 """
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ from .cga import (
     trajectory_to_jsonl,
 )
 from .drift_field import (
-    CornerJacobian,
     drift,
     drift_naive,
     jacobian_analytic,
@@ -63,10 +62,6 @@ from .drift_field import (
 )
 from .ode import (
     OdeTrajectory,
-    Stability,
-    StabilityVerdict,
-    classify_corner,
-    classify_corners,
     find_limit_many,
     integrate,
     lyapunov_increments,

@@ -179,6 +179,12 @@ def _resolve_spec(args, cfg: dict):
     return spec_from_json_dict(obj)
 
 
+def _setting(value, cfg: dict, key: str):
+    """A flag's value if given, else the config's field ``key``, else that
+    field's :class:`ExperimentConfig` default."""
+    return value if value is not None else cfg.get(key, getattr(ExperimentConfig, key))
+
+
 def _effective_config(cfg: dict, spec, **overrides) -> ExperimentConfig:
     merged = dict(cfg)
     merged.pop("spec", None)
@@ -215,7 +221,7 @@ def _single_spec(args, body) -> int:
     spec = _resolve_spec(args, cfg)
     settings, write = body(args, cfg, spec)
     effective = {"command": args.command, "spec": spec_to_json_dict(spec), **settings}
-    seed = settings.get("seed", cfg.get("master_seed", 0))
+    seed = _setting(settings.get("seed"), cfg, "master_seed")
     with _open_out(args.out) as fp:
         write(fp, provenance(hash_of(effective), seed))
     return 0
@@ -225,8 +231,8 @@ def _cmd_run(args, cfg, spec):
     N = args.N if args.N is not None else (cfg.get("N_values") or [None])[0]
     if N is None:
         raise _UsageError("run needs --N")
-    seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
-    max_iters = args.max_iters if args.max_iters is not None else cfg.get("max_iters")
+    seed = _setting(args.seed, cfg, "master_seed")
+    max_iters = _setting(args.max_iters, cfg, "max_iters")
     traj = cga_run(spec, int(N), seed=seed, max_iters=max_iters,
                    record_every=args.record_every)
     settings = {"N": int(N), "seed": seed, "max_iters": max_iters,
@@ -242,8 +248,8 @@ def _cmd_drift(args, cfg, spec):
 
 
 def _cmd_ode(args, cfg, spec):
-    h = args.step if args.step is not None else cfg.get("ode_step", 1e-2)
-    T = args.horizon if args.horizon is not None else cfg.get("T_horizon", 5.0)
+    h = _setting(args.step, cfg, "ode_step")
+    T = _setting(args.horizon, cfg, "T_horizon")
     traj = integrate(spec, np.full(spec.n, 0.5), h=h, T=T)
     return {"h": h, "T": T}, lambda fp, header: ode_to_jsonl(traj, fp, extra_header=header)
 

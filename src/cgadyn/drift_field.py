@@ -31,7 +31,6 @@ from .landscape import (
     all_bit_matrix,
     bits_to_index,
     fitness_values,
-    index_to_bits,
     require_injective,
 )
 
@@ -185,20 +184,6 @@ def drift_naive(p, spec: FitnessSpec) -> np.ndarray:
 # Jacobians at corners and in the interior
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CornerJacobian:
-    """Analytic Jacobian of the drift field at a deterministic configuration.
-
-    The matrix is diagonal; entry (m, m) is -2 when flipping locus m
-    lowers fitness and +2 when it raises fitness. The eigenvalues are the
-    diagonal.
-    """
-
-    corner: tuple[int, ...]
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def _corner_index(corner, spec: FitnessSpec) -> int:
     """Solution index of a corner of [0,1]^n, given as n bits."""
     bits = np.asarray(corner)
@@ -223,16 +208,12 @@ def corner_spectra(spec: FitnessSpec, indices=None) -> tuple[np.ndarray, np.ndar
     return np.where(neighbors > own, 2.0, -2.0), (own >= neighbors).all(axis=1)
 
 
-def jacobian_analytic(corner, spec: FitnessSpec) -> CornerJacobian:
-    """Exact Jacobian of f at a corner of [0,1]^n (injective specs only)."""
+def jacobian_analytic(corner, spec: FitnessSpec) -> np.ndarray:
+    """Exact Jacobian of f at a corner of [0,1]^n, an (n, n) diagonal matrix
+    whose entries are the corner's eigenvalues (injective specs only)."""
     idx = _corner_index(corner, spec)
     require_injective(spec, "jacobian_analytic")
-    diag = corner_spectra(spec, [idx])[0][0]
-    return CornerJacobian(
-        corner=index_to_bits(idx, spec.n),
-        matrix=np.diag(diag),
-        eigenvalues=diag.copy(),
-    )
+    return np.diag(corner_spectra(spec, [idx])[0][0])
 
 
 def jacobian_numeric(p, spec: FitnessSpec, h: float) -> np.ndarray:

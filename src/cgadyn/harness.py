@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError
 from .cga import default_max_iters, format_cells, lockstep
-from .drift_field import drift
+from .drift_field import corner_spectra, drift
 from .landscape import (
     FitnessSpec,
     bits_to_string,
@@ -35,7 +35,7 @@ from .landscape import (
     spec_from_json_dict,
     spec_to_json_dict,
 )
-from .ode import LockstepSupDistance, Stability, classify_corners, integrate
+from .ode import LockstepSupDistance, integrate
 
 
 REAL_FMT = "%.17g"  # 17 significant digits: parses back to the same float
@@ -347,21 +347,19 @@ class ClassificationReport:
 
 def classify_all(spec: FitnessSpec) -> ClassificationReport:
     """One row per corner: fitness, local-max flag, stability verdict, and
-    whether the two agree (stable iff local maximum). Injective specs only."""
+    whether the two agree (stable iff local maximum). A corner is
+    asymptotically stable iff every eigenvalue of its Jacobian is negative,
+    and unstable otherwise. Injective specs only."""
     require_injective(spec, "classify_all")
-    vals = fitness_values(spec)
-    rows = []
-    for i, verdict in enumerate(classify_corners(spec)):
-        stable = verdict.verdict is Stability.ASYMPTOTICALLY_STABLE
-        rows.append(ClassificationRow(
-            corner=bits_to_string(verdict.corner),
-            fitness=float(vals[i]),
-            local_max=verdict.local_max,
-            verdict=verdict.verdict.value,
-            eigenvalues=verdict.eigenvalues,
-            agreement=stable == verdict.local_max,
-        ))
-    return ClassificationReport(spec=spec, rows=rows)
+    eigs, local_max = corner_spectra(spec)
+    columns = zip(fitness_values(spec).tolist(), local_max.tolist(),
+                  (eigs < 0).all(axis=1).tolist(), eigs.tolist())
+    return ClassificationReport(spec=spec, rows=[
+        ClassificationRow(corner=format(i, f"0{spec.n}b"), fitness=fitness, local_max=is_max,
+                          verdict="asymptotically_stable" if stable else "unstable",
+                          eigenvalues=tuple(e), agreement=stable == is_max)
+        for i, (fitness, is_max, stable, e) in enumerate(columns)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,24 @@
-"""Deterministic flow dX/dt = f(X) of the expected update, and its fixed points.
+"""Deterministic flow dX/dt = f(X) of the expected update, and its limits.
 
 The vector field f is the exact drift from :mod:`cgadyn.drift_field`; it
 is a polynomial in X, so a classical fixed-step 4th-order Runge-Kutta
 scheme is accurate and keeps runs byte-reproducible. States are clamped to
 [0,1]^n after each step; the exact flow stays inside the box, so clamps
 only absorb O(h^5) overshoot and their count is reported.
-
-Corner fixed points are classified by the sign pattern of the analytic
-Jacobian's eigenvalues: all negative means asymptotically stable, any
-positive means unstable.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, HorizonError
 from .cga import StochasticTrajectory, _iteration_of
-from .drift_field import _as_pv, _corner_index, corner_spectra, drift
-from .landscape import FitnessSpec, index_to_bits, require_injective, spec_to_json_dict
+from .drift_field import _as_pv, drift
+from .landscape import FitnessSpec, spec_to_json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +72,12 @@ def _rk4_step(x: np.ndarray, h: float, field, k1: np.ndarray | None = None) -> n
 
 def _time_grid(T: float, h: float) -> np.ndarray:
     """RK4 grid 0, h, 2h, ..., ending with a shorter step onto T when T is
-    not a multiple of h; step i runs from times[i-1] to times[i]."""
+    not a multiple of h; step i runs from times[i-1] to times[i]. Needs a
+    finite step h > 0 and a finite horizon T >= 0 (NaN fails both)."""
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"step size must be finite and positive, got {h}")
+    if not 0.0 <= T < math.inf:
+        raise DomainError(f"horizon must be finite and nonnegative, got {T}")
     full = int(np.floor(T / h + 1e-12))
     times = np.arange(full + 1, dtype=np.float64) * h
     if T - times[-1] > 1e-12 * max(1.0, T):
@@ -94,11 +94,6 @@ def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTra
     when T is not a multiple of h. T = 0 yields the initial states only.
     """
     x = _as_pv(x0, spec.n)
-    if not h > 0.0:
-        raise DomainError(f"step size must be positive, got {h}")
-    if T < 0.0:
-        raise DomainError(f"horizon must be nonnegative, got {T}")
-
     field = lambda s: drift(s, spec)
     times = _time_grid(T, h)
     states = np.empty(times.shape + x.shape, dtype=np.float64)
@@ -154,8 +149,9 @@ def find_limit_many(
         X = X[None, :]
     if X.ndim != 2:
         raise DimensionError("find_limit_many expects (B, n) initial states")
-    if not h > 0.0 or not tol > 0.0 or T_max < 0.0:
-        raise DomainError("need h > 0, tol > 0, T_max >= 0")
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    times = _time_grid(T_max, h)
     X = X.copy()
     B = X.shape[0]
     converged = np.zeros(B, dtype=bool)
@@ -178,7 +174,6 @@ def find_limit_many(
         moving = ~stalled
         return rows[moving], x[moving], f[moving]
 
-    times = _time_grid(T_max, h)
     rows, x, k1 = stall_check(0.0, np.arange(B), X)
     for t_prev, t_now in zip(times[:-1], times[1:]):
         if rows.size == 0:
@@ -191,47 +186,6 @@ def find_limit_many(
     dists = np.linalg.norm(X - corners, axis=-1)
     return BatchLimitResult(states=X, converged=converged, t_stop=t_stop,
                             nearest_corners=corners, corner_distances=dists)
-
-
-# ---------------------------------------------------------------------------
-# stability of corner fixed points
-# ---------------------------------------------------------------------------
-
-class Stability(Enum):
-    ASYMPTOTICALLY_STABLE = "asymptotically_stable"
-    UNSTABLE = "unstable"
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    corner: tuple[int, ...]
-    verdict: Stability
-    eigenvalues: tuple[float, ...]
-    local_max: bool
-
-
-def classify_corners(spec: FitnessSpec, indices=None) -> Iterator[StabilityVerdict]:
-    """Stability verdicts of the corners with the given solution indices
-    (default: all 2^n, in index order): asymptotically stable iff every
-    eigenvalue is negative. Requires an injective spec; checks it, and
-    reads the neighbour table, before the first verdict is made."""
-    require_injective(spec, "classify_corners")
-    eigs, local_max = corner_spectra(spec, indices)
-    idx = range(spec.num_solutions) if indices is None else indices
-    return (
-        StabilityVerdict(
-            corner=index_to_bits(int(i), spec.n),
-            verdict=Stability.ASYMPTOTICALLY_STABLE if (e < 0).all() else Stability.UNSTABLE,
-            eigenvalues=tuple(float(x) for x in e),
-            local_max=bool(m),
-        )
-        for i, e, m in zip(idx, eigs, local_max)
-    )
-
-
-def classify_corner(spec: FitnessSpec, corner) -> StabilityVerdict:
-    """Stability of one corner fixed point (see :func:`classify_corners`)."""
-    return next(classify_corners(spec, [_corner_index(corner, spec)]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from cgadyn import cga as C
 from cgadyn import drift_field as dr
+from cgadyn import harness as hn
 from cgadyn import landscape as ls
 from cgadyn import ode as od
 from cgadyn.errors import DimensionError, DomainError, HorizonError, TheoremScopeError
@@ -111,6 +112,16 @@ def test_integrate_input_guards():
         od.integrate(ls.binval(1), [0.5], h=0.0, T=1.0)
     with pytest.raises(DomainError):
         od.integrate(ls.binval(1), [0.5], h=0.1, T=-1.0)
+
+
+@pytest.mark.parametrize("h, T", [(np.inf, 1.0), (np.nan, 1.0), (-np.inf, 1.0),
+                                  (0.1, np.inf), (0.1, np.nan), (0.1, -np.inf)])
+def test_non_finite_step_or_horizon_is_refused(h, T):
+    spec = ls.binval(2)
+    with pytest.raises(DomainError, match="finite"):
+        od.integrate(spec, [0.5, 0.5], h=h, T=T)
+    with pytest.raises(DomainError, match="finite"):
+        od.find_limit_many(spec, [[0.3, 0.6]], h=h, T_max=T)
 
 
 # --- limits ------------------------------------------------------------------
@@ -224,35 +235,34 @@ def test_unstable_corner_escape():
 # --- stability classification -------------------------------------------------
 
 def test_classify_binval3_corners():
-    spec = ls.binval(3)
-    top = od.classify_corner(spec, (1, 1, 1))
-    assert top.verdict is od.Stability.ASYMPTOTICALLY_STABLE
+    rows = hn.classify_all(ls.binval(3)).rows
+    top = rows[ls.bits_to_index((1, 1, 1))]
+    assert top.verdict == "asymptotically_stable"
     assert top.eigenvalues == (-2.0, -2.0, -2.0)
     assert top.local_max
-    near = od.classify_corner(spec, (1, 1, 0))
-    assert near.verdict is od.Stability.UNSTABLE
+    near = rows[ls.bits_to_index((1, 1, 0))]
+    assert near.verdict == "unstable"
     assert 2.0 in near.eigenvalues
     assert not near.local_max
 
 
 def test_classify_two_max_table():
-    verdict = od.classify_corner(TWO_MAX_TABLE, (0, 0))
-    assert verdict.verdict is od.Stability.ASYMPTOTICALLY_STABLE
-    assert verdict.local_max
+    row = hn.classify_all(TWO_MAX_TABLE).rows[ls.bits_to_index((0, 0))]
+    assert row.verdict == "asymptotically_stable"
+    assert row.local_max
 
 
 def test_classify_refuses_non_injective():
     with pytest.raises(TheoremScopeError):
-        od.classify_corner(ls.table_spec([1.0, 1.0], n=1), (0,))
+        hn.classify_all(ls.table_spec([1.0, 1.0], n=1))
 
 
 def test_stable_iff_negative_eigenvalues():
     for n in (2, 3):
         for spec in injective_suite(n):
-            for i in range(1 << n):
-                v = od.classify_corner(spec, ls.index_to_bits(i, n))
-                stable = v.verdict is od.Stability.ASYMPTOTICALLY_STABLE
-                assert stable == all(e < 0 for e in v.eigenvalues)
+            for row in hn.classify_all(spec).rows:
+                stable = row.verdict == "asymptotically_stable"
+                assert stable == all(e < 0 for e in row.eigenvalues)
 
 
 # --- diagnostics ---------------------------------------------------------------
