@@ -110,12 +110,14 @@ class StochasticTrajectory:
         [k*alpha, (k+1)*alpha), so right-continuous.
 
         Past the last iteration a terminated run holds its absorbing corner;
-        an unterminated one raises HorizonError, as do negative times. A
-        thinned run answers only at recorded iterations.
+        an unterminated one raises HorizonError, as do negative and NaN
+        times. A thinned run answers only at recorded iterations.
         """
         ts = np.asarray(ts, dtype=np.float64)
-        if np.any(ts < 0.0):
-            raise HorizonError("time must be nonnegative")
+        # written so that NaN fails too
+        negative = ~(ts >= 0.0)
+        if negative.any():
+            raise HorizonError(f"time must be nonnegative, got {ts[negative][0]}")
         k = _iteration_of(ts, self.alpha)
         if np.any(k > self.iterations):
             if not self.terminated:

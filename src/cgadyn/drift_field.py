@@ -15,7 +15,8 @@ the first-sample-wins rule.
 
 All functions accept a single vector p of shape (n,) or a batch of shape
 (..., n) and vectorize over the leading axes. Each row's result is the
-same, bit for bit, whatever batch it comes in.
+same, bit for bit, whatever batch it comes in, although the batch's size
+picks which of two routes builds ``sampling_probs``.
 """
 
 from __future__ import annotations
@@ -82,18 +83,56 @@ def _as_pv(p, n: int) -> np.ndarray:
 # sampling distribution
 # ---------------------------------------------------------------------------
 
+_SELECTOR_CACHE: dict[int, np.ndarray] = {}
+
+# Largest output (rows * 2^n entries) that sampling_probs builds by the
+# gather. The gather moves n times the memory of the doubling loop but
+# makes four numpy calls where the loop makes two per locus. Timed against
+# each other (BENCH_13.json), the gather was faster up to about this size
+# and slower above it.
+_GATHER_MAX_ENTRIES = 1024
+
+
+def _locus_selector(n: int) -> np.ndarray:
+    """(n, 2^n) intp selector S[i, y] = i + n * bit_i(y): the position of
+    locus i's factor for solution y in concat(1 - p, p). Read-only, one
+    per n."""
+    sel = _SELECTOR_CACHE.get(n)
+    if sel is None:
+        bits = all_bit_matrix(n).T.astype(np.intp)
+        sel = np.arange(n, dtype=np.intp)[:, None] + n * bits
+        sel.setflags(write=False)
+        _SELECTOR_CACHE[n] = sel
+    return sel
+
+
 def sampling_probs(p, n: int) -> np.ndarray:
     """Pr(y|p) for every solution index, shape (..., 2^n).
 
-    The product (1-p_0 or p_0) * ... * (1-p_{n-1} or p_{n-1}) is built in
-    one preallocated buffer. Locus 0 (the most significant bit) writes
-    1-p_0 and p_0 straight into entries 0 and 2^(n-1). Every later locus i
-    doubles the buffer in place: with stride s = 2^(n-1-i), each filled
-    entry, a multiple of 2s, is split into itself times (1-p_i) and the
-    entry s above it times p_i. Deterministic configurations give exact
-    0/1 probabilities.
+    Entry y is the product (1-p_0 or p_0) * ... * (1-p_{n-1} or p_{n-1}),
+    multiplied left to right from locus 0 (the most significant bit), by
+    one of two routes chosen by the output's size alone:
+
+    * Small outputs (rows * 2^n <= 1024) gather every factor at once:
+      ``concat(1 - p, p)`` indexed by :func:`_locus_selector` is an
+      (..., n, 2^n) array, and ``np.multiply.reduce`` over its locus axis,
+      which is not the innermost axis, multiplies the n factors in locus
+      order.
+    * Larger outputs are built in one preallocated buffer. Locus 0 writes
+      1-p_0 and p_0 straight into entries 0 and 2^(n-1). Every later locus
+      i doubles the buffer in place: with stride s = 2^(n-1-i), each
+      filled entry, a multiple of 2s, is split into itself times (1-p_i)
+      and the entry s above it times p_i.
+
+    Both routes compute ((v_0 * v_1) * v_2) * ... with the same operands in
+    the same order, so a row's bits do not depend on the route, and so not
+    on its batch. Deterministic configurations give exact 0/1
+    probabilities.
     """
     arr = _as_pv(p, n)
+    if 0 < arr.size << n <= _GATHER_MAX_ENTRIES * n:  # arr.size << n is n * rows * 2^n
+        factors = np.concatenate((1.0 - arr, arr), axis=-1)
+        return np.multiply.reduce(factors.take(_locus_selector(n), axis=-1), axis=-2)
     q = 1.0 - arr
     probs = np.empty(arr.shape[:-1] + (1 << n,), dtype=np.float64)
     probs[..., 0] = q[..., 0]

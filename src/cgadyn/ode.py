@@ -53,8 +53,10 @@ class OdeTrajectory:
         if self.states.ndim != 2:
             raise DimensionError("values_at needs a one-start trajectory")
         ts = np.asarray(ts, dtype=np.float64)
-        if np.any(ts < -1e-12) or np.any(ts > self.horizon + 1e-9):
-            raise HorizonError(f"time outside [0, {self.horizon}]")
+        # written so that NaN fails too
+        outside = ~((ts >= -1e-12) & (ts <= self.horizon + 1e-9))
+        if outside.any():
+            raise HorizonError(f"time {ts[outside][0]} outside [0, {self.horizon}]")
         ts = np.clip(ts, 0.0, self.horizon)
         cols = [np.interp(ts, self.times, self.states[:, i]) for i in range(self.n)]
         return np.stack(cols, axis=-1)
@@ -164,8 +166,8 @@ def find_limit_many(
         where the drift is below tol at t_now. Returns the rows still
         moving, their states and their drift."""
         f = drift(x, spec)
-        stalled = np.max(np.abs(f), axis=-1) < tol
-        if not stalled.any():
+        stalled = np.maximum.reduce(np.abs(f), axis=-1) < tol
+        if not np.count_nonzero(stalled):
             return rows, x, f
         done = rows[stalled]
         X[done] = x[stalled]
@@ -217,8 +219,8 @@ def lyapunov_increments(traj: OdeTrajectory, spec: FitnessSpec) -> np.ndarray:
 
 def _flow_times(b: OdeTrajectory, T: float) -> np.ndarray:
     """The times every comparison with the flow ``b`` over [0, T] includes:
-    b's grid up to T, and the two ends."""
-    if T < 0.0:
+    b's grid up to T, and the two ends. NaN fails the horizon check."""
+    if not T >= 0.0:
         raise DomainError(f"horizon must be nonnegative, got {T}")
     if b.horizon < T - 1e-9:
         raise HorizonError(f"second trajectory ends at {b.horizon} < T={T}")

@@ -303,6 +303,8 @@ def test_interpolation_horizon():
         traj.values_at([1.0])
     with pytest.raises(HorizonError):
         traj.values_at([-0.01])
+    with pytest.raises(HorizonError, match="nan"):
+        traj.values_at([0.0, np.nan])
 
 
 def test_interpolation_absorbing_after_termination():

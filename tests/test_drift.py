@@ -56,11 +56,54 @@ def test_sampling_probs_equals_reference(n, batch, data):
     assert np.array_equal(probs, reference_sampling_probs(p, n))
 
 
+def _edge_probability_vectors(rng, rows, n):
+    """Random rows of length n with exact 0/1 and denormal entries mixed in."""
+    p = rng.random((rows, n))
+    pick = rng.integers(0, 5, size=p.shape)
+    p[pick == 0] = 0.0
+    p[pick == 1] = 1.0
+    p[pick == 2] = 5e-324 * rng.integers(1, 1 << 20, size=int(np.sum(pick == 2)))
+    return p
+
+
+def test_sampling_probs_gather_and_loop_equal_reference(rng):
+    # one row is built by the gather; a batch one row past the bound by the
+    # doubling loop; both must give the reference's bits
+    for n in range(1, 11):
+        one = _edge_probability_vectors(rng, 1, n)
+        rows = dr._GATHER_MAX_ENTRIES // (1 << n) + 1
+        batch = _edge_probability_vectors(rng, rows, n)
+        assert 1 << n <= dr._GATHER_MAX_ENTRIES < rows << n
+        assert np.array_equal(dr.sampling_probs(one[0], n), reference_sampling_probs(one[0], n))
+        assert np.array_equal(dr.sampling_probs(one, n), reference_sampling_probs(one, n))
+        assert np.array_equal(dr.sampling_probs(batch, n), reference_sampling_probs(batch, n))
+
+
+def test_drift_rows_of_a_large_batch_equal_single_rows(rng):
+    # the 4096-row batch goes through the doubling loop, each row alone
+    # through the gather
+    for n in (2, 4, 8):
+        spec = ls.random_injective(n, seed=5)
+        batch = _edge_probability_vectors(rng, 4096, n)
+        assert batch.shape[0] << n > dr._GATHER_MAX_ENTRIES
+        f, naive = dr.drift(batch, spec), dr.drift_naive(batch, spec)
+        for i, row in enumerate(batch):
+            assert np.array_equal(f[i], dr.drift(row, spec))
+            assert np.array_equal(naive[i], dr.drift_naive(row, spec))
+
+
 def test_sampling_probs_exact_at_corners():
     probs = dr.sampling_probs(np.array([1.0, 0.0, 1.0]), 3)
     expected = np.zeros(8)
     expected[ls.bits_to_index((1, 0, 1))] = 1.0
     assert np.array_equal(probs, expected)
+    # all 64 corners at n = 6 in one batch take the doubling loop, each
+    # corner alone the gather
+    corners = ls.all_bit_matrix(6)
+    assert corners.shape[0] << 6 > dr._GATHER_MAX_ENTRIES
+    assert np.array_equal(dr.sampling_probs(corners, 6), np.eye(64))
+    for i, corner in enumerate(corners):
+        assert np.array_equal(dr.sampling_probs(corner, 6), np.eye(64)[i])
 
 
 # --- winner / loser distributions ------------------------------------------
@@ -121,11 +164,14 @@ def test_drift_examples():
 
 
 def test_drift_zero_at_corners_exactly():
+    # one corner at a time and all corners in one batch (the doubling
+    # loop at n = 6, the gather below)
     for n in (1, 2, 3, 4, 5, 6):
         for spec in injective_suite(n):
             for i in range(1 << n):
                 f = dr.drift(np.asarray(ls.index_to_bits(i, n), dtype=float), spec)
                 assert np.array_equal(f, np.zeros(n)), (spec.kind, i)
+            assert np.array_equal(dr.drift(ls.all_bit_matrix(n), spec), np.zeros((1 << n, n)))
 
 
 def test_drift_matches_pair_enumeration(rng):
@@ -218,6 +264,13 @@ def test_specs_of_one_length_share_the_bit_matrix():
     a, b = dr._tables(ls.binval(6)), dr._tables(ls.random_injective(6, seed=1))
     assert a.bits_f is b.bits_f is ls.all_bit_matrix(6)
     assert a.bits_f.dtype == np.float64 and not a.bits_f.flags.writeable
+    # so does sampling_probs' selector into concat(1 - p, p)
+    selector = dr._locus_selector(6)
+    assert dr._locus_selector(6) is selector and not selector.flags.writeable
+    assert selector.dtype == np.intp and selector.shape == (6, 64)
+    for y in range(64):
+        bits = ls.index_to_bits(y, 6)
+        assert selector[:, y].tolist() == [i + 6 * int(bit) for i, bit in enumerate(bits)]
 
 
 def test_equal_specs_hash_alike_and_share_tables(rng):

@@ -406,3 +406,25 @@ def test_sup_distance_nonterminated_stochastic_horizon():
     assert od.sup_distance(traj, ode, 0.2) >= 0.0
     with pytest.raises(HorizonError):
         od.sup_distance(traj, ode, 0.5)
+
+
+def test_nan_horizon_is_refused():
+    spec = ls.binval(2)
+    a = od.integrate(spec, [0.5, 0.5], h=0.1, T=1.0)
+    b = od.integrate(spec, [0.25, 0.5], h=0.1, T=1.0)
+    stochastic = C.run(spec, 4, seed=1, max_iters=100)
+    nan = float("nan")
+    with pytest.raises(DomainError, match="horizon"):
+        od.sup_distance(a, b, nan)
+    with pytest.raises(DomainError, match="horizon"):
+        od.sup_distance(stochastic, b, nan)
+    with pytest.raises(DomainError, match="horizon"):
+        od.LockstepSupDistance(b, nan, 8, 3)
+
+
+def test_ode_values_at_refuses_nan_times():
+    traj = od.integrate(ls.binval(2), [0.5, 0.5], h=0.1, T=1.0)
+    with pytest.raises(HorizonError, match="nan"):
+        traj.values_at([np.nan])
+    with pytest.raises(HorizonError, match="nan"):
+        traj.values_at([0.5, np.nan])
