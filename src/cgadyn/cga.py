@@ -118,13 +118,14 @@ class StochasticTrajectory:
         negative = ~(ts >= 0.0)
         if negative.any():
             raise HorizonError(f"time must be nonnegative, got {ts[negative][0]}")
-        k = _iteration_of(ts, self.alpha)
-        if np.any(k > self.iterations):
-            if not self.terminated:
-                raise HorizonError(
-                    f"t beyond the recorded horizon {(self.iterations + 1) * self.alpha}"
-                )
-            k = np.minimum(k, self.iterations)
+        horizon = (self.iterations + 1) * self.alpha
+        past = ts >= horizon
+        if past.any() and not self.terminated:
+            raise HorizonError(f"t beyond the recorded horizon {horizon}")
+        # only times before the horizon are cast to iterations, so inf and
+        # huge times never reach the int64 cast
+        k = np.full(ts.shape, self.iterations, dtype=np.int64)
+        k[~past] = _iteration_of(ts[~past], self.alpha)
         rows = np.searchsorted(self.recorded_ks, k, side="right") - 1
         if np.any(self.recorded_ks[rows] != k):
             raise DomainError(

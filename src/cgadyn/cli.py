@@ -242,9 +242,10 @@ def _cmd_run(args, cfg, spec):
 
 def _cmd_drift(args, cfg, spec):
     names = [f"p_{i+1}" for i in range(spec.n)] + [f"f_{i+1}" for i in range(spec.n)]
-    # computed before the output is opened, so a refused grid writes no file
-    table = drift_grid_rows(spec, args.grid)
-    return {"grid": args.grid}, lambda fp, header: write_csv(fp, names, table, header=header)
+    # the grid is checked before the output is opened, so a refused grid
+    # writes no file; its blocks are built one at a time as write_csv pulls them
+    blocks = drift_grid_rows(spec, args.grid)
+    return {"grid": args.grid}, lambda fp, header: write_csv(fp, names, blocks, header=header)
 
 
 def _cmd_ode(args, cfg, spec):

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,11 +161,19 @@ _CSV_BLOCK_ROWS = 4096
 def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str] | None = None):
     """Comment-prefixed provenance lines, then an RFC-style CSV table.
 
-    ``rows`` is either an iterable of rows of strings and other values,
-    written by ``csv.writer``, or a 2-D float array, written a block of
-    rows at a time with every value in ``REAL_FMT``; a block formats each
-    distinct value once (:func:`cgadyn.cga.format_cells`). Reals never need
-    CSV quoting, so both give the same bytes for the same reals.
+    ``rows`` is one of:
+
+    - a list (or other iterable that is not an iterator) of rows of strings
+      and other values, written by ``csv.writer``;
+    - an iterator of 2-D float arrays, such as :func:`drift_grid_rows`
+      returns, each block written with every value in ``REAL_FMT`` before
+      the next block is pulled;
+    - a 2-D float array, split into ``_CSV_BLOCK_ROWS``-row blocks that
+      take the iterator's path.
+
+    A block formats each distinct value once
+    (:func:`cgadyn.cga.format_cells`). Reals never need CSV quoting, so
+    both writers give the same bytes for the same reals.
     """
     if header:
         for key in sorted(header):
@@ -172,9 +181,10 @@ def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(fieldnames)
     if isinstance(rows, np.ndarray):
-        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-            block = format_cells(rows[start:start + _CSV_BLOCK_ROWS], REAL_FMT).tolist()
-            fp.write("".join([",".join(row) + "\n" for row in block]))
+        rows = iter(np.split(rows, range(_CSV_BLOCK_ROWS, len(rows), _CSV_BLOCK_ROWS)))
+    if isinstance(rows, Iterator):
+        for block in rows:
+            fp.write("".join([",".join(row) + "\n" for row in format_cells(block, REAL_FMT).tolist()]))
     else:
         writer.writerows(rows)
     for line in footer or ():
@@ -367,19 +377,22 @@ def classify_all(spec: FitnessSpec) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 
 _GRID_MAX_ROWS = 1_000_000
+_DRIFT_SUB_ROWS = 512
 
 
-def drift_grid_rows(spec: FitnessSpec, resolution: int) -> np.ndarray:
+def drift_grid_rows(spec: FitnessSpec, resolution: int) -> Iterator[np.ndarray]:
     """Cartesian grid over [0,1]^n with `resolution` points per axis, the
-    last axis varying fastest: a (resolution**n, 2n) array whose rows are
+    last axis varying fastest, as an iterator of ``(rows, 2n)`` blocks of
+    ``_CSV_BLOCK_ROWS`` rows (the last may be shorter) whose rows are
     (p_1..p_n, f_1..f_n).
 
-    The drift is computed in blocks of ``_CSV_BLOCK_ROWS`` points, which
-    bounds its temporaries; its rows do not depend on the batch, so this
-    equals one call over the whole grid. A refused resolution (below 2, or
-    a grid of more than ``_GRID_MAX_ROWS`` points) raises DomainError
-    before any work is done, so a caller that computes the rows
-    before opening its output leaves no file behind.
+    A refused resolution (below 2, or a grid of more than
+    ``_GRID_MAX_ROWS`` points) raises DomainError here, before any block is
+    built, so a caller that asks for the blocks before opening its output
+    leaves no file behind. Each block is built only when it is pulled, so
+    a consumer that writes a block before pulling the next holds one block
+    at a time. Drift rows do not depend on the batch, so the blocks equal
+    one call over the whole grid.
     """
     if resolution < 2:
         raise DomainError(f"grid resolution must be >= 2, got {resolution}")
@@ -388,11 +401,20 @@ def drift_grid_rows(spec: FitnessSpec, resolution: int) -> np.ndarray:
         raise DomainError(
             f"grid of {total} points exceeds the {_GRID_MAX_ROWS} row limit; lower the resolution"
         )
+    return _grid_blocks(spec, resolution, total)
+
+
+def _grid_blocks(spec: FitnessSpec, resolution: int, total: int) -> Iterator[np.ndarray]:
+    n = spec.n
     axis = np.linspace(0.0, 1.0, resolution)
-    grids = np.meshgrid(*([axis] * spec.n), indexing="ij")
-    rows = np.empty((total, 2 * spec.n))
-    rows[:, :spec.n] = np.stack([g.ravel() for g in grids], axis=-1)
     for start in range(0, total, _CSV_BLOCK_ROWS):
-        block = rows[start:start + _CSV_BLOCK_ROWS]
-        block[:, spec.n:] = drift(block[:, :spec.n], spec)
-    return rows
+        index = np.arange(start, min(start + _CSV_BLOCK_ROWS, total))
+        block = np.empty((index.size, 2 * n))
+        for j in range(n):  # column j is digit j of the row index in base `resolution`
+            block[:, j] = axis.take(index // resolution ** (n - 1 - j) % resolution)
+        # in short drift calls the temporaries stay small enough for malloc to
+        # reuse from block to block instead of handing them back to the OS
+        for sub in range(0, index.size, _DRIFT_SUB_ROWS):
+            rows = block[sub:sub + _DRIFT_SUB_ROWS]
+            rows[:, n:] = drift(rows[:, :n], spec)
+        yield block

@@ -314,6 +314,19 @@ def test_interpolation_absorbing_after_termination():
     assert np.array_equal(far, traj.states[-1:])
 
 
+@pytest.mark.parametrize("t", [np.inf, 1e300], ids=["inf", "1e300"])
+def test_interpolation_infinite_and_huge_times(t):
+    # such times once went through an int64 cast: a RuntimeWarning, then a
+    # wrong "thinned" DomainError
+    done = C.run(ls.binval(2), 2, seed=1)
+    assert done.terminated
+    assert np.array_equal(done.values_at([0.0, t]), done.states[[0, -1]])
+    cut = C.run(ls.binval(4), 64, seed=1, max_iters=5)
+    assert not cut.terminated
+    with pytest.raises(HorizonError, match="horizon"):
+        cut.values_at([0.0, t])
+
+
 def test_interpolation_thinned_refuses_fine_queries():
     traj = C.run(ls.binval(2), 8, seed=3, record_every=5, max_iters=300)
     assert traj.iterations > 6

@@ -271,13 +271,24 @@ def test_classify_csv_shape():
 
 # --- drift grid --------------------------------------------------------------------
 
+def _sub_block_sizes(rows):
+    """The row counts of the drift calls that build one grid block."""
+    sub = hn._DRIFT_SUB_ROWS
+    sizes = [sub] * (rows // sub)
+    if rows % sub:
+        sizes.append(rows % sub)
+    return sizes
+
+
 def test_drift_grid_rows_shape_and_values(monkeypatch):
     from cgadyn.drift_field import drift
 
     calls = []
     monkeypatch.setattr(hn, "drift", lambda p, spec: calls.append(p.shape) or drift(p, spec))
-    rows = hn.drift_grid_rows(ls.binval(2), 3)
+    blocks = list(hn.drift_grid_rows(ls.binval(2), 3))
     assert calls == [(9, 2)]  # one block for a grid this small
+    assert len(blocks) == 1
+    rows = blocks[0]
     assert rows.shape == (9, 4)
     axis = np.linspace(0.0, 1.0, 3)
     assert np.array_equal(rows[:, :2], [[a, b] for a in axis for b in axis])
@@ -291,16 +302,43 @@ def test_drift_grid_rows_in_blocks_equal_one_call(monkeypatch):
     spec = ls.random_injective(4, seed=5)
     calls = []
     monkeypatch.setattr(hn, "drift", lambda p, s: calls.append(p.shape[0]) or drift(p, s))
-    rows = hn.drift_grid_rows(spec, 9)
-    assert calls == [hn._CSV_BLOCK_ROWS, 9 ** 4 - hn._CSV_BLOCK_ROWS]
+    blocks = list(hn.drift_grid_rows(spec, 9))
+    tail = 9 ** 4 - hn._CSV_BLOCK_ROWS
+    assert [len(b) for b in blocks] == [hn._CSV_BLOCK_ROWS, tail]
+    assert calls == _sub_block_sizes(hn._CSV_BLOCK_ROWS) + _sub_block_sizes(tail)
+    rows = np.concatenate(blocks)
     assert np.array_equal(rows[:, 4:], drift(rows[:, :4], spec))
 
 
 def test_drift_grid_guards():
+    # refused when called, before any block is asked for
     with pytest.raises(DomainError):
-        list(hn.drift_grid_rows(ls.binval(2), 1))
+        hn.drift_grid_rows(ls.binval(2), 1)
     with pytest.raises(DomainError):
-        list(hn.drift_grid_rows(ls.binval(8), 101))
+        hn.drift_grid_rows(ls.binval(8), 101)
+
+
+def test_drift_grid_writes_each_block_before_the_next_is_built(monkeypatch):
+    # 10^4 = 10 000 points: blocks of 4 096, 4 096 and 1 808 rows
+    from cgadyn.drift_field import drift
+
+    buf = io.StringIO()
+    calls = []  # (output size, rows) at each drift call
+    monkeypatch.setattr(hn, "drift",
+                        lambda p, s: calls.append((buf.tell(), p.shape[0])) or drift(p, s))
+    names = [f"c{i}" for i in range(8)]
+    hn.write_csv(buf, names, hn.drift_grid_rows(ls.binval(4), 10))
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert len(lines) == 1 + 10 ** 4
+    sizes = [hn._CSV_BLOCK_ROWS, hn._CSV_BLOCK_ROWS, 10 ** 4 - 2 * hn._CSV_BLOCK_ROWS]
+    assert [rows for _, rows in calls] == [r for b in sizes for r in _sub_block_sizes(b)]
+    assert max(rows for _, rows in calls) <= hn._DRIFT_SUB_ROWS
+    # while block k is built, the header and blocks 0..k-1 are written and nothing more
+    written, first = 1, 0
+    for b in sizes:
+        k = len(_sub_block_sizes(b))
+        assert {size for size, _ in calls[first:first + k]} == {len("".join(lines[:written]))}
+        written, first = written + b, first + k
 
 
 # every real a writer may meet: both zeros, neighbours one ulp apart, the
@@ -380,7 +418,9 @@ def _csv_body(path) -> str:
     (["--spec", "random_injective", "--n", "3", "--spec-seed", "4"], ls.random_injective(3, seed=4), 4),
     (None, ls.table_spec({"00": 3.0, "01": 1.0, "10": 3.0, "11": 4.0}), 6),
     (["--spec", "binval", "--n", "4"], ls.binval(4), 9),  # 6 561 rows: two CSV blocks
-], ids=["binval2", "random3", "tied_table", "binval4_two_blocks"])
+    # 16 807 rows: four full blocks and a ragged tail of 423 rows
+    (["--spec", "random_injective", "--n", "5", "--spec-seed", "2"], ls.random_injective(5, seed=2), 7),
+], ids=["binval2", "random3", "tied_table", "binval4_two_blocks", "random5_ragged_tail"])
 def test_cli_drift_csv_bytes(tmp_path, spec_args, spec, grid):
     if spec_args is None:
         spec_file = tmp_path / "spec.json"
