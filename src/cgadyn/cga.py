@@ -148,6 +148,8 @@ class LockstepResult:
 # uniforms drawn per block, summed over the active runs (256 KiB of float64)
 _BLOCK_UNIFORMS = 1 << 15
 _MIN_BLOCK, _MAX_BLOCK = 8, 256
+# counts run from 0 to 2N in int64
+_MAX_N = np.iinfo(np.int64).max // 2
 
 
 def _initial_counts(initial, N: int, n: int) -> np.ndarray:
@@ -191,8 +193,8 @@ def lockstep(
     corner repeat it; the next block overwrites ``snaps``, so copy what you
     keep. Runs at a corner leave the active set.
     """
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    if not 1 <= N <= _MAX_N:
+        raise DomainError(f"N must lie in [1, {_MAX_N}], so that 2N fits in int64, got {N}")
     n = spec.n
     if max_iters is None:
         max_iters = default_max_iters(N, n)

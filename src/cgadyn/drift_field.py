@@ -13,6 +13,10 @@ fitness-sorted prefix sums, O(2^n * n)) and ``drift_naive`` (through the
 winner/loser distributions). Ties in fitness are handled throughout via
 the first-sample-wins rule.
 
+The tournament sums are built in fitness order: Pr(z|p) comes out of the
+product already sorted by fitness, and only the last per-solution array
+goes back to index order, in one gather, before the sum over solutions.
+
 All functions accept a single vector p of shape (n,) or a batch of shape
 (..., n) and vectorize over the leading axes. Each row's result is the
 same, bit for bit, whatever batch it comes in, although the batch's size
@@ -42,30 +46,54 @@ from .landscape import (
 
 @dataclass(frozen=True)
 class _SpecTables:
+    """One spec's solutions in fitness order: position j holds solution
+    ``order[j]``, and solution y sits at position ``rank[y]``. The tie
+    groups and the selector are laid out in that order too."""
+
     bits_f: np.ndarray       # (2^n, n) float, all_bit_matrix(n): one per n, not per spec
-    group_of: np.ndarray     # (2^n,) id of each index's fitness-tie group, ascending
     order: np.ndarray        # (2^n,) indices sorted by fitness (stable)
-    group_starts: np.ndarray  # (G,) start offsets of groups within `order`
+    rank: np.ndarray         # (2^n,) inverse of `order`: rank[order[j]] == j
+    group_of: np.ndarray     # (2^n,) fitness-tie group of each position, ascending
+    group_starts: np.ndarray  # (G,) first position of each group
+    # _locus_selector(n) with its columns permuted by `order`; only where the
+    # gather route can run (2^n <= _GATHER_MAX_ENTRIES), else None
+    selector: np.ndarray | None
 
 
 _TABLES_CACHE: dict[FitnessSpec, _SpecTables] = {}
 
 
 def _tables(spec: FitnessSpec) -> _SpecTables:
-    t = _TABLES_CACHE.get(spec)
+    # the spec's own memo first: the shared cache compares an equal spec
+    # built separately field by field, its 2^n table included
+    t = spec._memo.get("tables")
     if t is None:
-        vals = fitness_values(spec)
-        uniq, group_of = np.unique(vals, return_inverse=True)
-        order = np.argsort(vals, kind="stable")
-        group_starts = np.searchsorted(vals[order], uniq, side="left")
-        t = _SpecTables(
-            bits_f=all_bit_matrix(spec.n),
-            group_of=group_of.astype(np.int64),
-            order=order.astype(np.int64),
-            group_starts=group_starts.astype(np.int64),
-        )
-        _TABLES_CACHE[spec] = t
+        t = _TABLES_CACHE.get(spec)
+        if t is None:
+            t = _TABLES_CACHE[spec] = _build_tables(spec)
+        spec._memo["tables"] = t
     return t
+
+
+def _build_tables(spec: FitnessSpec) -> _SpecTables:
+    n = spec.n
+    vals = fitness_values(spec)
+    order = np.argsort(vals, kind="stable").astype(np.int64)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    uniq, group_of = np.unique(vals[order], return_inverse=True)
+    selector = None
+    if 1 << n <= _GATHER_MAX_ENTRIES:
+        selector = _locus_selector(n)[:, order]
+        selector.setflags(write=False)
+    return _SpecTables(
+        bits_f=all_bit_matrix(n),
+        order=order,
+        rank=rank,
+        group_of=group_of.astype(np.int64),
+        group_starts=np.searchsorted(vals[order], uniq, side="left").astype(np.int64),
+        selector=selector,
+    )
 
 
 def _as_pv(p, n: int) -> np.ndarray:
@@ -131,8 +159,7 @@ def sampling_probs(p, n: int) -> np.ndarray:
     """
     arr = _as_pv(p, n)
     if 0 < arr.size << n <= _GATHER_MAX_ENTRIES * n:  # arr.size << n is n * rows * 2^n
-        factors = np.concatenate((1.0 - arr, arr), axis=-1)
-        return np.multiply.reduce(factors.take(_locus_selector(n), axis=-1), axis=-2)
+        return _gathered_probs(arr, _locus_selector(n))
     q = 1.0 - arr
     probs = np.empty(arr.shape[:-1] + (1 << n,), dtype=np.float64)
     probs[..., 0] = q[..., 0]
@@ -145,48 +172,64 @@ def sampling_probs(p, n: int) -> np.ndarray:
     return probs
 
 
+def _gathered_probs(arr: np.ndarray, selector: np.ndarray) -> np.ndarray:
+    """The gather route of :func:`sampling_probs`: one product per column
+    of ``selector``, a (n, K) selector into concat(1 - p, p)."""
+    factors = np.concatenate((1.0 - arr, arr), axis=-1)
+    return np.multiply.reduce(factors.take(selector, axis=-1), axis=-2)
+
+
 # ---------------------------------------------------------------------------
 # tournament distributions and drift
 # ---------------------------------------------------------------------------
 
-def _prefix_sums(t: _SpecTables, probs: np.ndarray):
-    """Per-index sums of Pr(z|p) over z strictly below / tied with / strictly
-    above each index's fitness. Shapes match probs.
+def _prefix_sums(t: _SpecTables, p):
+    """Pr(z|p) sorted by fitness, and at each of its positions the sums of
+    Pr(z|p) over z strictly below / tied with / strictly above that
+    position's fitness; all four (..., 2^n), in the fitness order of ``t``.
 
-    On an injective spec every tie group has one member, so the group sums
-    are the sorted probabilities themselves and the tied sum is ``probs``
-    (returned as is, not copied); the grouping passes are skipped there.
+    Where :func:`sampling_probs` would gather, the selector in ``t`` has its
+    columns in fitness order, so the product comes out sorted; elsewhere the
+    doubling loop's output is sorted by one gather. Either way every entry
+    is the product sampling_probs computes. On an injective spec every tie
+    group has one member, so the group sums are the sorted probabilities
+    themselves and the tied sum is the first array (returned as is, not
+    copied); the grouping passes are skipped there.
     """
-    cum = probs.take(t.order, axis=-1)
+    n = t.bits_f.shape[1]
+    arr = _as_pv(p, n)
+    if 0 < arr.size << n <= _GATHER_MAX_ENTRIES * n:  # as in sampling_probs
+        probs = _gathered_probs(arr, t.selector)
+    else:
+        probs = sampling_probs(arr, n).take(t.order, axis=-1)
     if t.group_starts.size == t.order.size:
-        np.add.accumulate(cum, axis=-1, out=cum)
+        s_le = np.add.accumulate(probs, axis=-1)
         s_eq = probs
     else:
-        group_sums = np.add.reduceat(cum, t.group_starts, axis=-1)
-        cum = np.add.accumulate(group_sums, axis=-1)
+        group_sums = np.add.reduceat(probs, t.group_starts, axis=-1)
+        s_le = np.add.accumulate(group_sums, axis=-1).take(t.group_of, axis=-1)
         s_eq = group_sums.take(t.group_of, axis=-1)
-    s_le = cum.take(t.group_of, axis=-1)
-    s_gt = np.subtract(cum[..., -1:], s_le)
+    s_gt = np.subtract(s_le[..., -1:], s_le)  # the last position's s_le is the total
     s_lt = np.subtract(s_le, s_eq, out=s_le)
-    return s_lt, s_eq, s_gt
+    return probs, s_lt, s_eq, s_gt
 
 
 def winner_probs(p, spec: FitnessSpec) -> np.ndarray:
     """Pr(y wins | p) for all y: Pr(y|p) * (sum_{g<g(y)} + sum_{g<=g(y)}) Pr(z|p)."""
-    probs = sampling_probs(p, spec.n)
-    s_lt, s_eq, _ = _prefix_sums(_tables(spec), probs)
-    return probs * (2.0 * s_lt + s_eq)
+    t = _tables(spec)
+    probs, s_lt, s_eq, _ = _prefix_sums(t, p)
+    return (probs * (2.0 * s_lt + s_eq)).take(t.rank, axis=-1)
 
 
 def loser_probs(p, spec: FitnessSpec) -> np.ndarray:
     """Pr(y loses | p) for all y: Pr(y|p) * (sum_{g>g(y)} + sum_{g>=g(y)}) Pr(z|p)."""
-    probs = sampling_probs(p, spec.n)
-    _, s_eq, s_gt = _prefix_sums(_tables(spec), probs)
-    return probs * (2.0 * s_gt + s_eq)
+    t = _tables(spec)
+    probs, _, s_eq, s_gt = _prefix_sums(t, p)
+    return (probs * (2.0 * s_gt + s_eq)).take(t.rank, axis=-1)
 
 
 def _bit_sums(w: np.ndarray, t: _SpecTables) -> np.ndarray:
-    """sum_y y_i w(y) for each locus i, shape (..., n).
+    """sum_y y_i w(y) for each locus i, shape (..., n), with w in index order.
 
     Every row goes through its own (1, 2^n) @ (2^n, n) product. A plain
     ``w @ bits`` lets BLAS pick gemv or gemm by the batch's shape, and the
@@ -199,15 +242,17 @@ def drift(p, spec: FitnessSpec) -> np.ndarray:
     """Expected update direction f(p) = E[winner - loser | p], shape (..., n).
 
     f_i(p) = 2 sum_y y_i Pr(y|p) [sum_{g(z)<g(y)} Pr(z|p) - sum_{g(z)>g(y)} Pr(z|p)],
-    evaluated through fitness-sorted prefix sums in O(2^n * n). Exactly zero
-    at every deterministic configuration.
+    evaluated through fitness-sorted prefix sums in O(2^n * n). The weights
+    are built in fitness order and put back in index order just before the
+    sum over y, so the product sees the same operands in the same order
+    whatever order built them. Exactly zero at every deterministic
+    configuration.
     """
     t = _tables(spec)
-    probs = sampling_probs(p, spec.n)
-    s_lt, _, s_gt = _prefix_sums(t, probs)
+    probs, s_lt, _, s_gt = _prefix_sums(t, p)
     w = np.subtract(s_lt, s_gt, out=s_lt)
     w *= probs
-    return 2.0 * _bit_sums(w, t)
+    return 2.0 * _bit_sums(w.take(t.rank, axis=-1), t)
 
 
 def drift_naive(p, spec: FitnessSpec) -> np.ndarray:

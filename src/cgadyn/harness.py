@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .cga import default_max_iters, format_cells, lockstep
+from .cga import _MAX_N, default_max_iters, format_cells, lockstep
 from .drift_field import corner_spectra, drift
 from .landscape import (
     FitnessSpec,
@@ -36,7 +36,7 @@ from .landscape import (
     spec_from_json_dict,
     spec_to_json_dict,
 )
-from .ode import LockstepSupDistance, integrate
+from .ode import LockstepSupDistance, _last_jump, integrate
 
 
 REAL_FMT = "%.17g"  # 17 significant digits: parses back to the same float
@@ -101,8 +101,9 @@ class ExperimentConfig:
         self.output_dir = Path(self.output_dir)
         if self.runs_per_setting < 1:
             raise DomainError(f"runs_per_setting must be >= 1, got {self.runs_per_setting}")
-        if any(N < 1 for N in self.N_values) or not self.N_values:
-            raise DomainError(f"N_values must be nonempty positive integers, got {self.N_values}")
+        if not self.N_values or not all(1 <= N <= _MAX_N for N in self.N_values):
+            raise DomainError(f"N_values must be nonempty integers in [1, {_MAX_N}], so that 2N "
+                              f"fits in int64, got {self.N_values}")
         if self.T_horizon < 0:
             raise DomainError(f"T_horizon must be nonnegative, got {self.T_horizon}")
         if not self.ode_step > 0:
@@ -298,6 +299,8 @@ def alpha_sweep(cfg: ExperimentConfig) -> list[AlphaSweepRow]:
     T = cfg.T_horizon
     reference = integrate(spec, np.full(spec.n, 0.5), h=cfg.ode_step, T=T)
 
+    for N in cfg.N_values:  # refuse an N with too many jump times before any run
+        _last_jump(1.0 / (2 * N), T)
     rows = []
     for N in cfg.N_values:
         alpha = 1.0 / (2 * N)

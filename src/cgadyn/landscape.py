@@ -108,9 +108,17 @@ class FitnessSpec:
         # hashed once: specs key the per-spec caches, and a table has 2^n values
         object.__setattr__(self, "_hash", hash(
             (self.kind, self.n, self.weights, self.epsilon, self.table, self.seed)))
+        # what those caches hold for this object, so that it finds its entries
+        # without comparing itself field by field with an equal spec's key
+        object.__setattr__(self, "_memo", {})
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields: a pickled _hash is wrong in a process with
+        # another string-hash seed, and the memo is a cache, not state
+        return (FitnessSpec, (self.kind, self.n, self.weights, self.epsilon, self.table, self.seed))
 
     @property
     def num_solutions(self) -> int:
@@ -220,9 +228,16 @@ _VALUES_CACHE: dict[FitnessSpec, np.ndarray] = {}
 
 def fitness_values(spec: FitnessSpec) -> np.ndarray:
     """All 2^n fitness values, indexed by solution index. Cached, read-only."""
-    vals = _VALUES_CACHE.get(spec)
-    if vals is not None:
-        return vals
+    vals = spec._memo.get("values")
+    if vals is None:
+        vals = _VALUES_CACHE.get(spec)
+        if vals is None:
+            vals = _VALUES_CACHE[spec] = _build_values(spec)
+        spec._memo["values"] = vals
+    return vals
+
+
+def _build_values(spec: FitnessSpec) -> np.ndarray:
     if spec.n > ENUMERATION_CAP:
         raise CapacityError(f"n={spec.n} exceeds the enumeration cap {ENUMERATION_CAP}")
     size = spec.num_solutions
@@ -241,7 +256,6 @@ def fitness_values(spec: FitnessSpec) -> np.ndarray:
     else:  # pragma: no cover - guarded in __post_init__
         raise DomainError(f"unknown fitness kind {spec.kind!r}")
     vals.setflags(write=False)
-    _VALUES_CACHE[spec] = vals
     return vals
 
 

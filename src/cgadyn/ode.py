@@ -62,25 +62,43 @@ class OdeTrajectory:
         return np.stack(cols, axis=-1)
 
 
-def _rk4_step(x: np.ndarray, h: float, field, k1: np.ndarray | None = None) -> np.ndarray:
-    """One classical RK4 step; ``k1``, if given, is ``field(x)`` already computed."""
-    if k1 is None:
-        k1 = field(x)
-    k2 = field(x + 0.5 * h * k1)
-    k3 = field(x + 0.5 * h * k2)
-    k4 = field(x + h * k3)
+def _rk4_step(x: np.ndarray, h: float, spec: FitnessSpec, k1: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of the flow of ``spec`` from x, given
+    ``k1 = drift(x, spec)``."""
+    k2 = drift(x + 0.5 * h * k1, spec)
+    k3 = drift(x + 0.5 * h * k2, spec)
+    k4 = drift(x + h * k3, spec)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# Most points a time grid may have: the RK4 grid, or a run's jump times.
+# Each point is an RK4 step of four drift calls, or a cGA iteration, and
+# holds at least a float64 time; ten million points are already minutes of
+# stepping and 80 MB of times, against 20 001 points for find_limit_many's
+# default horizon. Larger grids are refused before anything is allocated.
+_GRID_MAX_POINTS = 10_000_000
+
+
+def _last_grid_index(steps: float, what: str) -> int:
+    """floor(steps), the index of a grid's last regular point, or
+    DomainError when that grid would have more than ``_GRID_MAX_POINTS``
+    points (an infinite ``steps`` included)."""
+    if not steps < _GRID_MAX_POINTS:
+        raise DomainError(f"{what} needs {steps + 1:.4g} time points, more than the "
+                          f"{_GRID_MAX_POINTS} allowed")
+    return math.floor(steps)
 
 
 def _time_grid(T: float, h: float) -> np.ndarray:
     """RK4 grid 0, h, 2h, ..., ending with a shorter step onto T when T is
     not a multiple of h; step i runs from times[i-1] to times[i]. Needs a
-    finite step h > 0 and a finite horizon T >= 0 (NaN fails both)."""
+    finite step h > 0, a finite horizon T >= 0 (NaN fails both) and at
+    most ``_GRID_MAX_POINTS`` of the points 0, h, 2h, ..."""
     if not 0.0 < h < math.inf:
         raise DomainError(f"step size must be finite and positive, got {h}")
     if not 0.0 <= T < math.inf:
         raise DomainError(f"horizon must be finite and nonnegative, got {T}")
-    full = int(np.floor(T / h + 1e-12))
+    full = _last_grid_index(T / h + 1e-12, f"a step of {h} over a horizon of {T}")
     times = np.arange(full + 1, dtype=np.float64) * h
     if T - times[-1] > 1e-12 * max(1.0, T):
         times = np.append(times, T)
@@ -96,14 +114,14 @@ def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTra
     when T is not a multiple of h. T = 0 yields the initial states only.
     """
     x = _as_pv(x0, spec.n)
-    field = lambda s: drift(s, spec)
     times = _time_grid(T, h)
     states = np.empty(times.shape + x.shape, dtype=np.float64)
     states[0] = x
     clamps = 0
     for i in range(1, times.shape[0]):
-        nxt = _rk4_step(states[i - 1], float(times[i] - times[i - 1]), field)
-        clipped = np.clip(nxt, 0.0, 1.0)
+        nxt = _rk4_step(states[i - 1], float(times[i] - times[i - 1]), spec,
+                        drift(states[i - 1], spec))
+        clipped = nxt.clip(0.0, 1.0)
         clamps += int(np.count_nonzero(clipped != nxt))
         states[i] = clipped
     return OdeTrajectory(times=times, states=states, step=float(h), initial=x.copy(),
@@ -153,13 +171,11 @@ def find_limit_many(
         raise DimensionError("find_limit_many expects (B, n) initial states")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    times = _time_grid(T_max, h)
+    times = _time_grid(T_max, h).tolist()
     X = X.copy()
     B = X.shape[0]
     converged = np.zeros(B, dtype=bool)
     t_stop = np.full(B, T_max, dtype=np.float64)
-
-    field = lambda s: drift(s, spec)
 
     def stall_check(t_now: float, rows: np.ndarray, x: np.ndarray):
         """Stop the rows of X listed in ``rows``, whose states are ``x``,
@@ -177,10 +193,10 @@ def find_limit_many(
         return rows[moving], x[moving], f[moving]
 
     rows, x, k1 = stall_check(0.0, np.arange(B), X)
-    for t_prev, t_now in zip(times[:-1], times[1:]):
+    for t_prev, t_now in zip(times, times[1:]):
         if rows.size == 0:
             break
-        x = np.clip(_rk4_step(x, t_now - t_prev, field, k1), 0.0, 1.0)
+        x = _rk4_step(x, t_now - t_prev, spec, k1).clip(0.0, 1.0)
         rows, x, k1 = stall_check(t_now, rows, x)
     X[rows] = x
 
@@ -227,12 +243,18 @@ def _flow_times(b: OdeTrajectory, T: float) -> np.ndarray:
     return np.concatenate([b.times[b.times <= T + 1e-12], [0.0, T]])
 
 
+def _last_jump(alpha: float, T: float, last_iteration: int | None = None) -> int:
+    """The last k whose jump time k*alpha is at most T and, if given, the
+    last iteration; DomainError past ``_GRID_MAX_POINTS`` jump times."""
+    steps = T / alpha + 1e-12
+    if last_iteration is not None:
+        steps = min(steps, last_iteration)
+    return _last_grid_index(steps, f"a run with alpha = {alpha} up to T = {T}")
+
+
 def _jump_times(alpha: float, T: float, last_iteration: int | None = None) -> np.ndarray:
     """Jump times k*alpha of a step process, up to T and its last iteration."""
-    last_jump = int(np.floor(T / alpha + 1e-12))
-    if last_iteration is not None:
-        last_jump = min(last_jump, last_iteration)
-    return np.arange(last_jump + 1, dtype=np.float64) * alpha
+    return np.arange(_last_jump(alpha, T, last_iteration) + 1, dtype=np.float64) * alpha
 
 
 def sup_distance(a, b: OdeTrajectory, T: float) -> float:

@@ -195,18 +195,25 @@ def test_drift_matches_pair_enumeration_random_tables(n, data):
 
 def _tied_tables(rng):
     yield ls.table_spec({"00": 3.0, "01": 1.0, "10": 3.0, "11": 4.0})
-    for n in (1, 3, 5, 7):
+    for n in (1, 3, 5, 7, 10):
         yield ls.table_spec(rng.integers(0, 4, 1 << n).astype(float), n=n)
     yield ls.table_spec(np.ones(8), n=3)
 
 
-@pytest.mark.parametrize("shape", [(), (1,), (9,), (2, 3)], ids=["single", "1", "9", "2x3"])
+@pytest.mark.parametrize("shape", [(), (1,), (9,), (2, 3), 1024, 1025],
+                         ids=["single", "1", "9", "2x3", "entries1024", "entries1025"])
 def test_drift_equals_reference_formula(rng, shape):
     # the grouped prefix-sum formula with every pass, its product taken
-    # one row at a time
-    specs = [s for n in range(1, 9) for s in injective_suite(n)] + list(_tied_tables(rng))
-    for spec in specs:
-        p = rng.random(shape + (spec.n,))
+    # one row at a time; an int shape is the fewest rows whose rows * 2^n
+    # reach it, so 1024 takes the gather wherever 2^n <= 1024 and 1025
+    # the doubling loop
+    specs = [s for n in (*range(1, 9), 10, 11, 12) for s in injective_suite(n)]
+    for spec in specs + list(_tied_tables(rng)):
+        t = dr._tables(spec)
+        # the fitness-order selector exists only where the gather can run
+        assert (t.selector is None) == (1 << spec.n > dr._GATHER_MAX_ENTRIES)
+        batch = (-(-shape >> spec.n),) if isinstance(shape, int) else shape
+        p = rng.random(batch + (spec.n,))
         p[rng.random(p.shape) < 0.15] = 0.0
         p[rng.random(p.shape) < 0.15] = 1.0
         f, win, lose = reference_drift(spec, p)
@@ -283,6 +290,24 @@ def test_equal_specs_hash_alike_and_share_tables(rng):
     assert dr._tables(a) is dr._tables(b)
     assert len(dr._TABLES_CACHE) == before + 1
     assert {a: 1}[b] == 1 and {ls.binval(3), ls.binval(3)} == {ls.binval(3)}
+
+
+def test_lookups_by_an_equal_spec_compare_it_once(rng, monkeypatch):
+    # a spec equal to a cached one, built separately, is compared with the
+    # cached key (its whole table) on its first lookup in each cache only
+    values = rng.permutation(1 << 10).astype(float)
+    a, b = ls.table_spec(values), ls.table_spec(list(values))
+    p = np.full(10, 0.5)
+    dr.drift(p, a)
+    ls.fitness_values(a)
+    compared = []
+    eq = ls.FitnessSpec.__eq__
+    monkeypatch.setattr(ls.FitnessSpec, "__eq__", lambda s, o: compared.append(1) or eq(s, o))
+    for _ in range(5):
+        assert np.array_equal(dr.drift(p, b), dr.drift(p, a))
+        assert ls.fitness_values(b) is ls.fitness_values(a)
+    assert dr._tables(b) is dr._tables(a)
+    assert len(compared) == 2  # b against the key of each cache
 
 
 def test_interior_non_stationarity(rng):

@@ -57,6 +57,9 @@ def test_config_validation(tmp_path):
         small_config(tmp_path, runs_per_setting=0)
     with pytest.raises(DomainError):
         small_config(tmp_path, N_values=())
+    for N in (1 << 62, 10**400):  # 2N past int64, and past float64 too
+        with pytest.raises(DomainError, match="2N fits in int64"):
+            small_config(tmp_path, N_values=(32, N))
     with pytest.raises(DomainError):
         small_config(tmp_path, ode_step=0.0)
     with pytest.raises(DomainError):
@@ -445,6 +448,31 @@ def test_cli_refused_grid_leaves_no_file(tmp_path, capsys, n, grid):
 
 
 # --- CLI ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, needle", [
+    (["ode", "--step", "1e-12", "--horizon", "1e6"], "1e+18 time points"),
+    (["ode", "--step", "1e-300", "--horizon", "1"], "1e+300 time points"),
+    (["run", "--N", "4611686018427387904"], "2N fits in int64"),
+    (["run", "--N", "9223372036854775808"], "2N fits in int64"),
+], ids=["ode_1e18_points", "ode_1e300_points", "run_2N_past_int64", "run_N_past_int64"])
+def test_cli_refuses_oversized_grids_and_N(tmp_path, capsys, argv, needle):
+    out = tmp_path / "out.jsonl"
+    assert cli_main([*argv, "--spec", "binval", "--n", "3", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("cgadyn: error:") and needle in err
+
+
+def test_cli_alphasweep_refuses_oversized_jump_times(tmp_path, capsys):
+    # N = 10^12 has 10^13 jump times up to T = 5; the sweep stops before any run
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "binval", "n": 3}, "N_values": [32, 10**12],
+                               "runs_per_setting": 3, "output_dir": str(tmp_path / "sweep")}))
+    assert cli_main(["alphasweep", "--config", str(cfg)]) == 1
+    assert not (tmp_path / "sweep").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("cgadyn: error:") and "1e+13 time points" in err
+
 
 def test_cli_ode_refuses_a_too_long_step(tmp_path, capsys):
     # an RK4 stage state leaves [0, 1]^3 at step 5, and drift's range

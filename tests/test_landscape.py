@@ -1,4 +1,9 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +175,30 @@ def test_spec_json_roundtrip(spec):
     restored = ls.spec_from_json_dict(json.loads(blob))
     assert restored == spec
     assert np.array_equal(ls.fitness_values(restored), ls.fitness_values(spec))
+
+
+def test_pickled_spec_is_rebuilt_from_its_fields():
+    # so it carries no cached arrays, and is hashed afresh in a process
+    # whose string-hash seed differs
+    specs = [ls.binval(3), TWO_MAX_TABLE, ls.linear(superincreasing_weights(3)),
+             ls.perturbed_onemax(3, 0.125), ls.random_injective(3, seed=4)]
+    for spec in specs:
+        ls.fitness_values(spec)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec) and copy._memo == {}
+    env = {**os.environ, "PYTHONHASHSEED": "123",
+           "PYTHONPATH": str(Path(ls.__file__).parents[1])}
+    probe = ("import pickle, sys\n"
+             "from cgadyn import landscape as ls\n"
+             "specs = pickle.loads(sys.stdin.buffer.read())\n"
+             "fresh = [ls.binval(3), ls.table_spec({'00': 3, '01': 1, '10': 2, '11': 4}),\n"
+             "         ls.linear([3.0, 1.5, 0.75]), ls.perturbed_onemax(3, 0.125),\n"
+             "         ls.random_injective(3, seed=4)]\n"
+             "print(all({f: 1}.get(s) == 1 for f, s in zip(fresh, specs)))\n")
+    done = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps(specs), env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == b"True"
 
 
 def test_table_json_keys_are_msb_first():

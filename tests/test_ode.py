@@ -124,6 +124,31 @@ def test_non_finite_step_or_horizon_is_refused(h, T):
         od.find_limit_many(spec, [[0.3, 0.6]], h=h, T_max=T)
 
 
+@pytest.mark.parametrize("h, T", [(1e-12, 1e6), (1e-300, 1.0), (1e-300, 1e300)])
+def test_oversized_time_grid_is_refused(h, T):
+    # refused before anything is allocated: these grids have 1e18 points, 1e300 and inf
+    spec = ls.binval(2)
+    with pytest.raises(DomainError, match="time points"):
+        od.integrate(spec, [0.5, 0.5], h=h, T=T)
+    with pytest.raises(DomainError, match="time points"):
+        od.find_limit_many(spec, [[0.3, 0.6]], h=h, T_max=T)
+
+
+def test_time_grid_cap(monkeypatch):
+    monkeypatch.setattr(od, "_GRID_MAX_POINTS", 100)
+    assert od._time_grid(49.5, 0.5).size == 100
+    with pytest.raises(DomainError, match="101 time points, more than the 100"):
+        od._time_grid(50.0, 0.5)
+    assert od._jump_times(1 / 64, 99 / 64).size == 100
+    with pytest.raises(DomainError, match="101 time points"):
+        od._jump_times(1 / 64, 100 / 64)
+    # a run's last iteration bounds its jump times before the cap is checked
+    assert od._jump_times(1 / 64, 1e9, last_iteration=99).size == 100
+    flow = od.integrate(ls.binval(2), [0.5, 0.5], h=0.5, T=1.0)
+    with pytest.raises(DomainError, match="time points"):
+        od.LockstepSupDistance(flow, 1.0, 10**12, 3)
+
+
 # --- limits ------------------------------------------------------------------
 
 def test_find_limit_binval_center():
@@ -207,6 +232,32 @@ def test_find_limit_many_equals_reference(spec, starts, kw):
     assert np.array_equal(batch.t_stop, t_stop)
     if len(starts) > 2:  # the case has rows stopping at several different steps
         assert np.unique(t_stop[converged]).size >= 3
+
+
+def test_find_limit_many_drift_calls_are_the_plain_loops(monkeypatch):
+    # the traced benchmark counts drift work through ode.drift: one call at
+    # t = 0 and four per RK4 step, each on the rows the plain loop passes
+    # there; the plain loop's fifth call per step is its k1
+    spec, starts = ls.random_injective(4, seed=9), _staggered_starts(4, 16, 1)
+    kw = dict(tol=1e-5, T_max=30.5, h=0.04)
+
+    def recorder(calls):
+        def recorded(p, s):
+            calls.append(np.array(p))
+            return drift(p, s)
+        return recorded
+
+    drift, ours, plain = dr.drift, [], []
+    monkeypatch.setattr(od, "drift", recorder(ours))
+    batch = od.find_limit_many(spec, starts, **kw)
+    monkeypatch.setattr(dr, "drift", recorder(plain))
+    states, _, _ = reference_find_limit_many(spec, starts, **kw)
+    assert np.array_equal(batch.states, states)
+    steps = (len(plain) - 1) // 5
+    assert steps > 100 and len(plain) == 1 + 5 * steps and len(ours) == 1 + 4 * steps
+    del plain[1::5]
+    assert all(np.array_equal(x, y) for x, y in zip(ours, plain, strict=True))
+    assert {x.shape[0] for x in ours} > {1, 16}  # rows stalled at several steps
 
 
 def test_too_long_step_fails_the_stage_check():
