@@ -150,13 +150,22 @@ _BLOCK_UNIFORMS = 1 << 15
 _MIN_BLOCK, _MAX_BLOCK = 8, 256
 # counts run from 0 to 2N in int64
 _MAX_N = np.iinfo(np.int64).max // 2
+# above this 2N a float64 start cannot name every grid point, and p * 2N
+# can round past int64
+_MAX_START_2N = 1 << 53
 
 
 def _initial_counts(initial, N: int, n: int) -> np.ndarray:
     """The grid positions of the start ``initial`` (default the center), a
-    probability vector of length n on the 1/(2N) grid."""
+    probability vector of length n on the 1/(2N) grid. An explicit start
+    needs 2N <= 2^53."""
     if initial is None:
         return np.full(n, N, dtype=np.int64)
+    if 2 * N > _MAX_START_2N:
+        raise DomainError(
+            f"an initial start needs 2N <= 2**53, where float64 holds every 1/(2N) "
+            f"grid point, got N = {N}"
+        )
     p = _as_pv(initial, n)
     if p.ndim != 1:
         raise DimensionError("initial must be one-dimensional")

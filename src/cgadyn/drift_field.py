@@ -8,10 +8,11 @@ sampling. For a probability vector p, the per-solution quantities are
 * ``loser_probs``     -- Pr(y loses | p),
 
 and the drift ``f(p)`` is the expected winner-minus-loser update per unit
-learning step, computed by two routes: ``drift`` (single pass over
+learning step, computed by two formulae: ``drift`` (single pass over
 fitness-sorted prefix sums, O(2^n * n)) and ``drift_naive`` (through the
-winner/loser distributions). Ties in fitness are handled throughout via
-the first-sample-wins rule.
+winner/loser distributions). Both share the sampling product and the
+prefix sums, so they are not independent arithmetic. Ties in fitness are
+handled throughout via the first-sample-wins rule.
 
 The tournament sums are built in fitness order: Pr(z|p) comes out of the
 product already sorted by fitness, and only the last per-solution array
@@ -21,6 +22,11 @@ All functions accept a single vector p of shape (n,) or a batch of shape
 (..., n) and vectorize over the leading axes. Each row's result is the
 same, bit for bit, whatever batch it comes in, although the batch's size
 picks which of two routes builds ``sampling_probs``.
+
+Each input is checked once, shape first and then range. The gather route
+checks the range on the factors it builds anyway, ``concat(1 - p, p)``:
+every entry lies in [0, 1] iff every factor is >= 0, and NaN fails. The
+doubling route checks p itself, with :func:`_as_pv`.
 """
 
 from __future__ import annotations
@@ -56,8 +62,12 @@ class _SpecTables:
     group_of: np.ndarray     # (2^n,) fitness-tie group of each position, ascending
     group_starts: np.ndarray  # (G,) first position of each group
     # _locus_selector(n) with its columns permuted by `order`; only where the
-    # gather route can run (2^n <= _GATHER_MAX_ENTRIES), else None
+    # gather route can run (2^n <= _GATHER_MAX_ENTRIES), else None. That
+    # route checks p's range on its factors, the doubling route on p itself
     selector: np.ndarray | None
+    # _twice_bits(n), drift's factor 2 folded into bits_f; None exactly where
+    # `selector` is, so no 2^n x n matrix is added above the gather cap
+    twice_bits: np.ndarray | None
 
 
 _TABLES_CACHE: dict[FitnessSpec, _SpecTables] = {}
@@ -82,10 +92,11 @@ def _build_tables(spec: FitnessSpec) -> _SpecTables:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     uniq, group_of = np.unique(vals[order], return_inverse=True)
-    selector = None
+    selector = twice_bits = None
     if 1 << n <= _GATHER_MAX_ENTRIES:
         selector = _locus_selector(n)[:, order]
         selector.setflags(write=False)
+        twice_bits = _twice_bits(n)
     return _SpecTables(
         bits_f=all_bit_matrix(n),
         order=order,
@@ -93,17 +104,34 @@ def _build_tables(spec: FitnessSpec) -> _SpecTables:
         group_of=group_of.astype(np.int64),
         group_starts=np.searchsorted(vals[order], uniq, side="left").astype(np.int64),
         selector=selector,
+        twice_bits=twice_bits,
     )
 
 
-def _as_pv(p, n: int) -> np.ndarray:
+def _shaped_pv(p, n: int) -> np.ndarray:
+    """p as a float64 array of shape (..., n); its range is not checked."""
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim < 1 or arr.shape[-1] != n:
         raise DimensionError(f"probability vector shape {arr.shape} does not match n={n}")
-    # written so that NaN fails too
-    if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0
-                         and np.maximum.reduce(arr, axis=None) <= 1.0):
+    return arr
+
+
+def _require_in_box(in_box) -> None:
+    """Refuse a probability vector unless ``in_box``, a comparison that NaN
+    fails, holds: the one place an entry outside [0, 1] is refused."""
+    if not in_box:
         raise DomainError("probability vector entries must lie in [0, 1]")
+
+
+def _as_pv(p, n: int) -> np.ndarray:
+    """p as a float64 array of shape (..., n), its shape checked first and
+    then every entry's range, by a minimum and a maximum over p. The gather
+    route of :func:`sampling_probs` and of the tournament sums checks the
+    range on its factors instead (see :func:`_gathered_probs`)."""
+    arr = _shaped_pv(p, n)
+    if arr.size:
+        _require_in_box(np.minimum.reduce(arr, axis=None) >= 0.0
+                        and np.maximum.reduce(arr, axis=None) <= 1.0)
     return arr
 
 
@@ -134,6 +162,22 @@ def _locus_selector(n: int) -> np.ndarray:
     return sel
 
 
+_TWICE_BITS_CACHE: dict[int, np.ndarray] = {}
+
+
+def _twice_bits(n: int) -> np.ndarray:
+    """2 * all_bit_matrix(n), read-only, one per n. Scaling by 2 commutes
+    with every rounding of drift's bit sums (|f| <= 1, so nothing
+    overflows) and keeps the sign of zero, so summing against it gives
+    2.0 * the sums against the bits, bit for bit."""
+    mat = _TWICE_BITS_CACHE.get(n)
+    if mat is None:
+        mat = 2.0 * all_bit_matrix(n)
+        mat.setflags(write=False)
+        _TWICE_BITS_CACHE[n] = mat
+    return mat
+
+
 def sampling_probs(p, n: int) -> np.ndarray:
     """Pr(y|p) for every solution index, shape (..., 2^n).
 
@@ -156,10 +200,14 @@ def sampling_probs(p, n: int) -> np.ndarray:
     the same order, so a row's bits do not depend on the route, and so not
     on its batch. Deterministic configurations give exact 0/1
     probabilities.
+
+    p's shape is checked first. Its range is checked once: on the gather's
+    factors, or by :func:`_as_pv` before the doubling loop.
     """
-    arr = _as_pv(p, n)
+    arr = _shaped_pv(p, n)
     if 0 < arr.size << n <= _GATHER_MAX_ENTRIES * n:  # arr.size << n is n * rows * 2^n
         return _gathered_probs(arr, _locus_selector(n))
+    arr = _as_pv(arr, n)
     q = 1.0 - arr
     probs = np.empty(arr.shape[:-1] + (1 << n,), dtype=np.float64)
     probs[..., 0] = q[..., 0]
@@ -174,8 +222,12 @@ def sampling_probs(p, n: int) -> np.ndarray:
 
 def _gathered_probs(arr: np.ndarray, selector: np.ndarray) -> np.ndarray:
     """The gather route of :func:`sampling_probs`: one product per column
-    of ``selector``, a (n, K) selector into concat(1 - p, p)."""
+    of ``selector``, a (n, K) selector into concat(1 - p, p). ``arr``'s
+    range is checked on those factors before any product is taken: an
+    entry lies in [0, 1] iff it and 1 minus it are both >= 0.
+    """
     factors = np.concatenate((1.0 - arr, arr), axis=-1)
+    _require_in_box(np.minimum.reduce(factors, axis=None) >= 0.0)
     return np.multiply.reduce(factors.take(selector, axis=-1), axis=-2)
 
 
@@ -194,10 +246,11 @@ def _prefix_sums(t: _SpecTables, p):
     is the product sampling_probs computes. On an injective spec every tie
     group has one member, so the group sums are the sorted probabilities
     themselves and the tied sum is the first array (returned as is, not
-    copied); the grouping passes are skipped there.
+    copied); the grouping passes are skipped there. p is checked once, as
+    :func:`sampling_probs` checks it.
     """
     n = t.bits_f.shape[1]
-    arr = _as_pv(p, n)
+    arr = _shaped_pv(p, n)
     if 0 < arr.size << n <= _GATHER_MAX_ENTRIES * n:  # as in sampling_probs
         probs = _gathered_probs(arr, t.selector)
     else:
@@ -228,14 +281,15 @@ def loser_probs(p, spec: FitnessSpec) -> np.ndarray:
     return (probs * (2.0 * s_gt + s_eq)).take(t.rank, axis=-1)
 
 
-def _bit_sums(w: np.ndarray, t: _SpecTables) -> np.ndarray:
-    """sum_y y_i w(y) for each locus i, shape (..., n), with w in index order.
+def _bit_sums(w: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """sum_y bits[y, i] w(y) for each locus i, shape (..., n), with w in
+    index order and ``bits`` a (2^n, n) bit matrix or a multiple of one.
 
     Every row goes through its own (1, 2^n) @ (2^n, n) product. A plain
     ``w @ bits`` lets BLAS pick gemv or gemm by the batch's shape, and the
     two round differently, so a row's last bits would depend on its batch.
     """
-    return (w[..., None, :] @ t.bits_f)[..., 0, :]
+    return (w[..., None, :] @ bits)[..., 0, :]
 
 
 def drift(p, spec: FitnessSpec) -> np.ndarray:
@@ -245,23 +299,30 @@ def drift(p, spec: FitnessSpec) -> np.ndarray:
     evaluated through fitness-sorted prefix sums in O(2^n * n). The weights
     are built in fitness order and put back in index order just before the
     sum over y, so the product sees the same operands in the same order
-    whatever order built them. Exactly zero at every deterministic
-    configuration.
+    whatever order built them. The factor 2 sits in the bit matrix where
+    the tables hold :func:`_twice_bits`. Exactly zero at every
+    deterministic configuration.
     """
     t = _tables(spec)
     probs, s_lt, _, s_gt = _prefix_sums(t, p)
     w = np.subtract(s_lt, s_gt, out=s_lt)
     w *= probs
-    return 2.0 * _bit_sums(w.take(t.rank, axis=-1), t)
+    w = w.take(t.rank, axis=-1)
+    if t.twice_bits is None:
+        return 2.0 * _bit_sums(w, t.bits_f)
+    return _bit_sums(w, t.twice_bits)
 
 
 def drift_naive(p, spec: FitnessSpec) -> np.ndarray:
     """f(p) via the winner/loser distributions: sum_y y (Pr_win(y) - Pr_lose(y)).
 
-    Algebraically identical to :func:`drift`; kept as a second route for
-    cross-checking.
+    Algebraically identical to :func:`drift`, but not independent of it:
+    both share :func:`_prefix_sums` and the sampling product, so comparing
+    the two checks the algebra of the two formulae, not their arithmetic.
+    The independent oracles are ``reference_drift`` and ``pair_oracle`` in
+    the test suite's ``conftest.py``.
     """
-    return _bit_sums(winner_probs(p, spec) - loser_probs(p, spec), _tables(spec))
+    return _bit_sums(winner_probs(p, spec) - loser_probs(p, spec), _tables(spec).bits_f)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,20 @@ def test_pv_bounds():
                 C.lockstep(ls.binval(2), 2, [0], initial=[0.5, bad])
 
 
+def test_explicit_start_needs_2N_at_most_2_pow_53():
+    # p * 2N would round past int64 near N = 2^62 - 1 (a cast warning); the
+    # default start works for every N
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in ((1 << 62) - 1, (1 << 52) + 1):
+            with pytest.raises(DomainError, match="2N <= 2\\*\\*53"):
+                C.run(ls.binval(2), N, initial=[1.0, 0.0], max_iters=1)
+        traj = C.run(ls.binval(2), 1 << 52, initial=[1.0, 0.0], max_iters=1)
+        assert traj.counts.tolist() == [[1 << 53, 0]] and traj.terminated
+        assert C.run(ls.binval(2), (1 << 62) - 1, max_iters=0).counts.tolist() == [
+            [(1 << 62) - 1] * 2]
+
+
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_deterministic_corner():

@@ -206,7 +206,8 @@ def test_drift_equals_reference_formula(rng, shape):
     # the grouped prefix-sum formula with every pass, its product taken
     # one row at a time; an int shape is the fewest rows whose rows * 2^n
     # reach it, so 1024 takes the gather wherever 2^n <= 1024 and 1025
-    # the doubling loop
+    # the doubling loop; the -0.0 entries pin the sign of every zero that
+    # drift's 2 * bits matrix gives against the reference's 2.0 * sums
     specs = [s for n in (*range(1, 9), 10, 11, 12) for s in injective_suite(n)]
     for spec in specs + list(_tied_tables(rng)):
         t = dr._tables(spec)
@@ -216,6 +217,7 @@ def test_drift_equals_reference_formula(rng, shape):
         p = rng.random(batch + (spec.n,))
         p[rng.random(p.shape) < 0.15] = 0.0
         p[rng.random(p.shape) < 0.15] = 1.0
+        p[rng.random(p.shape) < 0.1] = -0.0
         f, win, lose = reference_drift(spec, p)
         assert np.array_equal(dr.drift(p, spec), f)
         assert np.array_equal(dr.winner_probs(p, spec), win)
@@ -271,6 +273,13 @@ def test_specs_of_one_length_share_the_bit_matrix():
     a, b = dr._tables(ls.binval(6)), dr._tables(ls.random_injective(6, seed=1))
     assert a.bits_f is b.bits_f is ls.all_bit_matrix(6)
     assert a.bits_f.dtype == np.float64 and not a.bits_f.flags.writeable
+    # and drift's 2 * bits, only where the fitness-order selector exists
+    assert a.twice_bits is b.twice_bits is dr._twice_bits(6)
+    assert not a.twice_bits.flags.writeable
+    assert np.array_equal(a.twice_bits, 2.0 * a.bits_f)
+    for n in (1, 10, 11, 12):
+        t = dr._tables(ls.binval(n))
+        assert (t.twice_bits is None) == (t.selector is None) == (n > 10)
     # so does sampling_probs' selector into concat(1 - p, p)
     selector = dr._locus_selector(6)
     assert dr._locus_selector(6) is selector and not selector.flags.writeable
@@ -318,22 +327,53 @@ def test_interior_non_stationarity(rng):
             assert np.all(np.abs(f).sum(axis=-1) > 1e-12), spec.kind
 
 
+def _p_checkers(spec):
+    """Every public entry of the drift and the flow that checks p."""
+    return [
+        lambda p: dr.drift(p, spec),
+        lambda p: dr.winner_probs(p, spec),
+        lambda p: dr.loser_probs(p, spec),
+        lambda p: dr.sampling_probs(p, spec.n),
+        lambda p: od.find_limit_many(spec, p, T_max=0.0),
+    ]
+
+
+def _on_both_routes(x):
+    """(0.5, x) alone, which the gather builds, and as the last of 300 rows
+    (1 200 entries at n = 2), which the doubling loop builds."""
+    batch = np.full((300, 2), 0.5)
+    batch[-1, 1] = x
+    assert batch.shape[0] << 2 > dr._GATHER_MAX_ENTRIES
+    return [np.array([0.5, x]), batch]
+
+
+def _refused_everywhere(x):
+    for check in _p_checkers(ls.binval(2)):
+        for p in _on_both_routes(x):
+            with pytest.raises(DomainError, match="must lie in \\[0, 1\\]"):
+                check(p)
+
+
 def test_drift_rejects_out_of_box():
-    with pytest.raises(DomainError):
-        dr.drift([1.2, 0.5], ls.binval(2))
-    with pytest.raises(DimensionError):
-        dr.drift([0.5], ls.binval(2))
+    # exactly the entries outside [0, 1] are refused, on both routes
+    for x in (1.2, -1e-300, 1.0 + 2.0 ** -52, np.inf, -np.inf):
+        _refused_everywhere(x)
+    for check in _p_checkers(ls.binval(2)):
+        for x in (-0.0, 0.0, 1.0):
+            for p in _on_both_routes(x):
+                check(p)
+        for p in ([0.5], np.array(0.5)):  # the shape is checked first
+            with pytest.raises(DimensionError):
+                check(p)
 
 
 def test_nan_probability_vector_is_refused():
+    _refused_everywhere(np.nan)
     spec = ls.binval(2)
     for p in ([np.nan, 0.5], [[0.5, 0.5], [0.25, np.nan]]):
-        with pytest.raises(DomainError):
-            dr.drift(p, spec)
-        with pytest.raises(DomainError):
-            dr.sampling_probs(p, 2)
-        with pytest.raises(DomainError):
-            od.find_limit_many(spec, p)
+        for check in _p_checkers(spec):
+            with pytest.raises(DomainError):
+                check(p)
 
 
 # --- Jacobians ----------------------------------------------------------------
