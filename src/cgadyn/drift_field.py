@@ -23,10 +23,8 @@ All functions accept a single vector p of shape (n,) or a batch of shape
 same, bit for bit, whatever batch it comes in, although the batch's size
 picks which of two routes builds ``sampling_probs``.
 
-Each input is checked once, shape first and then range. The gather route
-checks the range on the factors it builds anyway, ``concat(1 - p, p)``:
-every entry lies in [0, 1] iff every factor is >= 0, and NaN fails. The
-doubling route checks p itself, with :func:`_as_pv`.
+Each input's shape is checked first, then its range once, on whichever
+route builds ``sampling_probs`` (see :func:`_gathered_probs`).
 """
 
 from __future__ import annotations
@@ -62,12 +60,9 @@ class _SpecTables:
     group_of: np.ndarray     # (2^n,) fitness-tie group of each position, ascending
     group_starts: np.ndarray  # (G,) first position of each group
     # _locus_selector(n) with its columns permuted by `order`; only where the
-    # gather route can run (2^n <= _GATHER_MAX_ENTRIES), else None. That
-    # route checks p's range on its factors, the doubling route on p itself
+    # gather route can run (2^n <= _GATHER_MAX_ENTRIES), else None
     selector: np.ndarray | None
-    # _twice_bits(n), drift's factor 2 folded into bits_f; None exactly where
-    # `selector` is, so no 2^n x n matrix is added above the gather cap
-    twice_bits: np.ndarray | None
+    twice_bits: np.ndarray   # (2^n, n) _twice_bits(n): drift's factor 2 in bits_f
 
 
 _TABLES_CACHE: dict[FitnessSpec, _SpecTables] = {}
@@ -92,11 +87,10 @@ def _build_tables(spec: FitnessSpec) -> _SpecTables:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     uniq, group_of = np.unique(vals[order], return_inverse=True)
-    selector = twice_bits = None
+    selector = None
     if 1 << n <= _GATHER_MAX_ENTRIES:
         selector = _locus_selector(n)[:, order]
         selector.setflags(write=False)
-        twice_bits = _twice_bits(n)
     return _SpecTables(
         bits_f=all_bit_matrix(n),
         order=order,
@@ -104,7 +98,7 @@ def _build_tables(spec: FitnessSpec) -> _SpecTables:
         group_of=group_of.astype(np.int64),
         group_starts=np.searchsorted(vals[order], uniq, side="left").astype(np.int64),
         selector=selector,
-        twice_bits=twice_bits,
+        twice_bits=_twice_bits(n),
     )
 
 
@@ -116,22 +110,16 @@ def _shaped_pv(p, n: int) -> np.ndarray:
     return arr
 
 
-def _require_in_box(in_box) -> None:
-    """Refuse a probability vector unless ``in_box``, a comparison that NaN
-    fails, holds: the one place an entry outside [0, 1] is refused."""
-    if not in_box:
-        raise DomainError("probability vector entries must lie in [0, 1]")
+_OUT_OF_BOX = "probability vector entries must lie in [0, 1]"
 
 
 def _as_pv(p, n: int) -> np.ndarray:
     """p as a float64 array of shape (..., n), its shape checked first and
-    then every entry's range, by a minimum and a maximum over p. The gather
-    route of :func:`sampling_probs` and of the tournament sums checks the
-    range on its factors instead (see :func:`_gathered_probs`)."""
+    then every entry's range (NaN fails too)."""
     arr = _shaped_pv(p, n)
-    if arr.size:
-        _require_in_box(np.minimum.reduce(arr, axis=None) >= 0.0
-                        and np.maximum.reduce(arr, axis=None) <= 1.0)
+    if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0
+                         and np.maximum.reduce(arr, axis=None) <= 1.0):
+        raise DomainError(_OUT_OF_BOX)
     return arr
 
 
@@ -200,9 +188,6 @@ def sampling_probs(p, n: int) -> np.ndarray:
     the same order, so a row's bits do not depend on the route, and so not
     on its batch. Deterministic configurations give exact 0/1
     probabilities.
-
-    p's shape is checked first. Its range is checked once: on the gather's
-    factors, or by :func:`_as_pv` before the doubling loop.
     """
     arr = _shaped_pv(p, n)
     if 0 < arr.size << n <= _GATHER_MAX_ENTRIES * n:  # arr.size << n is n * rows * 2^n
@@ -222,12 +207,13 @@ def sampling_probs(p, n: int) -> np.ndarray:
 
 def _gathered_probs(arr: np.ndarray, selector: np.ndarray) -> np.ndarray:
     """The gather route of :func:`sampling_probs`: one product per column
-    of ``selector``, a (n, K) selector into concat(1 - p, p). ``arr``'s
-    range is checked on those factors before any product is taken: an
-    entry lies in [0, 1] iff it and 1 minus it are both >= 0.
+    of ``selector``, a (n, K) selector into concat(1 - p, p). This route
+    checks ``arr``'s range on those factors, in place of :func:`_as_pv`: an
+    entry lies in [0, 1] iff it and 1 minus it are both >= 0, and NaN fails.
     """
     factors = np.concatenate((1.0 - arr, arr), axis=-1)
-    _require_in_box(np.minimum.reduce(factors, axis=None) >= 0.0)
+    if not np.minimum.reduce(factors, axis=None) >= 0.0:
+        raise DomainError(_OUT_OF_BOX)
     return np.multiply.reduce(factors.take(selector, axis=-1), axis=-2)
 
 
@@ -246,8 +232,7 @@ def _prefix_sums(t: _SpecTables, p):
     is the product sampling_probs computes. On an injective spec every tie
     group has one member, so the group sums are the sorted probabilities
     themselves and the tied sum is the first array (returned as is, not
-    copied); the grouping passes are skipped there. p is checked once, as
-    :func:`sampling_probs` checks it.
+    copied); the grouping passes are skipped there.
     """
     n = t.bits_f.shape[1]
     arr = _shaped_pv(p, n)
@@ -299,18 +284,14 @@ def drift(p, spec: FitnessSpec) -> np.ndarray:
     evaluated through fitness-sorted prefix sums in O(2^n * n). The weights
     are built in fitness order and put back in index order just before the
     sum over y, so the product sees the same operands in the same order
-    whatever order built them. The factor 2 sits in the bit matrix where
-    the tables hold :func:`_twice_bits`. Exactly zero at every
-    deterministic configuration.
+    whatever order built them. The factor 2 sits in the bit matrix,
+    :func:`_twice_bits`. Exactly zero at every deterministic configuration.
     """
     t = _tables(spec)
     probs, s_lt, _, s_gt = _prefix_sums(t, p)
     w = np.subtract(s_lt, s_gt, out=s_lt)
     w *= probs
-    w = w.take(t.rank, axis=-1)
-    if t.twice_bits is None:
-        return 2.0 * _bit_sums(w, t.bits_f)
-    return _bit_sums(w, t.twice_bits)
+    return _bit_sums(w.take(t.rank, axis=-1), t.twice_bits)
 
 
 def drift_naive(p, spec: FitnessSpec) -> np.ndarray:

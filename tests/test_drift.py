@@ -273,13 +273,15 @@ def test_specs_of_one_length_share_the_bit_matrix():
     a, b = dr._tables(ls.binval(6)), dr._tables(ls.random_injective(6, seed=1))
     assert a.bits_f is b.bits_f is ls.all_bit_matrix(6)
     assert a.bits_f.dtype == np.float64 and not a.bits_f.flags.writeable
-    # and drift's 2 * bits, only where the fitness-order selector exists
+    # and drift's 2 * bits, for every n, the selector's gather cap or not
     assert a.twice_bits is b.twice_bits is dr._twice_bits(6)
     assert not a.twice_bits.flags.writeable
     assert np.array_equal(a.twice_bits, 2.0 * a.bits_f)
     for n in (1, 10, 11, 12):
         t = dr._tables(ls.binval(n))
-        assert (t.twice_bits is None) == (t.selector is None) == (n > 10)
+        assert t.twice_bits is dr._twice_bits(n)
+        assert np.array_equal(t.twice_bits, 2.0 * t.bits_f)
+        assert (t.selector is None) == (n > 10)
     # so does sampling_probs' selector into concat(1 - p, p)
     selector = dr._locus_selector(6)
     assert dr._locus_selector(6) is selector and not selector.flags.writeable
