@@ -17,8 +17,9 @@ order.
 
 Runs are stepped R at a time on an (R, n) counts array (:func:`lockstep`;
 :func:`run` is the case R = 1), and ``_update`` is the only code that
-samples and competes. Each run draws its uniforms in blocks with
-``rng.random(B * 2 * n)`` and reads them per iteration as the n uniforms
+samples and competes. Each run draws a block of B iterations' uniforms
+into its own row of a slab, B * 2 * n of them in stream order, and one
+copy lays the block out iteration-major; iteration j reads the n uniforms
 of sample a, then the n of sample b: the stream order of two
 ``rng.random(n)`` calls per iteration. Corners absorb, since at p_i in
 {0, 1} both samples agree and the update is zero; so instead of testing
@@ -53,16 +54,16 @@ def _pow2(n: int) -> np.ndarray:
     return 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
-def _update(counts: np.ndarray, inv: float, vals, pow2, ua, ub) -> None:
-    """One iteration of R runs in place, counts of shape (R, n): row r samples
-    a with ``ua[r] < p`` and b with ``ub[r] < p``, p = counts[r] * inv; the
-    fitter by the table ``vals`` (a on a tie) wins; counts[r] += winner - loser."""
-    p = counts * inv
-    a = ua < p
-    b = ub < p
+def _update(counts: np.ndarray, inv: float, vals, pow2, u) -> None:
+    """One iteration of R runs in place, counts of shape (R, n): with
+    p = counts * inv, one comparison ``u < p`` of the (2, R, n) uniforms
+    samples a (``u[0]``) and b (``u[1]``) of every row; the fitter by the
+    table ``vals`` (a on a tie) wins; counts[r] += winner - loser."""
+    ab = u < counts * inv
+    f = vals[ab @ pow2]
     # winner - loser is a - b, negated where b is strictly fitter
-    delta = np.subtract(a, b, dtype=np.int64)
-    np.negative(delta, out=delta, where=(vals[b @ pow2] > vals[a @ pow2])[:, None])
+    delta = np.subtract(ab[0], ab[1], dtype=np.int64)
+    np.negative(delta, out=delta, where=(f[1] > f[0])[:, None])
     counts += delta
 
 
@@ -157,8 +158,9 @@ _MAX_START_2N = 1 << 53
 
 def _initial_counts(initial, N: int, n: int) -> np.ndarray:
     """The grid positions of the start ``initial`` (default the center), a
-    probability vector of length n on the 1/(2N) grid. An explicit start
-    needs 2N <= 2^53."""
+    probability vector of length n on the 1/(2N) grid: each entry within
+    min(1e-9, a quarter grid step) of it. An explicit start needs
+    2N <= 2^53."""
     if initial is None:
         return np.full(n, N, dtype=np.int64)
     if 2 * N > _MAX_START_2N:
@@ -170,7 +172,7 @@ def _initial_counts(initial, N: int, n: int) -> np.ndarray:
     if p.ndim != 1:
         raise DimensionError("initial must be one-dimensional")
     counts = np.rint(p * 2 * N).astype(np.int64)
-    if np.any(np.abs(counts / (2.0 * N) - p) > 1e-9):
+    if np.any(np.abs(counts / (2.0 * N) - p) > min(1e-9, 0.25 / (2 * N))):
         raise DomainError(
             f"initial probabilities must be integer multiples of 1/(2N) = {1.0 / (2 * N)}"
         )
@@ -190,9 +192,10 @@ def lockstep(
 
     All runs start from ``initial`` (default the center) and advance one
     iteration at a time on an (R, n) counts array, in blocks of B
-    iterations. Run r draws ``rng.random(B * 2 * n)`` per block from its own
-    ``PCG64(SeedSequence(seeds[r]))``, read as a then b per iteration, so it
-    is bit-identical to the same run stepped alone. After each block,
+    iterations. Per block, run r draws B * 2 * n uniforms from its own
+    ``PCG64(SeedSequence(seeds[r]))`` into its row of a slab, and one copy
+    lays the block out iteration-major, read as a then b per iteration; so
+    it is bit-identical to the same run stepped alone. After each block,
     ``on_block(rows, k0, snaps, ends)`` sees the runs that were active at its
     start: ``rows`` their indices, ``snaps[i, j]`` the counts of run
     ``rows[i]`` after iteration ``k0 + j`` for j = 0..B, and ``ends[i]`` that
@@ -220,9 +223,10 @@ def lockstep(
     iterations = np.zeros(len(rngs), dtype=np.int64)
     terminated = np.full(len(rngs), bool(_at_corner(start, two_n)))
     rows = np.flatnonzero(~terminated)
-    # every block reuses one pair of flat buffers; snapshots are kept in the
+    # every block reuses the same flat buffers; snapshots are kept in the
     # narrowest integer type that holds 2N
     size = max(_BLOCK_UNIFORMS, 2 * n * rows.size)
+    slab_buf = np.empty(size)
     u_buf = np.empty(size)
     snaps_buf = np.empty(size // 2 + n * rows.size, dtype=next(
         t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= two_n))
@@ -235,13 +239,16 @@ def lockstep(
         need = int(np.max(np.minimum(c, two_n - c)))
         m = min(max(need, k0 // 8, _MIN_BLOCK), _MAX_BLOCK, max_iters - k0,
                 max(1, _BLOCK_UNIFORMS // (2 * n * rows.size)))
-        u = u_buf[:m * 2 * rows.size * n].reshape(m, 2, rows.size, n)
+        # each run fills its own contiguous row, continuing its stream
+        slab = slab_buf[:rows.size * m * 2 * n].reshape(rows.size, m * 2 * n)
         for i, r in enumerate(rows):
-            u[:, :, i] = rngs[r].random(m * 2 * n).reshape(m, 2, n)
+            rngs[r].random(out=slab[i])
+        u = u_buf[:slab.size].reshape(m, 2, rows.size, n)
+        np.copyto(u, slab.reshape(rows.size, m, 2, n).transpose(1, 2, 0, 3))
         snaps = snaps_buf[:rows.size * (m + 1) * n].reshape(rows.size, m + 1, n)
         snaps[:, 0] = c
         for j in range(m):
-            _update(c, inv, vals, pow2, u[j, 0], u[j, 1])
+            _update(c, inv, vals, pow2, u[j])
             snaps[:, j + 1] = c
         # at a corner a == b, so the update is zero and the corner absorbs:
         # a run ends at a corner iff its block does, at its first corner snapshot

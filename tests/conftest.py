@@ -223,6 +223,12 @@ def reference_cga_run(spec: ls.FitnessSpec, N: int, seed, *, initial=None, max_i
     if max_iters is None:
         max_iters = 50 * two_n * n
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    fitness = {}  # ls.evaluate per solution, looked up once
+
+    def value(x):
+        if x not in fitness:
+            fitness[x] = ls.evaluate(spec, x)
+        return fitness[x]
 
     def at_corner():
         return all(c in (0, two_n) for c in counts)
@@ -233,7 +239,7 @@ def reference_cga_run(spec: ls.FitnessSpec, N: int, seed, *, initial=None, max_i
         p = [c / two_n for c in counts]
         a = tuple(int(u < pi) for u, pi in zip(rng.random(n), p))
         b = tuple(int(u < pi) for u, pi in zip(rng.random(n), p))
-        winner, loser = (a, b) if ls.evaluate(spec, a) >= ls.evaluate(spec, b) else (b, a)
+        winner, loser = (a, b) if value(a) >= value(b) else (b, a)
         counts = [c + w - l for c, w, l in zip(counts, winner, loser)]
         k += 1
         if k % record_every == 0 or at_corner():

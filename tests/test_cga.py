@@ -18,7 +18,7 @@ def _update(spec, N, counts, ua, ub):
     """One ``cga._update`` of the rows ``counts`` on the preset uniforms."""
     counts = np.array(counts, dtype=np.int64)
     C._update(counts, 1.0 / (2 * N), ls.fitness_values(spec), C._pow2(spec.n),
-              np.asarray(ua, dtype=float), np.asarray(ub, dtype=float))
+              np.stack((ua, ub)).astype(float))
     return counts
 
 
@@ -39,8 +39,14 @@ def test_pv_from_p_requires_grid_alignment():
     for initial in ([0.75, 0.25], [0.75 + 1e-12, 0.25 - 1e-12]):
         traj = C.run(TWO_MAX_TABLE, 2, initial=initial, max_iters=0)
         assert np.array_equal(traj.counts, [[3, 1]])
-    with pytest.raises(DomainError, match="multiples of 1/\\(2N\\)"):
-        C.run(ls.binval(1), 2, initial=[0.3])
+    # 0.3 lies 0.4 grid steps off every grid below: farther than 1e-9 at
+    # 2N = 2^27, and farther than a quarter step (not 1e-9) at 2N = 2^29
+    for N in (2, 1 << 26, 1 << 28):
+        with pytest.raises(DomainError, match="multiples of 1/\\(2N\\)"):
+            C.run(ls.binval(1), N, initial=[0.3], max_iters=0)
+        for k in (N // 2, 3 * N // 5):
+            traj = C.run(ls.binval(1), N, initial=[k / (2 * N)], max_iters=0)
+            assert traj.counts.tolist() == [[k]]
     with pytest.raises(DimensionError):
         C.run(ls.binval(2), 2, initial=[0.5, 0.5, 0.5])
     with pytest.raises(DimensionError):
@@ -268,6 +274,31 @@ def test_lockstep_reports_where_runs_end():
         assert np.array_equal(block_ends[r], ends.counts[r])
     assert np.array_equal(ends.initial, [8, 8, 8])
     assert C.run_many(ls.binval(3), 8, []) == []
+
+
+def test_lockstep_with_a_binding_uniforms_budget():
+    # 600 runs * 2n * N > 2^15 uniforms, so a block is shorter than the
+    # N iterations the slowest run needs, and runs leave in different blocks
+    N = 16
+    seeds = [(17, r) for r in range(600)]
+    for spec in (ls.binval(2), TWO_MAX_TABLE):
+        lengths, leaving = [], []
+        last = {}  # run -> its counts at the end of its last block so far
+
+        def check_block(rows, k0, snaps, ends):
+            for i, r in enumerate(rows):
+                assert np.array_equal(snaps[i, 0], last.get(r, [N, N]))
+                last[r] = snaps[i, -1].copy()
+            lengths.append(snaps.shape[1] - 1)
+            leaving.append(int(np.count_nonzero(ends < k0 + lengths[-1])))
+
+        result = C.lockstep(spec, N, seeds, on_block=check_block)
+        assert lengths[0] < N
+        assert sum(x > 0 for x in leaving) > 1
+        for r, seed in enumerate(seeds):
+            counts, _, iterations, terminated = reference_cga_run(spec, N, seed)
+            assert np.array_equal(result.counts[r], counts[-1]), (spec, seed)
+            assert (result.iterations[r], result.terminated[r]) == (iterations, terminated)
 
 
 def test_termination_iff_deterministic():
