@@ -37,7 +37,7 @@ import numpy as np
 
 from .drift_field import _as_pv
 from .errors import DimensionError, DomainError, HorizonError
-from .landscape import FitnessSpec, fitness_values, spec_to_json_dict
+from .landscape import FitnessSpec, fitness_values, place_values, spec_to_json_dict
 
 
 def default_max_iters(N: int, n: int) -> int:
@@ -48,11 +48,6 @@ def default_max_iters(N: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # one iteration
 # ---------------------------------------------------------------------------
-
-def _pow2(n: int) -> np.ndarray:
-    """Place values that turn a solution's bits (locus 1 first) into its table index."""
-    return 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-
 
 def _update(counts: np.ndarray, inv: float, vals, pow2, u) -> None:
     """One iteration of R runs in place, counts of shape (R, n): with
@@ -215,7 +210,7 @@ def lockstep(
     start = _initial_counts(initial, N, n)
     rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
     vals = fitness_values(spec)
-    pow2 = _pow2(n)
+    pow2 = place_values(n)
     two_n = 2 * N
     inv = 1.0 / two_n
 

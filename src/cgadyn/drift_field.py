@@ -24,11 +24,12 @@ same, bit for bit, whatever batch it comes in, although the batch's size
 picks which of two routes builds ``sampling_probs``.
 
 Each input's shape is checked first, then its range once, on whichever
-route builds ``sampling_probs`` (see :func:`_gathered_probs`).
+route builds ``sampling_probs`` (see :func:`_product`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +37,18 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .landscape import (
     FitnessSpec,
+    _as_bits,
     _neighbor_value_matrix,
+    _read_only,
     all_bit_matrix,
-    bits_to_index,
     fitness_values,
+    place_values,
     require_injective,
 )
 
 
 # ---------------------------------------------------------------------------
-# per-spec fitness-order cache
+# per-spec fitness order
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class _SpecTables:
     ``order[j]``, and solution y sits at position ``rank[y]``. The tie
     groups and the selector are laid out in that order too."""
 
-    bits_f: np.ndarray       # (2^n, n) float, all_bit_matrix(n): one per n, not per spec
+    n: int
     order: np.ndarray        # (2^n,) indices sorted by fitness (stable)
     rank: np.ndarray         # (2^n,) inverse of `order`: rank[order[j]] == j
     group_of: np.ndarray     # (2^n,) fitness-tie group of each position, ascending
@@ -62,21 +65,14 @@ class _SpecTables:
     # _locus_selector(n) with its columns permuted by `order`; only where the
     # gather route can run (2^n <= _GATHER_MAX_ENTRIES), else None
     selector: np.ndarray | None
-    twice_bits: np.ndarray   # (2^n, n) _twice_bits(n): drift's factor 2 in bits_f
-
-
-_TABLES_CACHE: dict[FitnessSpec, _SpecTables] = {}
+    twice_bits: np.ndarray   # (2^n, n) _twice_bits(n): one per n, not per spec
 
 
 def _tables(spec: FitnessSpec) -> _SpecTables:
-    # the spec's own memo first: the shared cache compares an equal spec
-    # built separately field by field, its 2^n table included
+    """The spec's tables, built once per spec object and kept in its memo."""
     t = spec._memo.get("tables")
     if t is None:
-        t = _TABLES_CACHE.get(spec)
-        if t is None:
-            t = _TABLES_CACHE[spec] = _build_tables(spec)
-        spec._memo["tables"] = t
+        t = spec._memo["tables"] = _build_tables(spec)
     return t
 
 
@@ -89,10 +85,9 @@ def _build_tables(spec: FitnessSpec) -> _SpecTables:
     uniq, group_of = np.unique(vals[order], return_inverse=True)
     selector = None
     if 1 << n <= _GATHER_MAX_ENTRIES:
-        selector = _locus_selector(n)[:, order]
-        selector.setflags(write=False)
+        selector = _read_only(_locus_selector(n)[:, order])
     return _SpecTables(
-        bits_f=all_bit_matrix(n),
+        n=n,
         order=order,
         rank=rank,
         group_of=group_of.astype(np.int64),
@@ -127,8 +122,6 @@ def _as_pv(p, n: int) -> np.ndarray:
 # sampling distribution
 # ---------------------------------------------------------------------------
 
-_SELECTOR_CACHE: dict[int, np.ndarray] = {}
-
 # Largest output (rows * 2^n entries) that sampling_probs builds by the
 # gather. The gather moves n times the memory of the doubling loop but
 # makes four numpy calls where the loop makes two per locus. Timed against
@@ -137,33 +130,22 @@ _SELECTOR_CACHE: dict[int, np.ndarray] = {}
 _GATHER_MAX_ENTRIES = 1024
 
 
+@functools.cache
 def _locus_selector(n: int) -> np.ndarray:
     """(n, 2^n) intp selector S[i, y] = i + n * bit_i(y): the position of
     locus i's factor for solution y in concat(1 - p, p). Read-only, one
     per n."""
-    sel = _SELECTOR_CACHE.get(n)
-    if sel is None:
-        bits = all_bit_matrix(n).T.astype(np.intp)
-        sel = np.arange(n, dtype=np.intp)[:, None] + n * bits
-        sel.setflags(write=False)
-        _SELECTOR_CACHE[n] = sel
-    return sel
+    bits = all_bit_matrix(n).T.astype(np.intp)
+    return _read_only(np.arange(n, dtype=np.intp)[:, None] + n * bits)
 
 
-_TWICE_BITS_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _twice_bits(n: int) -> np.ndarray:
     """2 * all_bit_matrix(n), read-only, one per n. Scaling by 2 commutes
     with every rounding of drift's bit sums (|f| <= 1, so nothing
     overflows) and keeps the sign of zero, so summing against it gives
     2.0 * the sums against the bits, bit for bit."""
-    mat = _TWICE_BITS_CACHE.get(n)
-    if mat is None:
-        mat = 2.0 * all_bit_matrix(n)
-        mat.setflags(write=False)
-        _TWICE_BITS_CACHE[n] = mat
-    return mat
+    return _read_only(2.0 * all_bit_matrix(n))
 
 
 def sampling_probs(p, n: int) -> np.ndarray:
@@ -189,9 +171,28 @@ def sampling_probs(p, n: int) -> np.ndarray:
     on its batch. Deterministic configurations give exact 0/1
     probabilities.
     """
+    return _product(p, n)
+
+
+def _product(p, n: int, selector=None, order=None) -> np.ndarray:
+    """:func:`sampling_probs` with its columns in the order ``order``
+    (default: index order). The gather route reads ``selector`` in place of
+    a sort: :func:`_locus_selector` with its columns in that same order,
+    given wherever that route can run. The doubling loop sorts its output
+    with one gather instead.
+
+    The gather route checks ``p``'s range on its factors, in place of
+    :func:`_as_pv`: an entry lies in [0, 1] iff it and 1 minus it are both
+    >= 0, and NaN fails.
+    """
     arr = _shaped_pv(p, n)
     if 0 < arr.size << n <= _GATHER_MAX_ENTRIES * n:  # arr.size << n is n * rows * 2^n
-        return _gathered_probs(arr, _locus_selector(n))
+        factors = np.concatenate((1.0 - arr, arr), axis=-1)
+        if not np.minimum.reduce(factors, axis=None) >= 0.0:
+            raise DomainError(_OUT_OF_BOX)
+        if selector is None:
+            selector = _locus_selector(n)
+        return np.multiply.reduce(factors.take(selector, axis=-1), axis=-2)
     arr = _as_pv(arr, n)
     q = 1.0 - arr
     probs = np.empty(arr.shape[:-1] + (1 << n,), dtype=np.float64)
@@ -202,19 +203,7 @@ def sampling_probs(p, n: int) -> np.ndarray:
         filled = probs[..., :: 2 * s]
         np.multiply(filled, arr[..., i : i + 1], out=probs[..., s :: 2 * s])
         filled *= q[..., i : i + 1]
-    return probs
-
-
-def _gathered_probs(arr: np.ndarray, selector: np.ndarray) -> np.ndarray:
-    """The gather route of :func:`sampling_probs`: one product per column
-    of ``selector``, a (n, K) selector into concat(1 - p, p). This route
-    checks ``arr``'s range on those factors, in place of :func:`_as_pv`: an
-    entry lies in [0, 1] iff it and 1 minus it are both >= 0, and NaN fails.
-    """
-    factors = np.concatenate((1.0 - arr, arr), axis=-1)
-    if not np.minimum.reduce(factors, axis=None) >= 0.0:
-        raise DomainError(_OUT_OF_BOX)
-    return np.multiply.reduce(factors.take(selector, axis=-1), axis=-2)
+    return probs if order is None else probs.take(order, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +217,13 @@ def _prefix_sums(t: _SpecTables, p):
 
     Where :func:`sampling_probs` would gather, the selector in ``t`` has its
     columns in fitness order, so the product comes out sorted; elsewhere the
-    doubling loop's output is sorted by one gather. Either way every entry
-    is the product sampling_probs computes. On an injective spec every tie
-    group has one member, so the group sums are the sorted probabilities
-    themselves and the tied sum is the first array (returned as is, not
-    copied); the grouping passes are skipped there.
+    doubling loop's output is sorted by one gather (:func:`_product`).
+    Either way every entry is the product sampling_probs computes. On an
+    injective spec every tie group has one member, so the group sums are the
+    sorted probabilities themselves and the tied sum is the first array
+    (returned as is, not copied); the grouping passes are skipped there.
     """
-    n = t.bits_f.shape[1]
-    arr = _shaped_pv(p, n)
-    if 0 < arr.size << n <= _GATHER_MAX_ENTRIES * n:  # as in sampling_probs
-        probs = _gathered_probs(arr, t.selector)
-    else:
-        probs = sampling_probs(arr, n).take(t.order, axis=-1)
+    probs = _product(p, t.n, t.selector, t.order)
     if t.group_starts.size == t.order.size:
         s_le = np.add.accumulate(probs, axis=-1)
         s_eq = probs
@@ -303,22 +287,12 @@ def drift_naive(p, spec: FitnessSpec) -> np.ndarray:
     The independent oracles are ``reference_drift`` and ``pair_oracle`` in
     the test suite's ``conftest.py``.
     """
-    return _bit_sums(winner_probs(p, spec) - loser_probs(p, spec), _tables(spec).bits_f)
+    return _bit_sums(winner_probs(p, spec) - loser_probs(p, spec), all_bit_matrix(spec.n))
 
 
 # ---------------------------------------------------------------------------
 # Jacobians at corners and in the interior
 # ---------------------------------------------------------------------------
-
-def _corner_index(corner, spec: FitnessSpec) -> int:
-    """Solution index of a corner of [0,1]^n, given as n bits."""
-    bits = np.asarray(corner)
-    if bits.ndim != 1 or bits.shape[0] != spec.n:
-        raise DimensionError(f"corner shape {bits.shape} does not match n={spec.n}")
-    if not np.isin(bits, (0, 1)).all():
-        raise DomainError("corner must be a deterministic configuration (bits in {0,1})")
-    return bits_to_index(bits)
-
 
 def corner_spectra(spec: FitnessSpec, indices=None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the corner Jacobians and local-maximum flags, one row
@@ -337,7 +311,7 @@ def corner_spectra(spec: FitnessSpec, indices=None) -> tuple[np.ndarray, np.ndar
 def jacobian_analytic(corner, spec: FitnessSpec) -> np.ndarray:
     """Exact Jacobian of f at a corner of [0,1]^n, an (n, n) diagonal matrix
     whose entries are the corner's eigenvalues (injective specs only)."""
-    idx = _corner_index(corner, spec)
+    idx = int(_as_bits(spec, corner) @ place_values(spec.n))
     require_injective(spec, "jacobian_analytic")
     return np.diag(corner_spectra(spec, [idx])[0][0])
 

@@ -59,10 +59,11 @@ def _is_real(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-# every config field but "spec": what it must be, and the test of a JSON value
+# every config field but "spec": what it must be, and the test of its value
+# (a JSON value, or a constructor argument: N_values may be a tuple there)
 _CONFIG_FIELDS = {
     "N_values": ("a list of integers",
-                 lambda v: isinstance(v, list) and all(map(_is_int, v))),
+                 lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
     "runs_per_setting": ("an integer", _is_int),
     "T_horizon": ("a finite number", _is_real),
     "master_seed": ("an integer", _is_int),
@@ -97,7 +98,10 @@ class ExperimentConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        self.N_values = tuple(int(N) for N in self.N_values)
+        # what from_json_dict refuses is refused here too, so every config
+        # writes valid JSON (no NaN, no infinity) that reads back the same
+        check_config_fields({key: getattr(self, key) for key in _CONFIG_FIELDS})
+        self.N_values = tuple(self.N_values)
         self.output_dir = Path(self.output_dir)
         if self.runs_per_setting < 1:
             raise DomainError(f"runs_per_setting must be >= 1, got {self.runs_per_setting}")

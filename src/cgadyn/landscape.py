@@ -16,6 +16,7 @@ above ``ENUMERATION_CAP`` instead of thrashing.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -63,20 +64,25 @@ def string_to_bits(s: str) -> tuple[int, ...]:
     return tuple(int(c) for c in s)
 
 
-_BIT_MATRIX_CACHE: dict[int, np.ndarray] = {}
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only: every table is shared by its callers."""
+    array.setflags(write=False)
+    return array
 
 
+@functools.cache
+def place_values(n: int) -> np.ndarray:
+    """int64 place values 2^(n-1), ..., 2, 1: a solution's bits (locus 1
+    first) times these sum to its index. Read-only, one per n."""
+    return _read_only(1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+@functools.cache
 def all_bit_matrix(n: int) -> np.ndarray:
     """(2^n, n) float64 matrix whose row i is index_to_bits(i, n). Read-only,
     one per n, shared by every spec of that length."""
-    mat = _BIT_MATRIX_CACHE.get(n)
-    if mat is None:
-        idx = np.arange(1 << n, dtype=np.int64)
-        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-        mat = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        mat.setflags(write=False)
-        _BIT_MATRIX_CACHE[n] = mat
-    return mat
+    idx = np.arange(1 << n, dtype=np.int64)
+    return _read_only((idx[:, None] & place_values(n) != 0).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +111,13 @@ class FitnessSpec:
             raise DomainError(f"unknown fitness kind {self.kind!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"solution length must be a positive integer, got {self.n!r}")
-        # hashed once: specs key the per-spec caches, and a table has 2^n values
-        object.__setattr__(self, "_hash", hash(
-            (self.kind, self.n, self.weights, self.epsilon, self.table, self.seed)))
-        # what those caches hold for this object, so that it finds its entries
-        # without comparing itself field by field with an equal spec's key
+        # the only home of this object's 2^n tables (fitness_values and
+        # drift's fitness order), built on first use and freed with it; an
+        # equal spec built separately builds its own
         object.__setattr__(self, "_memo", {})
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        # rebuilt from its fields: a pickled _hash is wrong in a process with
-        # another string-hash seed, and the memo is a cache, not state
+        # rebuilt from its fields: the memo is a cache, not state
         return (FitnessSpec, (self.kind, self.n, self.weights, self.epsilon, self.table, self.seed))
 
     @property
@@ -223,17 +223,12 @@ def _finite(values, name: str) -> tuple[float, ...]:
 # evaluation
 # ---------------------------------------------------------------------------
 
-_VALUES_CACHE: dict[FitnessSpec, np.ndarray] = {}
-
-
 def fitness_values(spec: FitnessSpec) -> np.ndarray:
-    """All 2^n fitness values, indexed by solution index. Cached, read-only."""
+    """All 2^n fitness values, indexed by solution index. Read-only, built
+    once per spec object and kept in its memo."""
     vals = spec._memo.get("values")
     if vals is None:
-        vals = _VALUES_CACHE.get(spec)
-        if vals is None:
-            vals = _VALUES_CACHE[spec] = _build_values(spec)
-        spec._memo["values"] = vals
+        vals = spec._memo["values"] = _build_values(spec)
     return vals
 
 
@@ -255,8 +250,7 @@ def _build_values(spec: FitnessSpec) -> np.ndarray:
         vals = rng.permutation(size).astype(np.float64)
     else:  # pragma: no cover - guarded in __post_init__
         raise DomainError(f"unknown fitness kind {spec.kind!r}")
-    vals.setflags(write=False)
-    return vals
+    return _read_only(vals)
 
 
 def _as_bits(spec: FitnessSpec, y) -> np.ndarray:
@@ -271,9 +265,9 @@ def _as_bits(spec: FitnessSpec, y) -> np.ndarray:
 def evaluate(spec: FitnessSpec, y) -> float:
     """Fitness of solution y under spec. Pure and deterministic."""
     bits = _as_bits(spec, y)
-    idx = int(bits @ (1 << np.arange(spec.n - 1, -1, -1, dtype=np.int64)))
+    idx = int(bits @ place_values(spec.n))
     if spec.n <= ENUMERATION_CAP:
-        # shared cached table keeps tie comparisons bit-identical everywhere
+        # read from the table, so evaluate agrees bit for bit with every lookup
         return float(fitness_values(spec)[idx])
     # table-free paths for specs built above the cap
     if spec.kind == "binval":
@@ -318,8 +312,7 @@ def _neighbor_value_matrix(spec: FitnessSpec, rows=None) -> np.ndarray:
     ``rows`` (default: all 2^n, in order) with locus m flipped."""
     vals = fitness_values(spec)
     idx = np.arange(spec.num_solutions) if rows is None else np.asarray(rows, dtype=np.int64)
-    flips = 1 << np.arange(spec.n - 1, -1, -1)
-    return vals[idx[:, None] ^ flips]
+    return vals[idx[:, None] ^ place_values(spec.n)]
 
 
 def enumerate_local_maxima(spec: FitnessSpec) -> LocalMaxReport:

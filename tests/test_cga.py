@@ -17,7 +17,7 @@ from conftest import TWO_MAX_TABLE, reference_cga_run, reference_jsonl_records
 def _update(spec, N, counts, ua, ub):
     """One ``cga._update`` of the rows ``counts`` on the preset uniforms."""
     counts = np.array(counts, dtype=np.int64)
-    C._update(counts, 1.0 / (2 * N), ls.fitness_values(spec), C._pow2(spec.n),
+    C._update(counts, 1.0 / (2 * N), ls.fitness_values(spec), ls.place_values(spec.n),
               np.stack((ua, ub)).astype(float))
     return counts
 

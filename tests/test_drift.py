@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,17 +274,23 @@ def test_drift_batch_matches_loop(rng):
 
 def test_specs_of_one_length_share_the_bit_matrix():
     a, b = dr._tables(ls.binval(6)), dr._tables(ls.random_injective(6, seed=1))
-    assert a.bits_f is b.bits_f is ls.all_bit_matrix(6)
-    assert a.bits_f.dtype == np.float64 and not a.bits_f.flags.writeable
+    mat = ls.all_bit_matrix(6)
+    assert ls.all_bit_matrix(6) is mat and a.n == b.n == 6
+    assert mat.dtype == np.float64 and not mat.flags.writeable
     # and drift's 2 * bits, for every n, the selector's gather cap or not
     assert a.twice_bits is b.twice_bits is dr._twice_bits(6)
     assert not a.twice_bits.flags.writeable
-    assert np.array_equal(a.twice_bits, 2.0 * a.bits_f)
+    assert np.array_equal(a.twice_bits, 2.0 * mat)
     for n in (1, 10, 11, 12):
         t = dr._tables(ls.binval(n))
         assert t.twice_bits is dr._twice_bits(n)
-        assert np.array_equal(t.twice_bits, 2.0 * t.bits_f)
+        assert np.array_equal(t.twice_bits, 2.0 * ls.all_bit_matrix(n))
         assert (t.selector is None) == (n > 10)
+    # and the place values that turn bits into an index
+    place = ls.place_values(6)
+    assert ls.place_values(6) is place and not place.flags.writeable
+    assert place.dtype == np.int64 and place.tolist() == [32, 16, 8, 4, 2, 1]
+    assert np.array_equal(mat @ place, np.arange(64))
     # so does sampling_probs' selector into concat(1 - p, p)
     selector = dr._locus_selector(6)
     assert dr._locus_selector(6) is selector and not selector.flags.writeable
@@ -291,34 +300,38 @@ def test_specs_of_one_length_share_the_bit_matrix():
         assert selector[:, y].tolist() == [i + 6 * int(bit) for i, bit in enumerate(bits)]
 
 
-def test_equal_specs_hash_alike_and_share_tables(rng):
+def test_equal_specs_hash_alike_and_build_equal_tables_of_their_own(rng, monkeypatch):
+    # each spec object keeps its own tables, so a lookup never compares a
+    # spec with another one (that compare reads its whole 2^n table)
     values = rng.permutation(1 << 10).astype(float)
     a, b = ls.table_spec(values), ls.table_spec(list(values))
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != ls.table_spec(values[::-1]) and a != ls.binval(10)
-    dr._TABLES_CACHE.pop(a, None)
-    before = len(dr._TABLES_CACHE)
-    assert dr._tables(a) is dr._tables(b)
-    assert len(dr._TABLES_CACHE) == before + 1
     assert {a: 1}[b] == 1 and {ls.binval(3), ls.binval(3)} == {ls.binval(3)}
-
-
-def test_lookups_by_an_equal_spec_compare_it_once(rng, monkeypatch):
-    # a spec equal to a cached one, built separately, is compared with the
-    # cached key (its whole table) on its first lookup in each cache only
-    values = rng.permutation(1 << 10).astype(float)
-    a, b = ls.table_spec(values), ls.table_spec(list(values))
-    p = np.full(10, 0.5)
-    dr.drift(p, a)
-    ls.fitness_values(a)
     compared = []
     eq = ls.FitnessSpec.__eq__
     monkeypatch.setattr(ls.FitnessSpec, "__eq__", lambda s, o: compared.append(1) or eq(s, o))
+    p = np.full(10, 0.5)
     for _ in range(5):
         assert np.array_equal(dr.drift(p, b), dr.drift(p, a))
-        assert ls.fitness_values(b) is ls.fitness_values(a)
-    assert dr._tables(b) is dr._tables(a)
-    assert len(compared) == 2  # b against the key of each cache
+        assert np.array_equal(ls.fitness_values(b), ls.fitness_values(a))
+    assert ls.fitness_values(a) is ls.fitness_values(a)
+    assert ls.fitness_values(b) is not ls.fitness_values(a)
+    ta, tb = dr._tables(a), dr._tables(b)
+    assert ta is dr._tables(a) and tb is not ta
+    for field in ("order", "rank", "group_of", "group_starts", "selector"):
+        assert np.array_equal(getattr(tb, field), getattr(ta, field))
+    assert tb.twice_bits is ta.twice_bits
+    assert compared == []
+
+
+def test_a_dropped_spec_frees_its_tables():
+    spec = ls.random_injective(8, seed=3)
+    dr.drift(np.full(8, 0.5), spec)
+    refs = [weakref.ref(dr._tables(spec).order), weakref.ref(ls.fitness_values(spec))]
+    del spec
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_interior_non_stationarity(rng):
@@ -412,6 +425,8 @@ def test_jacobian_analytic_diagonal_pm2_and_stability_link():
 def test_jacobian_analytic_rejects_non_corner_and_non_injective():
     with pytest.raises(DomainError):
         dr.jacobian_analytic((1, 0.5), ls.binval(2))
+    with pytest.raises(DimensionError):
+        dr.jacobian_analytic((1, 0, 1), ls.binval(2))
     with pytest.raises(TheoremScopeError, match="outside boundary|outside theorem scope"):
         dr.jacobian_analytic((0,), ls.table_spec([1.0, 1.0], n=1))
 

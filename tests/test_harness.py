@@ -40,10 +40,15 @@ def small_config(tmp_path, **kw):
 # --- configuration -----------------------------------------------------------
 
 def test_config_json_roundtrip(tmp_path):
-    cfg = small_config(tmp_path)
-    restored = hn.ExperimentConfig.from_json_dict(cfg.to_json_dict())
-    assert restored.to_json_dict() == cfg.to_json_dict()
-    assert restored.config_hash() == cfg.config_hash()
+    # every config the constructor accepts is valid JSON and reads back the same
+    for kw in ({}, {"N_values": [1, 7]}, {"T_horizon": 0}, {"T_horizon": 1e300},
+               {"ode_step": 5e-324}, {"max_iters": 0}, {"master_seed": 1 << 70}):
+        cfg = small_config(tmp_path, **kw)
+        restored = hn.ExperimentConfig.from_json_dict(
+            json.loads(json.dumps(cfg.to_json_dict(), allow_nan=False)))
+        assert restored == cfg
+        assert restored.to_json_dict() == cfg.to_json_dict()
+        assert restored.config_hash() == cfg.config_hash()
 
 
 def test_config_hash_changes_with_content(tmp_path):
@@ -62,6 +67,14 @@ def test_config_validation(tmp_path):
             small_config(tmp_path, N_values=(32, N))
     with pytest.raises(DomainError):
         small_config(tmp_path, ode_step=0.0)
+    # the constructor refuses what the JSON check refuses: a NaN or infinite
+    # real would be written out as invalid JSON, a float N silently truncated
+    for field, value in (("T_horizon", float("nan")), ("T_horizon", float("inf")),
+                         ("ode_step", float("inf")), ("ode_step", float("nan")),
+                         ("N_values", (2.7,)), ("N_values", 4), ("runs_per_setting", 2.0),
+                         ("master_seed", True), ("max_iters", 1.5)):
+        with pytest.raises(DomainError, match=field):
+            small_config(tmp_path, **{field: value})
     with pytest.raises(DomainError):
         hn.ExperimentConfig.from_json_dict(
             {"spec": {"kind": "binval", "n": 2}, "bogus_field": 1})
