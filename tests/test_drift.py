@@ -300,28 +300,39 @@ def test_specs_of_one_length_share_the_bit_matrix():
         assert selector[:, y].tolist() == [i + 6 * int(bit) for i, bit in enumerate(bits)]
 
 
-def test_equal_specs_hash_alike_and_build_equal_tables_of_their_own(rng, monkeypatch):
-    # each spec object keeps its own tables, so a lookup never compares a
-    # spec with another one (that compare reads its whole 2^n table)
+def test_equal_specs_hash_alike_and_share_tables(rng):
+    # equal specs hash alike; each builds equal per-spec tables of its own
+    # and shares the per-n tables with every spec of its length
     values = rng.permutation(1 << 10).astype(float)
     a, b = ls.table_spec(values), ls.table_spec(list(values))
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != ls.table_spec(values[::-1]) and a != ls.binval(10)
     assert {a: 1}[b] == 1 and {ls.binval(3), ls.binval(3)} == {ls.binval(3)}
-    compared = []
-    eq = ls.FitnessSpec.__eq__
-    monkeypatch.setattr(ls.FitnessSpec, "__eq__", lambda s, o: compared.append(1) or eq(s, o))
-    p = np.full(10, 0.5)
-    for _ in range(5):
-        assert np.array_equal(dr.drift(p, b), dr.drift(p, a))
-        assert np.array_equal(ls.fitness_values(b), ls.fitness_values(a))
-    assert ls.fitness_values(a) is ls.fitness_values(a)
-    assert ls.fitness_values(b) is not ls.fitness_values(a)
     ta, tb = dr._tables(a), dr._tables(b)
     assert ta is dr._tables(a) and tb is not ta
     for field in ("order", "rank", "group_of", "group_starts", "selector"):
         assert np.array_equal(getattr(tb, field), getattr(ta, field))
     assert tb.twice_bits is ta.twice_bits
+    assert ls.fitness_values(a) is ls.fitness_values(a)
+    assert ls.fitness_values(b) is not ls.fitness_values(a)
+    assert np.array_equal(ls.fitness_values(b), ls.fitness_values(a))
+
+
+def test_lookups_by_an_equal_spec_compare_it_once(rng, monkeypatch):
+    # each spec object keeps its own tables, so a lookup never compares a
+    # spec with another one (that compare reads its whole 2^n table)
+    values = rng.permutation(1 << 10).astype(float)
+    a, b = ls.table_spec(values), ls.table_spec(list(values))
+    p = np.full(10, 0.5)
+    dr.drift(p, a)
+    ls.fitness_values(a)
+    compared = []
+    eq = ls.FitnessSpec.__eq__
+    monkeypatch.setattr(ls.FitnessSpec, "__eq__", lambda s, o: compared.append(1) or eq(s, o))
+    for _ in range(5):
+        assert np.array_equal(dr.drift(p, b), dr.drift(p, a))
+        assert np.array_equal(ls.fitness_values(b), ls.fitness_values(a))
+    assert dr._tables(b) is dr._tables(b)
     assert compared == []
 
 
