@@ -11,8 +11,10 @@ Subcommands::
     alphasweep  trajectory-vs-flow distance across learning steps, files
 
 Each subcommand accepts ``--config FILE`` with an experiment-config JSON
-object; individual flags override config fields. Exit codes: 0 success,
-1 validation/usage error (diagnostic on stderr), 2 internal error.
+object; a flag given sets the config field its argparse dest names, over
+the file's value, and every field is checked by its rule in
+``harness._CONFIG_FIELDS``. Exit codes: 0 success, 1 validation/usage
+error (diagnostic on stderr), 2 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ import numpy as np
 from . import __version__
 from .cga import run as cga_run, trajectory_to_jsonl
 from .harness import (
+    _CONFIG_FIELDS,
     ExperimentConfig,
     alpha_sweep,
     check_config_fields,
@@ -76,8 +80,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="one stochastic trajectory (JSON lines)")
     _add_spec_flags(p)
-    p.add_argument("--N", type=int, help="grid resolution; learning step is 1/(2N)")
-    p.add_argument("--seed", type=int, help="run seed")
+    p.add_argument("--N", type=int, nargs=1, dest="N_values", metavar="N",
+                   help="grid resolution; learning step is 1/(2N)")
+    p.add_argument("--seed", type=int, dest="master_seed", help="run seed")
     p.add_argument("--max-iters", type=int, help="iteration budget")
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", type=Path, help="output file (default: stdout)")
@@ -91,8 +96,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ode", help="integrate the deterministic flow (JSON lines)")
     _add_spec_flags(p)
-    p.add_argument("--step", type=float, help="integrator step size")
-    p.add_argument("--horizon", type=float, help="integration horizon T")
+    p.add_argument("--step", type=float, dest="ode_step", help="integrator step size")
+    p.add_argument("--horizon", type=float, dest="T_horizon", help="integration horizon T")
     p.add_argument("--out", type=Path)
     p.add_argument("--config", type=Path)
 
@@ -108,23 +113,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("montecarlo", help="seeded convergence campaign")
     _add_spec_flags(p)
-    p.add_argument("--N", type=int, action="append", dest="N_list",
+    p.add_argument("--N", type=int, action="append", dest="N_values",
                    help="grid resolution (repeatable)")
-    p.add_argument("--runs", type=int, help="runs per setting")
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--runs", type=int, dest="runs_per_setting", help="runs per setting")
+    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
     p.add_argument("--max-iters", type=int)
-    p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--out", type=Path, dest="output_dir", help="output directory")
     p.add_argument("--config", type=Path)
 
     p = sub.add_parser("alphasweep", help="trajectory-vs-flow distances per learning step")
     _add_spec_flags(p)
-    p.add_argument("--N", type=int, action="append", dest="N_list",
+    p.add_argument("--N", type=int, action="append", dest="N_values",
                    help="grid resolution (repeatable, need at least two)")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--horizon", type=float, help="comparison horizon T")
-    p.add_argument("--step", type=float, help="integrator step size")
-    p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--runs", type=int, dest="runs_per_setting")
+    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+    p.add_argument("--horizon", type=float, dest="T_horizon", help="comparison horizon T")
+    p.add_argument("--step", type=float, dest="ode_step", help="integrator step size")
+    p.add_argument("--out", type=Path, dest="output_dir", help="output directory")
     p.add_argument("--config", type=Path)
 
     return parser
@@ -159,9 +164,11 @@ def _load_config(args) -> dict:
 
 def _resolve_spec(args, cfg: dict):
     """The spec from --spec-file, --spec flags or the config; flags become the
-    JSON object a spec file holds, so one parser checks every source."""
+    JSON object a spec file holds, so one parser checks every source. The
+    config's spec is checked even where a flag replaces it."""
     if args.spec is not None and args.spec_file is not None:
         raise _UsageError("give either --spec or --spec-file, not both")
+    config_spec = spec_from_json_dict(cfg["spec"]) if "spec" in cfg else None
     if args.spec_file is not None:
         try:
             with open(args.spec_file) as fp:
@@ -172,27 +179,22 @@ def _resolve_spec(args, cfg: dict):
         weights = None if args.weights is None else args.weights.split(",")
         fields = {"n": args.n, "epsilon": args.epsilon, "seed": args.spec_seed, "weights": weights}
         obj = {"kind": args.spec, **{k: v for k, v in fields.items() if v is not None}}
-    elif "spec" in cfg:
-        obj = cfg["spec"]
+    elif config_spec is not None:
+        return config_spec
     else:
         raise _UsageError("no fitness spec: use --spec/--spec-file or a config file")
     return spec_from_json_dict(obj)
 
 
-def _setting(value, cfg: dict, key: str):
-    """A flag's value if given, else the config's field ``key``, else that
-    field's :class:`ExperimentConfig` default."""
-    return value if value is not None else cfg.get(key, getattr(ExperimentConfig, key))
-
-
-def _effective_config(cfg: dict, spec, **overrides) -> ExperimentConfig:
-    merged = dict(cfg)
-    merged.pop("spec", None)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    merged = {k: v for k, v in merged.items() if v is not None or k == "max_iters"}
-    return ExperimentConfig.from_json_dict({"spec": spec_to_json_dict(spec), **merged})
+def _config(args) -> ExperimentConfig:
+    """The config file's fields, then each flag given on top of them: a
+    flag's argparse dest is the name of the field it sets."""
+    fields = _load_config(args)
+    spec = _resolve_spec(args, fields)
+    fields.update({k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None})
+    if args.command == "run" and "N_values" not in fields:  # no default N for one run
+        raise _UsageError("run needs --N")
+    return ExperimentConfig(**{**fields, "spec": spec})
 
 
 @contextmanager
@@ -212,54 +214,47 @@ def _open_out(path: Path | None):
 def _single_spec(args, body) -> int:
     """Shared path of the subcommands that write one artifact for one spec.
 
-    ``body(args, cfg, spec)`` does the work and returns the command's own
+    ``body(args, config)`` does the work and returns the command's own
     settings and a ``write(fp, header)`` callable. The provenance header
     hashes the command, the spec and those settings; its seed is the
-    command's ``seed`` setting if it has one, else the config's master seed.
+    config's master seed.
     """
-    cfg = _load_config(args)
-    spec = _resolve_spec(args, cfg)
-    settings, write = body(args, cfg, spec)
-    effective = {"command": args.command, "spec": spec_to_json_dict(spec), **settings}
-    seed = _setting(settings.get("seed"), cfg, "master_seed")
+    config = _config(args)
+    settings, write = body(args, config)
+    effective = {"command": args.command, "spec": spec_to_json_dict(config.spec), **settings}
     with _open_out(args.out) as fp:
-        write(fp, provenance(hash_of(effective), seed))
+        write(fp, provenance(hash_of(effective), config.master_seed))
     return 0
 
 
-def _cmd_run(args, cfg, spec):
-    N = args.N if args.N is not None else (cfg.get("N_values") or [None])[0]
-    if N is None:
-        raise _UsageError("run needs --N")
-    seed = _setting(args.seed, cfg, "master_seed")
-    max_iters = _setting(args.max_iters, cfg, "max_iters")
-    traj = cga_run(spec, int(N), seed=seed, max_iters=max_iters,
-                   record_every=args.record_every)
-    settings = {"N": int(N), "seed": seed, "max_iters": max_iters,
-                "record_every": args.record_every}
+def _cmd_run(args, config):
+    N, seed, max_iters = config.N_values[0], config.master_seed, config.max_iters
+    traj = cga_run(config.spec, N, seed=seed, max_iters=max_iters, record_every=args.record_every)
+    settings = {"N": N, "seed": seed, "max_iters": max_iters, "record_every": args.record_every}
     return settings, lambda fp, header: trajectory_to_jsonl(traj, fp, extra_header=header)
 
 
-def _cmd_drift(args, cfg, spec):
-    names = [f"p_{i+1}" for i in range(spec.n)] + [f"f_{i+1}" for i in range(spec.n)]
+def _cmd_drift(args, config):
+    n = config.spec.n
+    names = [f"p_{i+1}" for i in range(n)] + [f"f_{i+1}" for i in range(n)]
     # the grid is checked before the output is opened, so a refused grid
     # writes no file; its blocks are built one at a time as write_csv pulls them
-    blocks = drift_grid_rows(spec, args.grid)
+    blocks = drift_grid_rows(config.spec, args.grid)
     return {"grid": args.grid}, lambda fp, header: write_csv(fp, names, blocks, header=header)
 
 
-def _cmd_ode(args, cfg, spec):
-    h = _setting(args.step, cfg, "ode_step")
-    T = _setting(args.horizon, cfg, "T_horizon")
-    traj = integrate(spec, np.full(spec.n, 0.5), h=h, T=T)
+def _cmd_ode(args, config):
+    h, T = config.ode_step, config.T_horizon
+    traj = integrate(config.spec, np.full(config.spec.n, 0.5), h=h, T=T)
     return {"h": h, "T": T}, lambda fp, header: ode_to_jsonl(traj, fp, extra_header=header)
 
 
-def _cmd_classify(args, cfg, spec):
-    return {}, classify_all(spec).write_csv
+def _cmd_classify(args, config):
+    return {}, classify_all(config.spec).write_csv
 
 
-def _cmd_localmaxima(args, cfg, spec):
+def _cmd_localmaxima(args, config):
+    spec = config.spec
     report = enumerate_local_maxima(spec)
     rows = [
         (bits_to_string(bits), fmt_real(evaluate(spec, bits)), strict)
@@ -269,63 +264,38 @@ def _cmd_localmaxima(args, cfg, spec):
                                             header=header)
 
 
-def _campaign_config(args, cfg: dict) -> ExperimentConfig:
-    spec = _resolve_spec(args, cfg)
-    return _effective_config(
-        cfg, spec,
-        N_values=args.N_list,
-        runs_per_setting=args.runs,
-        master_seed=args.seed,
-        output_dir=args.out,
-        T_horizon=getattr(args, "horizon", None),
-        ode_step=getattr(args, "step", None),
-        max_iters=getattr(args, "max_iters", None),
-    )
+def _cell(value):
+    """A campaign CSV cell: a real in ``REAL_FMT``, a tally as sorted JSON;
+    csv.writer writes None as an empty cell."""
+    if isinstance(value, float):
+        return fmt_real(value)
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return value
 
 
-def _cmd_montecarlo(args) -> int:
-    config = _campaign_config(args, _load_config(args))
-    result = monte_carlo(config)
+def _cmd_campaign(args) -> int:
+    """Run a campaign, then write its summary JSON and its settings CSV, whose
+    columns are the fields of the campaign's row dataclass."""
+    config = _config(args)
+    if args.command == "montecarlo":
+        result = monte_carlo(config)
+        rows, extra = result.settings, {"theorem_scope": result.theorem_scope}
+    else:
+        rows, extra = alpha_sweep(config), {}
+    rows_key, summary_name, table_name, reported = _CAMPAIGNS[args.command]
+    records = [asdict(row) for row in rows]
+    header = provenance(config.config_hash(), config.master_seed)
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = outdir / "montecarlo_summary.json"
-    with open(summary, "w") as fp:
-        json.dump(result.to_json_dict(), fp, indent=2, sort_keys=True)
+    with open(outdir / summary_name, "w") as fp:
+        json.dump({"provenance": header, "config": config.to_json_dict(), rows_key: records,
+                   **extra}, fp, indent=2, sort_keys=True)
         fp.write("\n")
-    rows = [
-        (s.N, fmt_real(s.alpha), json.dumps(dict(sorted(s.convergence_counts.items()))),
-         s.non_terminated,
-         fmt_real(s.mean_iterations) if s.mean_iterations is not None else "",
-         s.terminal_corners_are_local_maxima)
-        for s in result.settings
-    ]
-    with open(outdir / "montecarlo_settings.csv", "w") as fp:
-        write_csv(fp, ["N", "alpha", "convergence_counts", "non_terminated",
-                       "mean_iterations", "terminal_corners_are_local_maxima"],
-                  rows, header=provenance(config.config_hash(), config.master_seed))
-    print(f"wrote {summary}")
-    return 0
-
-
-def _cmd_alphasweep(args) -> int:
-    config = _campaign_config(args, _load_config(args))
-    rows = alpha_sweep(config)
-    outdir = config.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    table = outdir / "alpha_sweep.csv"
-    with open(table, "w") as fp:
-        write_csv(fp, ["N", "alpha", "median_sup_distance", "q90_sup_distance", "runs"],
-                  [(r.N, fmt_real(r.alpha), fmt_real(r.median_sup_distance),
-                    fmt_real(r.q90_sup_distance), r.runs) for r in rows],
-                  header=provenance(config.config_hash(), config.master_seed))
-    with open(outdir / "alpha_sweep_summary.json", "w") as fp:
-        json.dump({
-            "provenance": provenance(config.config_hash(), config.master_seed),
-            "config": config.to_json_dict(),
-            "rows": [r.to_json_dict() for r in rows],
-        }, fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    print(f"wrote {table}")
+    with open(outdir / table_name, "w") as fp:
+        write_csv(fp, list(records[0]), [[_cell(v) for v in r.values()] for r in records],
+                  header=header)
+    print(f"wrote {outdir / reported}")
     return 0
 
 
@@ -336,9 +306,12 @@ _SINGLE_SPEC_COMMANDS = {
     "classify": _cmd_classify,
     "localmaxima": _cmd_localmaxima,
 }
-_CAMPAIGN_COMMANDS = {
-    "montecarlo": _cmd_montecarlo,
-    "alphasweep": _cmd_alphasweep,
+# subcommand -> (the summary's key for its rows, summary JSON, settings CSV,
+# the file stdout names)
+_CAMPAIGNS = {
+    "montecarlo": ("settings", "montecarlo_summary.json", "montecarlo_settings.csv",
+                   "montecarlo_summary.json"),
+    "alphasweep": ("rows", "alpha_sweep_summary.json", "alpha_sweep.csv", "alpha_sweep.csv"),
 }
 
 
@@ -348,14 +321,12 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("missing subcommand (see --help)")
-        if args.command in _CAMPAIGN_COMMANDS:
-            return _CAMPAIGN_COMMANDS[args.command](args)
+        if args.command in _CAMPAIGNS:
+            return _cmd_campaign(args)
         return _single_spec(args, _SINGLE_SPEC_COMMANDS[args.command])
     except (_UsageError, ValueError, OSError) as exc:
         print(f"cgadyn: error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         print(f"cgadyn: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

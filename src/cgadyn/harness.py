@@ -59,29 +59,30 @@ def _is_real(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-# every config field but "spec": what it must be, and the test of its value
-# (a JSON value, or a constructor argument: N_values may be a tuple there)
+# every config field but "spec": its rule, and the test of its value (a
+# JSON value, or a constructor argument: N_values may be a tuple there)
 _CONFIG_FIELDS = {
-    "N_values": ("a list of integers",
-                 lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
-    "runs_per_setting": ("an integer", _is_int),
-    "T_horizon": ("a finite number", _is_real),
-    "master_seed": ("an integer", _is_int),
+    "N_values": (f"a nonempty list of integers in [1, {_MAX_N}], so that 2N fits in int64",
+                 lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                 and all(_is_int(N) and 1 <= N <= _MAX_N for N in v)),
+    "runs_per_setting": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "T_horizon": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
+    "master_seed": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "output_dir": ("a path", lambda v: isinstance(v, (str, Path))),
-    "ode_step": ("a finite number", _is_real),
-    "max_iters": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "ode_step": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
+    "max_iters": ("an integer >= 0 or null", lambda v: v is None or (_is_int(v) and v >= 0)),
 }
 
 
 def check_config_fields(obj: dict) -> None:
-    """Refuse unknown and mistyped fields of a config JSON object; its
-    "spec", if any, is left to spec_from_json_dict."""
+    """Refuse unknown fields of a config JSON object, and fields that break
+    their rule; its "spec", if any, is left to spec_from_json_dict."""
     unknown = set(obj) - set(_CONFIG_FIELDS) - {"spec"}
     if unknown:
         raise DomainError(f"unknown config fields: {sorted(unknown)}")
-    for key, (expected, accepts) in _CONFIG_FIELDS.items():
+    for key, (rule, accepts) in _CONFIG_FIELDS.items():
         if key in obj and not accepts(obj[key]):
-            raise DomainError(f"config field {key!r} must be {expected}, got {obj[key]!r}")
+            raise DomainError(f"config field {key!r} must be {rule}, got {obj[key]!r}")
 
 
 @dataclass
@@ -103,27 +104,11 @@ class ExperimentConfig:
         check_config_fields({key: getattr(self, key) for key in _CONFIG_FIELDS})
         self.N_values = tuple(self.N_values)
         self.output_dir = Path(self.output_dir)
-        if self.runs_per_setting < 1:
-            raise DomainError(f"runs_per_setting must be >= 1, got {self.runs_per_setting}")
-        if not self.N_values or not all(1 <= N <= _MAX_N for N in self.N_values):
-            raise DomainError(f"N_values must be nonempty integers in [1, {_MAX_N}], so that 2N "
-                              f"fits in int64, got {self.N_values}")
-        if self.T_horizon < 0:
-            raise DomainError(f"T_horizon must be nonnegative, got {self.T_horizon}")
-        if not self.ode_step > 0:
-            raise DomainError(f"ode_step must be positive, got {self.ode_step}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": spec_to_json_dict(self.spec),
-            "N_values": list(self.N_values),
-            "runs_per_setting": self.runs_per_setting,
-            "T_horizon": self.T_horizon,
-            "master_seed": self.master_seed,
-            "output_dir": str(self.output_dir),
-            "ode_step": self.ode_step,
-            "max_iters": self.max_iters,
-        }
+        return {"spec": spec_to_json_dict(self.spec),
+                **{key: getattr(self, key) for key in _CONFIG_FIELDS},
+                "N_values": list(self.N_values), "output_dir": str(self.output_dir)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -172,9 +157,7 @@ def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str
       and other values, written by ``csv.writer``;
     - an iterator of 2-D float arrays, such as :func:`drift_grid_rows`
       returns, each block written with every value in ``REAL_FMT`` before
-      the next block is pulled;
-    - a 2-D float array, split into ``_CSV_BLOCK_ROWS``-row blocks that
-      take the iterator's path.
+      the next block is pulled.
 
     A block formats each distinct value once
     (:func:`cgadyn.cga.format_cells`). Reals never need CSV quoting, so
@@ -185,8 +168,6 @@ def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str
             fp.write(f"# {key}: {header[key]}\n")
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(fieldnames)
-    if isinstance(rows, np.ndarray):
-        rows = iter(np.split(rows, range(_CSV_BLOCK_ROWS, len(rows), _CSV_BLOCK_ROWS)))
     if isinstance(rows, Iterator):
         for block in rows:
             fp.write("".join([",".join(row) + "\n" for row in format_cells(block, REAL_FMT).tolist()]))
@@ -211,30 +192,12 @@ class SettingResult:
     mean_iterations: float | None
     terminal_corners_are_local_maxima: bool | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "alpha": self.alpha,
-            "convergence_counts": dict(sorted(self.convergence_counts.items())),
-            "non_terminated": self.non_terminated,
-            "mean_iterations": self.mean_iterations,
-            "terminal_corners_are_local_maxima": self.terminal_corners_are_local_maxima,
-        }
-
 
 @dataclass
 class CampaignResult:
     config: ExperimentConfig
     settings: list[SettingResult]
     theorem_scope: str  # "ok" for injective specs, "outside" otherwise
-
-    def to_json_dict(self) -> dict:
-        return {
-            "provenance": provenance(self.config.config_hash(), self.config.master_seed),
-            "config": self.config.to_json_dict(),
-            "theorem_scope": self.theorem_scope,
-            "settings": [s.to_json_dict() for s in self.settings],
-        }
 
 
 def monte_carlo(cfg: ExperimentConfig) -> CampaignResult:
@@ -285,11 +248,6 @@ class AlphaSweepRow:
     median_sup_distance: float
     q90_sup_distance: float
     runs: int
-
-    def to_json_dict(self) -> dict:
-        return {"N": self.N, "alpha": self.alpha,
-                "median_sup_distance": self.median_sup_distance,
-                "q90_sup_distance": self.q90_sup_distance, "runs": self.runs}
 
 
 def alpha_sweep(cfg: ExperimentConfig) -> list[AlphaSweepRow]:

@@ -28,6 +28,10 @@ from .errors import CapacityError, DimensionError, DomainError, TheoremScopeErro
 # Enumeration-based operations (injectivity, local maxima, drift) do 2^n
 # work; 2^16 tables are still instant, anything larger is refused.
 ENUMERATION_CAP = 16
+# A solution's index is an int64 sum of place values (place_values). Up to
+# this n, 2^n (the count of solutions) and every index fit in int64; no cap
+# raises n past it, so an index never wraps.
+_MAX_INDEX_N = 62
 
 SPEC_KINDS = ("binval", "linear", "perturbed_onemax", "table", "random_injective")
 
@@ -199,12 +203,15 @@ def _integer(value, name: str) -> int:
 
 
 def _check_cap(n, cap: int) -> int:
-    """The solution length n as an int, refusing non-integers, n < 1 and n > cap."""
+    """The solution length n as an int, refusing non-integers, n < 1, n > cap
+    and, whatever the cap, n > _MAX_INDEX_N."""
     n = _integer(n, "solution length")
     if n < 1:
         raise DomainError(f"solution length must be >= 1, got {n}")
     if n > cap:
         raise CapacityError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > _MAX_INDEX_N:
+        raise CapacityError(f"n={n} exceeds {_MAX_INDEX_N}: 2^n and every index must fit in int64")
     return n
 
 

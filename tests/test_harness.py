@@ -72,7 +72,9 @@ def test_config_validation(tmp_path):
     for field, value in (("T_horizon", float("nan")), ("T_horizon", float("inf")),
                          ("ode_step", float("inf")), ("ode_step", float("nan")),
                          ("N_values", (2.7,)), ("N_values", 4), ("runs_per_setting", 2.0),
-                         ("master_seed", True), ("max_iters", 1.5)):
+                         ("master_seed", True), ("max_iters", 1.5),
+                         # SeedSequence takes no negative seed
+                         ("master_seed", -1), ("max_iters", -1), ("T_horizon", -1.0)):
         with pytest.raises(DomainError, match=field):
             small_config(tmp_path, **{field: value})
     with pytest.raises(DomainError):
@@ -80,7 +82,7 @@ def test_config_validation(tmp_path):
             {"spec": {"kind": "binval", "n": 2}, "bogus_field": 1})
     for field, value in (("runs_per_setting", "3"), ("N_values", 4), ("N_values", ["4"]),
                          ("master_seed", "x"), ("T_horizon", float("inf")),
-                         ("max_iters", 1.5)):
+                         ("max_iters", 1.5), ("master_seed", -1)):
         with pytest.raises(DomainError, match=field):
             hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
     # a JSON bool is not an integer, though Python's bool is an int
@@ -88,6 +90,45 @@ def test_config_validation(tmp_path):
                          ("max_iters", True), ("N_values", [True])):
         with pytest.raises(DomainError, match=f"'{field}' must be an? .*integer"):
             hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
+
+
+# a value that breaks each field's rule
+_BAD_FIELDS = [("N_values", [0]), ("runs_per_setting", 0), ("T_horizon", -1.0),
+               ("master_seed", -1), ("ode_step", 0.0), ("max_iters", -1)]
+
+
+@pytest.mark.parametrize("command", ["run", "drift", "ode", "classify", "localmaxima",
+                                     "montecarlo", "alphasweep"])
+def test_every_subcommand_checks_every_config_field(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    for field, value in _BAD_FIELDS:
+        Path("cfg.json").write_text(json.dumps(
+            {"spec": {"kind": "binval", "n": 2}, "N_values": [2, 4], field: value}))
+        assert cli_main([command, "--config", "cfg.json"]) == 1, field
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"cgadyn: error: config field {field!r}")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+_BAD_FLAGS = [
+    (["run", "--N", "0"], "N_values"), (["run", "--N", "2", "--seed", "-1"], "master_seed"),
+    (["run", "--N", "2", "--max-iters", "-1"], "max_iters"),
+    (["ode", "--step", "0"], "ode_step"), (["ode", "--horizon", "-1"], "T_horizon"),
+    (["montecarlo", "--N", "0"], "N_values"), (["montecarlo", "--runs", "0"], "runs_per_setting"),
+    (["montecarlo", "--seed", "-1"], "master_seed"), (["montecarlo", "--max-iters", "-1"], "max_iters"),
+    (["alphasweep", "--runs", "0"], "runs_per_setting"), (["alphasweep", "--seed", "-1"], "master_seed"),
+    (["alphasweep", "--horizon", "-1"], "T_horizon"), (["alphasweep", "--step", "0"], "ode_step"),
+]
+
+
+@pytest.mark.parametrize("argv, field", _BAD_FLAGS,
+                         ids=[f"{argv[0]}{argv[-2]}" for argv, _ in _BAD_FLAGS])
+def test_every_flag_is_checked_by_its_field_rule(tmp_path, monkeypatch, capsys, argv, field):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([*argv, "--spec", "binval", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"cgadyn: error: config field {field!r}")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("field, value", [("find_limit_tol", 1e-8), ("record_every", 1)])
@@ -141,9 +182,7 @@ def test_monte_carlo_terminal_corners_subset_of_maxima(tmp_path):
 
 def test_monte_carlo_reproducible(tmp_path):
     cfg = small_config(tmp_path, runs_per_setting=8)
-    a = hn.monte_carlo(cfg).to_json_dict()
-    b = hn.monte_carlo(cfg).to_json_dict()
-    assert a == b
+    assert hn.monte_carlo(cfg) == hn.monte_carlo(cfg)
 
 
 def test_monte_carlo_non_injective_labeled(tmp_path):
@@ -206,9 +245,7 @@ def test_alpha_sweep_requires_two_N(tmp_path):
 
 def test_alpha_sweep_deterministic(tmp_path):
     cfg = small_config(tmp_path, N_values=(2, 4), runs_per_setting=4)
-    a = [r.to_json_dict() for r in hn.alpha_sweep(cfg)]
-    b = [r.to_json_dict() for r in hn.alpha_sweep(cfg)]
-    assert a == b
+    assert hn.alpha_sweep(cfg) == hn.alpha_sweep(cfg)
 
 
 @pytest.mark.parametrize("spec, N_values, T, h", [
@@ -385,8 +422,9 @@ def test_write_csv_real_array_equals_csv_writer(rng, rows, pooled):
         flat[:k] = _EDGE_REALS[:k]
         flat[-k:] = _EDGE_REALS[-k:]
     names = ["a", "b", "c"]
+    blocks = np.split(table, range(hn._CSV_BLOCK_ROWS, rows, hn._CSV_BLOCK_ROWS))
     buf = io.StringIO()
-    hn.write_csv(buf, names, table, header={"seed": 1}, footer=["end"])
+    hn.write_csv(buf, names, iter(blocks), header={"seed": 1}, footer=["end"])
     assert buf.getvalue() == "# seed: 1\n" + reference_real_csv(names, table) + "# end\n"
 
 
@@ -554,6 +592,37 @@ def test_cli_classify_stdout_bytes_are_pinned(capsys, spec_args, sha256):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (["montecarlo", "--out", "mc"], {
+        "mc/montecarlo_summary.json":
+            "fb6d52b24438ecb8c250456e68cc36bf6b18a6af3655bf49531a94f3a833ad16",
+        "mc/montecarlo_settings.csv":
+            "307e65b4fe50505a68d5c4c7c6579a197bfa94aaab4772e4b815f162ef23fc6c",
+    }),
+    (["alphasweep", "--out", "sweep"], {
+        "sweep/alpha_sweep.csv":
+            "d4a1e3bd14065e27395de19d1026e1a768c10de26656caf61727c43b3932b6c8",
+        "sweep/alpha_sweep_summary.json":
+            "95f18ebf0ab03bee36cfd423b796e19093455f858342d2889010b0e19dd5e865",
+    }),
+    (["run", "--N", "8", "--seed", "3", "--out", "run.jsonl"], {
+        "run.jsonl": "dee459d724b9953a4dc9cd71cf9d93f02cdbd9199e5b32971536ed169dea3c9b",
+    }),
+    (["ode", "--step", "0.1", "--out", "ode.jsonl"], {
+        "ode.jsonl": "821ba2a9b039898fa82ee1818289df1d3505353cea1c2925ccd0cf2ad0317b96",
+    }),
+], ids=["montecarlo", "alphasweep", "run", "ode"])
+def test_cli_campaign_and_trajectory_bytes_are_pinned(tmp_path, monkeypatch, argv, sha256):
+    # output_dir is part of the hashed config, so the paths are relative
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({
+        "spec": {"kind": "binval", "n": 3}, "N_values": [4, 8], "runs_per_setting": 3,
+        "T_horizon": 1.0, "master_seed": 2, "ode_step": 0.05,
+    }))
+    assert cli_main([*argv, "--config", "cfg.json"]) == 0
+    assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in sha256} == sha256
+
+
 def test_demo_campaign_script_runs(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(cgadyn.__file__).parents[1])}
     script = Path(__file__).parents[1] / "scripts" / "demo_campaign.py"
@@ -563,6 +632,16 @@ def test_demo_campaign_script_runs(tmp_path):
     for name in ("classify_binval4", "classify_two_max", "classify_rugged5",
                  "classify_binval3_cli"):
         assert (tmp_path / f"{name}.csv").is_file(), name
+
+
+def test_calibrate_alpha_sweep_script_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(cgadyn.__file__).parents[1])}
+    script = Path(__file__).parents[1] / "scripts" / "calibrate_alpha_sweep.py"
+    done = subprocess.run([sys.executable, str(script), "--runs", "2", "--horizon", "1"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split()[0] for line in done.stdout.splitlines()[2:-1]]
+    assert rows == ["32", "128", "512", "2048"]
 
 
 def test_cli_run_jsonl(capsys):
@@ -608,6 +687,12 @@ def test_cli_malformed_config(tmp_path, capsys):
     assert cli_main(["ode", "--config", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 1
     err = capsys.readouterr().err
     assert "ode_step" in err and "internal error" not in err
+    # the config's spec is checked even where a flag replaces it
+    bad.write_text(json.dumps({"spec": {"kind": "bogus"}}))
+    argv = ["classify", "--config", str(bad), "--spec", "binval", "--n", "2"]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("spec_obj, needle", [

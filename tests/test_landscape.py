@@ -81,6 +81,14 @@ def test_enumeration_cap():
         ls.fitness_values(big)
 
 
+def test_raised_cap_stops_where_the_int64_index_would_wrap():
+    # at n = 64 the index 2^63 wrapped to -9.22e18; no cap reaches past n = 62
+    for n in (63, 64):
+        with pytest.raises(CapacityError, match="int64"):
+            ls.binval(n, cap=100)
+    assert ls.evaluate(ls.binval(62, cap=62), [1] + [0] * 61) == 2.0 ** 61
+
+
 def test_local_maxima_binval():
     report = ls.enumerate_local_maxima(ls.binval(2))
     assert report.maxima == ((1, 1),)
