@@ -1,25 +1,23 @@
 #!/usr/bin/env python3
 """End-to-end demo campaign: classification, Monte Carlo tallies, and a
-learning-step sweep for a few landscapes, written under ./outputs.
+learning-step sweep for a few landscapes, written under ./outputs through
+the cgadyn command, so every file carries its provenance header.
 
 Usage: python scripts/demo_campaign.py [--outdir outputs] [--seed 0]
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from cgadyn import (
-    ExperimentConfig,
-    alpha_sweep,
-    binval,
-    classify_all,
-    monte_carlo,
-    random_injective,
-    table_spec,
-)
 from cgadyn.cli import cli_main
-from cgadyn.harness import fmt_real, provenance, write_csv
+
+
+def cgadyn(*argv) -> None:
+    rc = cli_main([str(a) for a in argv])
+    if rc:
+        sys.exit(rc)
 
 
 def main() -> None:
@@ -30,43 +28,33 @@ def main() -> None:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    specs = {
-        "binval4": binval(4),
-        "two_max": table_spec({"00": 3.0, "01": 1.0, "10": 2.0, "11": 4.0}),
-        "rugged5": random_injective(5, seed=7),
+    two_max = args.outdir / "two_max_spec.json"
+    two_max.write_text(json.dumps(
+        {"kind": "table", "n": 2, "table": {"00": 3.0, "01": 1.0, "10": 2.0, "11": 4.0}}))
+    specs = {  # name -> the flags that select its spec
+        "binval4": ["--spec", "binval", "--n", "4"],
+        "two_max": ["--spec-file", two_max],
+        "rugged5": ["--spec", "random_injective", "--n", "5", "--spec-seed", "7"],
+        "binval3_cli": ["--spec", "binval", "--n", "3"],
     }
+    for name, flags in specs.items():
+        table = args.outdir / f"classify_{name}.csv"
+        cgadyn("classify", *flags, "--out", table)
+        text = table.read_text()
+        print(f"{name}: {text.count(',asymptotically_stable,')} stable corner(s), "
+              f"local-max oracle {text.splitlines()[-1][2:]}")
 
-    for name, spec in specs.items():
-        report = classify_all(spec)
-        path = args.outdir / f"classify_{name}.csv"
-        with open(path, "w") as fp:
-            report.write_csv(fp, header=provenance(f"demo-{name}", args.seed))
-        stable = sum(r.verdict == "asymptotically_stable" for r in report.rows)
-        print(f"{name}: {stable} stable corner(s) of {len(report.rows)}, "
-              f"agreement with the local-max oracle: {report.all_agree}")
+        mc = args.outdir / f"montecarlo_{name}"
+        cgadyn("montecarlo", *flags, "--N", 16, "--N", 64, "--runs", args.runs,
+               "--seed", args.seed, "--out", mc)
+        for s in json.loads((mc / "montecarlo_summary.json").read_text())["settings"]:
+            print(f"  N={s['N']}: terminal corners {s['convergence_counts']}, "
+                  f"non-terminated {s['non_terminated']}, mean iters {s['mean_iterations']:.0f}")
 
-        cfg = ExperimentConfig(spec=spec, N_values=(16, 64), runs_per_setting=args.runs,
-                               master_seed=args.seed, output_dir=args.outdir)
-        result = monte_carlo(cfg)
-        for s in result.settings:
-            print(f"  N={s.N}: terminal corners {s.convergence_counts}, "
-                  f"non-terminated {s.non_terminated}, mean iters {s.mean_iterations:.0f}")
-
-    sweep_cfg = ExperimentConfig(
-        spec=binval(8), N_values=(32, 128, 512), runs_per_setting=50,
-        T_horizon=5.0, master_seed=args.seed, output_dir=args.outdir)
-    rows = alpha_sweep(sweep_cfg)
-    with open(args.outdir / "alpha_sweep_binval8.csv", "w") as fp:
-        write_csv(fp, ["N", "alpha", "median_sup_distance", "q90_sup_distance", "runs"],
-                  [(r.N, fmt_real(r.alpha), fmt_real(r.median_sup_distance),
-                    fmt_real(r.q90_sup_distance), r.runs) for r in rows],
-                  header=provenance(sweep_cfg.config_hash(), args.seed))
-    print("sweep medians:", {r.N: round(r.median_sup_distance, 4) for r in rows})
-
-    # the same campaign is reachable through the CLI
-    rc = cli_main(["classify", "--spec", "binval", "--n", "3",
-                   "--out", str(args.outdir / "classify_binval3_cli.csv")])
-    sys.exit(rc)
+    cgadyn("alphasweep", "--spec", "binval", "--n", 8, "--N", 32, "--N", 128, "--N", 512,
+           "--runs", 50, "--horizon", 5.0, "--seed", args.seed, "--out", args.outdir)
+    rows = json.loads((args.outdir / "alpha_sweep_summary.json").read_text())["rows"]
+    print("sweep medians:", {r["N"]: round(r["median_sup_distance"], 4) for r in rows})
 
 
 if __name__ == "__main__":

@@ -358,9 +358,8 @@ def format_cells(a, fmt: str) -> np.ndarray:
 
     Each distinct bit pattern is formatted once and its text gathered back
     into place. That pays where values repeat, as in a run's states (they
-    lie on the 1/(2N) grid) and a drift grid; a flow's states are nearly all
-    distinct, so :func:`cgadyn.ode.ode_to_jsonl` does not use it. Keying on
-    bits, not values, keeps ``0.0`` and ``-0.0`` apart.
+    lie on the 1/(2N) grid) and a drift grid. Keying on bits, not values,
+    keeps ``0.0`` and ``-0.0`` apart.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     keys, inverse = np.unique(a.view(np.uint64), return_inverse=True)
@@ -369,28 +368,35 @@ def format_cells(a, fmt: str) -> np.ndarray:
     return text[inverse.reshape(a.shape)]
 
 
-def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | None = None) -> None:
-    """Write one header record then one {"k", "p"} record per snapshot.
+def write_jsonl(fp, header: dict, key: str, stamps, states) -> None:
+    """Write ``header`` as one JSON record, then one ``{key: stamp, "p": row}``
+    record per stamp and row of ``states``.
 
-    The records are formatted in one pass, each float by ``repr`` through
-    :func:`format_cells`: for finite floats that is the text ``json.dumps``
-    writes, so the bytes are those of one ``json.dumps`` call per record.
+    The records are formatted in one pass, each stamp and each float by
+    ``repr`` (the floats through :func:`format_cells`): for finite floats
+    and ints that is the text ``json.dumps`` writes, so the bytes are those
+    of one ``json.dumps`` call per record.
     """
+    fp.write(json.dumps(header, sort_keys=True) + "\n")
+    fp.write("".join([
+        '{"%s": %r, "p": [%s]}\n' % (key, stamp, ", ".join(row))
+        for stamp, row in zip(stamps, format_cells(states, "%r").tolist())
+    ]))
+
+
+def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | None = None) -> None:
+    """Write one header record then one {"k", "p"} record per snapshot
+    (:func:`write_jsonl`)."""
     header = {
         "format": "cga-trajectory",
         "n": traj.n,
         "N": traj.alpha_steps,
         "alpha": traj.alpha,
-        "seed": list(traj.seed) if isinstance(traj.seed, (tuple, list)) else traj.seed,
+        "seed": traj.seed,
         "spec": spec_to_json_dict(traj.spec),
         "iterations": traj.iterations,
         "terminated": traj.terminated,
         "record_every": traj.record_every,
+        **(extra_header or {}),
     }
-    if extra_header:
-        header.update(extra_header)
-    fp.write(json.dumps(header, sort_keys=True) + "\n")
-    fp.write("".join([
-        '{"k": %d, "p": [%s]}\n' % (k, ", ".join(row))
-        for k, row in zip(traj.recorded_ks.tolist(), format_cells(traj.states, "%r").tolist())
-    ]))
+    write_jsonl(fp, header, "k", traj.recorded_ks.tolist(), traj.states)

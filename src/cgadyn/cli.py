@@ -38,7 +38,6 @@ from .harness import (
     check_config_fields,
     classify_all,
     drift_grid_rows,
-    fmt_real,
     hash_of,
     monte_carlo,
     provenance,
@@ -256,22 +255,10 @@ def _cmd_classify(args, config):
 def _cmd_localmaxima(args, config):
     spec = config.spec
     report = enumerate_local_maxima(spec)
-    rows = [
-        (bits_to_string(bits), fmt_real(evaluate(spec, bits)), strict)
-        for bits, strict in zip(report.maxima, report.strict_flags)
-    ]
+    rows = [(bits_to_string(bits), evaluate(spec, bits), strict)
+            for bits, strict in zip(report.maxima, report.strict_flags)]
     return {}, lambda fp, header: write_csv(fp, ["solution", "fitness", "strict"], rows,
                                             header=header)
-
-
-def _cell(value):
-    """A campaign CSV cell: a real in ``REAL_FMT``, a tally as sorted JSON;
-    csv.writer writes None as an empty cell."""
-    if isinstance(value, float):
-        return fmt_real(value)
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True)
-    return value
 
 
 def _cmd_campaign(args) -> int:
@@ -293,8 +280,7 @@ def _cmd_campaign(args) -> int:
                    **extra}, fp, indent=2, sort_keys=True)
         fp.write("\n")
     with open(outdir / table_name, "w") as fp:
-        write_csv(fp, list(records[0]), [[_cell(v) for v in r.values()] for r in records],
-                  header=header)
+        write_csv(fp, list(records[0]), [r.values() for r in records], header=header)
     print(f"wrote {outdir / reported}")
     return 0
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +40,6 @@ from .ode import LockstepSupDistance, _last_jump, integrate
 
 
 REAL_FMT = "%.17g"  # 17 significant digits: parses back to the same float
-
-
-def fmt_real(x) -> str:
-    """17-significant-digit decimal form; parses back to the same float."""
-    return REAL_FMT % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +143,26 @@ def hash_of(obj) -> str:
 _CSV_BLOCK_ROWS = 4096
 
 
+def _cell(value):
+    """One CSV cell: a real in ``REAL_FMT``, a tuple of reals joined by ``;``,
+    a dict (a tally) as sorted-key JSON, anything else as csv.writer writes
+    it (None becomes an empty cell)."""
+    if isinstance(value, float):
+        return REAL_FMT % value
+    if isinstance(value, tuple):
+        return ";".join([REAL_FMT % x for x in value])
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return value
+
+
 def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str] | None = None):
     """Comment-prefixed provenance lines, then an RFC-style CSV table.
 
     ``rows`` is one of:
 
-    - a list (or other iterable that is not an iterator) of rows of strings
-      and other values, written by ``csv.writer``;
+    - a list (or other iterable that is not an iterator) of rows of raw
+      values, each cell written by one rule (:func:`_cell`);
     - an iterator of 2-D float arrays, such as :func:`drift_grid_rows`
       returns, each block written with every value in ``REAL_FMT`` before
       the next block is pulled.
@@ -172,7 +180,7 @@ def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str
         for block in rows:
             fp.write("".join([",".join(row) + "\n" for row in format_cells(block, REAL_FMT).tolist()]))
     else:
-        writer.writerows(rows)
+        writer.writerows(map(_cell, row) for row in rows)
     for line in footer or ():
         fp.write(f"# {line}\n")
 
@@ -308,16 +316,12 @@ class ClassificationReport:
         return self.agreement_count == len(self.rows)
 
     def write_csv(self, fp, header: dict | None = None) -> None:
-        rows = [
-            (r.corner, fmt_real(r.fitness), r.local_max, r.verdict,
-             ";".join(fmt_real(e) for e in r.eigenvalues), r.agreement)
-            for r in self.rows
-        ]
         summary = f"agreement: {self.agreement_count}/{len(self.rows)}" + (
             " (100%)" if self.all_agree else " (MISMATCH)"
         )
-        write_csv(fp, ["corner", "fitness", "local_max", "verdict", "eigenvalues", "agreement"],
-                  rows, header=header, footer=[summary])
+        # vars, not dataclasses.astuple, which deep-copies every field
+        write_csv(fp, [f.name for f in fields(ClassificationRow)],
+                  [vars(r).values() for r in self.rows], header=header, footer=[summary])
 
 
 def classify_all(spec: FitnessSpec) -> ClassificationReport:

@@ -9,14 +9,13 @@ only absorb O(h^5) overshoot and their count is reported.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, HorizonError
-from .cga import StochasticTrajectory, _iteration_of
+from .cga import StochasticTrajectory, _iteration_of, write_jsonl
 from .drift_field import _as_pv, drift
 from .landscape import FitnessSpec, spec_to_json_dict
 
@@ -36,7 +35,6 @@ class OdeTrajectory:
     times: np.ndarray    # (M+1,)
     states: np.ndarray   # (M+1, n) or (M+1, B, n), all inside [0,1]^n
     step: float
-    initial: np.ndarray
     clamp_count: int
     spec: FitnessSpec
 
@@ -124,8 +122,7 @@ def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTra
         clipped = nxt.clip(0.0, 1.0)
         clamps += int(np.count_nonzero(clipped != nxt))
         states[i] = clipped
-    return OdeTrajectory(times=times, states=states, step=float(h), initial=x.copy(),
-                         clamp_count=clamps, spec=spec)
+    return OdeTrajectory(times=times, states=states, step=float(h), clamp_count=clamps, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +357,8 @@ class LockstepSupDistance:
 # ---------------------------------------------------------------------------
 
 def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> None:
-    """Same record shape as stochastic trajectories, with "t" replacing "k".
-
-    Like :func:`cgadyn.cga.trajectory_to_jsonl`, the records are formatted
-    in one pass with ``repr`` for each float, the text ``json.dumps`` writes
-    for finite floats.
-    """
+    """Same record shape as stochastic trajectories, with "t" replacing "k"
+    (:func:`cgadyn.cga.write_jsonl`)."""
     if traj.states.ndim != 2:
         raise DimensionError("ode_to_jsonl needs a one-start trajectory")
     header = {
@@ -375,11 +368,6 @@ def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> N
         "T": traj.horizon,
         "clamp_count": traj.clamp_count,
         "spec": spec_to_json_dict(traj.spec),
+        **(extra_header or {}),
     }
-    if extra_header:
-        header.update(extra_header)
-    fp.write(json.dumps(header, sort_keys=True) + "\n")
-    fp.write("".join([
-        '{"t": %r, "p": [%s]}\n' % (t, ", ".join(map(repr, row)))
-        for t, row in zip(traj.times.tolist(), traj.states.tolist())
-    ]))
+    write_jsonl(fp, header, "t", traj.times.tolist(), traj.states)

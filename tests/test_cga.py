@@ -386,17 +386,18 @@ def test_interpolation_thinned_refuses_fine_queries():
 # --- serialization -----------------------------------------------------------
 
 def test_trajectory_jsonl():
-    traj = C.run(ls.binval(2), 4, seed=1, max_iters=50)
-    buf = io.StringIO()
-    C.trajectory_to_jsonl(traj, buf)
-    lines = buf.getvalue().splitlines()
-    header = json.loads(lines[0])
-    assert header["n"] == 2 and header["N"] == 4 and header["alpha"] == 0.125
-    assert header["seed"] == 1
-    assert header["spec"] == {"kind": "binval", "n": 2}
-    assert len(lines) == 1 + traj.counts.shape[0]
-    first = json.loads(lines[1])
-    assert first == {"k": 0, "p": [0.5, 0.5]}
+    for seed, written in ((1, 1), ((4, 8, 0), [4, 8, 0])):  # JSON writes a tuple as a list
+        traj = C.run(ls.binval(2), 4, seed=seed, max_iters=50)
+        buf = io.StringIO()
+        C.trajectory_to_jsonl(traj, buf)
+        lines = buf.getvalue().splitlines()
+        header = json.loads(lines[0])
+        assert header["n"] == 2 and header["N"] == 4 and header["alpha"] == 0.125
+        assert header["seed"] == written
+        assert header["spec"] == {"kind": "binval", "n": 2}
+        assert len(lines) == 1 + traj.counts.shape[0]
+        first = json.loads(lines[1])
+        assert first == {"k": 0, "p": [0.5, 0.5]}
 
 
 def test_jsonl_bytes_reproducible():

@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -151,9 +153,27 @@ _EDGE_REALS = [0.0, -0.0, 1.0, 5e-324, 1e-5, 1e16, 2 / 3, float(np.nextafter(1.0
 
 def test_fmt_real_roundtrips():
     for x in (0.1, 1 / 3, 2.0 ** -52, 123456.789, *_EDGE_REALS):
-        assert float(hn.fmt_real(x)) == x
-        assert hn.fmt_real(x) == format(x, ".17g")
-    assert [hn.fmt_real(x) for x in (np.inf, -np.inf, np.nan)] == ["inf", "-inf", "nan"]
+        assert float(hn._cell(x)) == x
+        assert hn._cell(x) == format(x, ".17g")
+    assert [hn._cell(x) for x in (np.inf, -np.inf, np.nan)] == ["inf", "-inf", "nan"]
+
+
+def test_write_csv_rows_write_every_cell_by_one_rule():
+    # callers pass raw values; write_csv alone decides how each is written
+    tally = {"10": 2, "01": 1}  # keys out of order
+    reals = tuple(_EDGE_REALS)
+    rows = [[x, reals, tally, None, True, False, 7, -3, "a,b"]
+            for x in [*_EDGE_REALS, -0.0, np.float64(0.1)]]
+    names = [f"c{i}" for i in range(len(rows[0]))]
+    buf = io.StringIO()
+    hn.write_csv(buf, names, rows, header={"seed": 1}, footer=["end"])
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(names)
+    for x, eigs, counts, *rest in rows:
+        writer.writerow(["%.17g" % x, ";".join("%.17g" % e for e in eigs),
+                         json.dumps(counts, sort_keys=True), *rest])
+    assert buf.getvalue() == "# seed: 1\n" + expected.getvalue() + "# end\n"
 
 
 # --- Monte Carlo campaign ------------------------------------------------------
@@ -623,6 +643,21 @@ def test_cli_campaign_and_trajectory_bytes_are_pinned(tmp_path, monkeypatch, arg
     assert {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in sha256} == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    # the linear weights' sums have no short decimal form, so 17 digits show
+    (["localmaxima", "--spec", "linear", "--weights", "0.1,0.25,3.5"],
+     "9e69fcd11619d3fc9910ed7c68f06e58a13513b7a124a6b5a6430a1123c35ca0"),
+    (["classify", "--spec", "linear", "--weights", "0.1,0.25,3.5"],
+     "9348aaa7924229f2d7929868d8ae9ffb4477abc71de18b37574d502bd3e46ddb"),
+    (["drift", "--spec", "random_injective", "--n", "3", "--spec-seed", "4", "--grid", "7"],
+     "85fe243d7231dd8feea0f5da46e58ceed4cc0abeb5ee35e887052a2dd3e5ff23"),
+], ids=["localmaxima", "classify", "drift"])
+def test_cli_table_bytes_are_pinned(tmp_path, argv, sha256):
+    out = tmp_path / "table.csv"
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_demo_campaign_script_runs(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(cgadyn.__file__).parents[1])}
     script = Path(__file__).parents[1] / "scripts" / "demo_campaign.py"
@@ -630,8 +665,13 @@ def test_demo_campaign_script_runs(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     for name in ("classify_binval4", "classify_two_max", "classify_rugged5",
-                 "classify_binval3_cli"):
+                 "classify_binval3_cli", "alpha_sweep"):
         assert (tmp_path / f"{name}.csv").is_file(), name
+    # every table is stamped with the hash of the settings that made it
+    hashes = [line for path in tmp_path.rglob("*.csv") for line in path.read_text().splitlines()
+              if line.startswith("# config_hash:")]
+    assert len(hashes) == len(list(tmp_path.rglob("*.csv")))
+    assert all(re.fullmatch(r"# config_hash: [0-9a-f]{16}", line) for line in hashes), hashes
 
 
 def test_calibrate_alpha_sweep_script_runs():

@@ -382,7 +382,7 @@ def test_sup_distance_counts_left_limits(spec, N, T, seed):
     traj = C.run(spec, N, seed=seed, max_iters=steps)
     ks = np.arange(steps + 1)
     states = traj.states[np.minimum(ks, traj.iterations)]
-    b = od.OdeTrajectory(times=ks * alpha, states=states, step=alpha, initial=states[0],
+    b = od.OdeTrajectory(times=ks * alpha, states=states, step=alpha,
                          clamp_count=0, spec=spec)
     moves = np.linalg.norm(np.diff(traj.states, axis=0), axis=-1)
     assert moves.max() > 0
@@ -419,7 +419,7 @@ def test_lockstep_sup_distance_equals_serial_on_shadowing_flows(spec, N, T, init
             states[0] += 0.5 * rng.random()
             states[1] += 0.5 * rng.random() * np.sign(p[1] - p[0])
         return od.OdeTrajectory(times=np.arange(steps + 1) * alpha, states=states, step=alpha,
-                                initial=p[0], clamp_count=0, spec=spec)
+                                clamp_count=0, spec=spec)
 
     def tracked(b, seeds):
         tracker = od.LockstepSupDistance(b, T, N, len(seeds))
