@@ -17,15 +17,19 @@ order.
 
 Runs are stepped R at a time on an (R, n) counts array (:func:`lockstep`;
 :func:`run` is the case R = 1), and ``_update`` is the only code that
-samples and competes. Each run draws a block of B iterations' uniforms
-into its own row of a slab, B * 2 * n of them in stream order, and one
-copy lays the block out iteration-major; iteration j reads the n uniforms
-of sample a, then the n of sample b: the stream order of two
-``rng.random(n)`` calls per iteration. Corners absorb, since at p_i in
-{0, 1} both samples agree and the update is zero; so instead of testing
-for a corner after every iteration, one vectorised scan of a block's
-snapshots finds each run's first corner, and finished runs leave the
-active set between blocks.
+samples and competes. The runs of one lockstep may differ in N and in
+their iteration budgets, so a campaign steps every run of every N in one
+lockstep, as long as its longest run needs. Each run draws a block of B
+iterations' uniforms into its own row of a slab, B * 2 * n of them in
+stream order, and one copy lays the block out iteration-major; iteration
+j reads the n uniforms of sample a, then the n of sample b: the stream
+order of two ``rng.random(n)`` calls per iteration. Corners absorb, since
+at p_i in {0, 1} both samples agree and the update is zero; so instead of
+testing for a corner after every iteration, one vectorised scan of a
+block's snapshots finds each run's first corner, and finished runs leave
+the active set between blocks. A block is cut to 2**15 uniforms over all
+active runs, but to no fewer than 32 iterations, since each block costs
+one ``Generator.random`` call per active run.
 """
 
 from __future__ import annotations
@@ -49,11 +53,12 @@ def default_max_iters(N: int, n: int) -> int:
 # one iteration
 # ---------------------------------------------------------------------------
 
-def _update(counts: np.ndarray, inv: float, vals, pow2, u) -> None:
+def _update(counts: np.ndarray, inv, vals, pow2, u) -> None:
     """One iteration of R runs in place, counts of shape (R, n): with
-    p = counts * inv, one comparison ``u < p`` of the (2, R, n) uniforms
-    samples a (``u[0]``) and b (``u[1]``) of every row; the fitter by the
-    table ``vals`` (a on a tie) wins; counts[r] += winner - loser."""
+    p = counts * inv (``inv`` is 1/(2N), one scalar or one entry per count),
+    one comparison ``u < p`` of the (2, R, n) uniforms samples a (``u[0]``)
+    and b (``u[1]``) of every row; the fitter by the table ``vals`` (a on a
+    tie) wins; counts[r] += winner - loser."""
     ab = u < counts * inv
     f = vals[ab @ pow2]
     # winner - loser is a - b, negated where b is strictly fitter
@@ -62,7 +67,7 @@ def _update(counts: np.ndarray, inv: float, vals, pow2, u) -> None:
     counts += delta
 
 
-def _at_corner(counts: np.ndarray, two_n: int) -> np.ndarray:
+def _at_corner(counts: np.ndarray, two_n) -> np.ndarray:
     return ((counts == 0) | (counts == two_n)).all(axis=-1)
 
 
@@ -132,7 +137,7 @@ class StochasticTrajectory:
 
 @dataclass
 class LockstepResult:
-    """Where each of R lockstep runs ended: the shared start ``initial`` (n,),
+    """Where each of R lockstep runs ended: its start ``initial`` (R, n),
     final ``counts`` (R, n), ``iterations`` (R,) and ``terminated`` (R,)."""
 
     initial: np.ndarray
@@ -140,12 +145,21 @@ class LockstepResult:
     iterations: np.ndarray
     terminated: np.ndarray
 
+    def __getitem__(self, rows) -> "LockstepResult":
+        """The runs ``rows`` (a slice or an index array) of this result."""
+        return LockstepResult(self.initial[rows], self.counts[rows], self.iterations[rows],
+                              self.terminated[rows])
 
-# uniforms drawn per block, summed over the active runs (256 KiB of float64)
+
+# uniforms drawn per block, summed over the active runs (256 KiB of float64),
+# unless that would make a block shorter than _MIN_DRAW iterations: each
+# block costs one Generator.random call per active run
 _BLOCK_UNIFORMS = 1 << 15
+_MIN_DRAW = 32
 _MIN_BLOCK, _MAX_BLOCK = 8, 256
+_INT64_MAX = int(np.iinfo(np.int64).max)
 # counts run from 0 to 2N in int64
-_MAX_N = np.iinfo(np.int64).max // 2
+_MAX_N = _INT64_MAX // 2
 # above this 2N a float64 start cannot name every grid point, and p * 2N
 # can round past int64
 _MAX_START_2N = 1 << 53
@@ -174,89 +188,129 @@ def _initial_counts(initial, N: int, n: int) -> np.ndarray:
     return counts
 
 
+def _per_run(values: np.ndarray, runs: int, name: str) -> np.ndarray:
+    """One int64 per run from ``values``, an object array of integers: one
+    value serves every run, a sequence gives one per run. Values past int64
+    are clipped to it, which no iteration count reaches."""
+    if values.ndim > 1 or (values.ndim == 1 and values.size != runs):
+        raise DimensionError(
+            f"{name} must be one integer or one per run ({runs}), got shape {values.shape}")
+    return np.broadcast_to(np.asarray(np.minimum(values, _INT64_MAX), dtype=np.int64), (runs,))
+
+
 def lockstep(
     spec: FitnessSpec,
-    N: int,
+    N,
     seeds,
     *,
     initial=None,
-    max_iters: int | None = None,
+    max_iters=None,
     on_block=None,
 ) -> LockstepResult:
-    """Step one run per seed together until each is at a corner or the budget ends.
+    """Step one run per seed together until each is at a corner or its budget ends.
 
-    All runs start from ``initial`` (default the center) and advance one
-    iteration at a time on an (R, n) counts array, in blocks of B
-    iterations. Per block, run r draws B * 2 * n uniforms from its own
+    ``N`` and ``max_iters`` are each one integer for every run or one per
+    run (default budget: :func:`default_max_iters` of the run's N). Run r
+    starts from ``initial`` on its own 1/(2N) grid (default the center) and
+    advances one iteration at a time on an (R, n) counts array, in blocks
+    of B iterations. Per block, run r draws B * 2 * n uniforms from its own
     ``PCG64(SeedSequence(seeds[r]))`` into its row of a slab, and one copy
     lays the block out iteration-major, read as a then b per iteration; so
-    it is bit-identical to the same run stepped alone. After each block,
-    ``on_block(rows, k0, snaps, ends)`` sees the runs that were active at its
-    start: ``rows`` their indices, ``snaps[i, j]`` the counts of run
-    ``rows[i]`` after iteration ``k0 + j`` for j = 0..B, and ``ends[i]`` that
-    run's last iteration so far (its corner, or the block's end). So
-    ``snaps[:, 0]`` is the block's start: ``initial`` in the first block, the
-    previous block's last column in every later one. Snapshots past a
-    corner repeat it; the next block overwrites ``snaps``, so copy what you
-    keep. Runs at a corner leave the active set.
+    it is bit-identical to the same run stepped alone, whatever runs share
+    its lockstep.
+
+    A block is as long as the slowest active run needs to reach a corner
+    (at least 8 iterations, or k0 / 8 after k0 iterations; at most 256),
+    cut to the smallest remaining budget among the active runs and to
+    2**15 uniforms over all of them, but never below 32 iterations for that
+    last cut. After each block, ``on_block(rows, k0, snaps, ends)`` sees the
+    runs that were active at its start: ``rows`` their indices in
+    increasing order, ``snaps[i, j]`` the counts of run ``rows[i]`` after
+    iteration ``k0 + j`` for j = 0..B, and ``ends[i]`` that run's last
+    iteration so far (its corner, or the block's end). So ``snaps[:, 0]`` is
+    the block's start: ``initial`` in the first block, the previous block's
+    last column in every later one. Snapshots past a corner repeat it; the
+    next block overwrites ``snaps``, so copy what you keep. Runs at a corner
+    or at the end of their budget leave the active set.
     """
-    if not 1 <= N <= _MAX_N:
-        raise DomainError(f"N must lie in [1, {_MAX_N}], so that 2N fits in int64, got {N}")
     n = spec.n
-    if max_iters is None:
-        max_iters = default_max_iters(N, n)
-    if max_iters < 0:
-        raise DomainError(f"max_iters must be >= 0, got {max_iters}")
-    start = _initial_counts(initial, N, n)
+    Ns = np.asarray(N, dtype=object)
+    grid = sorted(set(Ns.ravel().tolist()))  # the distinct N
+    for value in grid:
+        if not 1 <= value <= _MAX_N:
+            raise DomainError(
+                f"N must lie in [1, {_MAX_N}], so that 2N fits in int64, got {value}")
+    budgets = np.asarray(default_max_iters(Ns, n) if max_iters is None else max_iters,
+                         dtype=object)
+    for value in set(budgets.ravel().tolist()):
+        if value < 0:
+            raise DomainError(f"max_iters must be >= 0, got {value}")
+    # the start of every distinct N, gathered per run below
+    starts = np.array([_initial_counts(initial, N_, n) for N_ in grid],
+                      dtype=np.int64).reshape(-1, n)
     rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    R = len(rngs)
+    Ns = _per_run(Ns, R, "N")
+    budgets = _per_run(budgets, R, "max_iters")
     vals = fitness_values(spec)
     pow2 = place_values(n)
-    two_n = 2 * N
+    # snapshots are kept in the narrowest integer type that holds the
+    # largest 2N, and so is 2N itself, so that no test of a snapshot casts
+    # it. 2N and 1/(2N) are kept for every count, so that each test of the
+    # counts and p = counts * inv are elementwise, as fast as with one N
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= 2 * max(grid, default=0))
+    two_n = np.repeat(2 * Ns[:, None], n, axis=1).astype(dtype)
     inv = 1.0 / two_n
 
-    counts = np.tile(start, (len(rngs), 1))
-    iterations = np.zeros(len(rngs), dtype=np.int64)
-    terminated = np.full(len(rngs), bool(_at_corner(start, two_n)))
-    rows = np.flatnonzero(~terminated)
-    # every block reuses the same flat buffers; snapshots are kept in the
-    # narrowest integer type that holds 2N
+    start = starts[np.searchsorted(grid, Ns)]
+    counts = start.copy()
+    iterations = np.zeros(R, dtype=np.int64)
+    terminated = _at_corner(start, two_n)
+    rows = np.flatnonzero(~terminated & (budgets > 0))
+    # every block reuses the same flat buffers, sized for the blocks that
+    # _BLOCK_UNIFORMS caps; they grow for a block the _MIN_DRAW floor lengthens
     size = max(_BLOCK_UNIFORMS, 2 * n * rows.size)
-    slab_buf = np.empty(size)
-    u_buf = np.empty(size)
-    snaps_buf = np.empty(size // 2 + n * rows.size, dtype=next(
-        t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= two_n))
+    slab_buf, u_buf = np.empty(size), np.empty(size)
+    snaps_buf = np.empty(size // 2 + n * rows.size, dtype=dtype)
     k0 = 0
-    while rows.size and k0 < max_iters:
+    while rows.size:
         c = counts[rows]
+        c_two_n = two_n[rows]
         # the slowest active run needs at least `need` iterations to reach a
         # corner, so a block of that length never outlasts every run; past
         # that, iterations stepped beyond the last corner stay under k0 / 8
-        need = int(np.max(np.minimum(c, two_n - c)))
-        m = min(max(need, k0 // 8, _MIN_BLOCK), _MAX_BLOCK, max_iters - k0,
-                max(1, _BLOCK_UNIFORMS // (2 * n * rows.size)))
+        need = int(np.max(np.minimum(c, c_two_n - c)))
+        m = min(max(need, k0 // 8, _MIN_BLOCK), _MAX_BLOCK, int(budgets[rows].min()) - k0,
+                max(_MIN_DRAW, _BLOCK_UNIFORMS // (2 * n * rows.size)))
+        size = rows.size * m * 2 * n
+        if slab_buf.size < size:
+            slab_buf, u_buf = np.empty(size), np.empty(size)
+            snaps_buf = np.empty(size // 2 + n * rows.size, dtype=dtype)
         # each run fills its own contiguous row, continuing its stream
-        slab = slab_buf[:rows.size * m * 2 * n].reshape(rows.size, m * 2 * n)
+        slab = slab_buf[:size].reshape(rows.size, m * 2 * n)
         for i, r in enumerate(rows):
             rngs[r].random(out=slab[i])
-        u = u_buf[:slab.size].reshape(m, 2, rows.size, n)
+        u = u_buf[:size].reshape(m, 2, rows.size, n)
         np.copyto(u, slab.reshape(rows.size, m, 2, n).transpose(1, 2, 0, 3))
         snaps = snaps_buf[:rows.size * (m + 1) * n].reshape(rows.size, m + 1, n)
         snaps[:, 0] = c
+        c_inv = inv[rows]
         for j in range(m):
-            _update(c, inv, vals, pow2, u[j])
+            _update(c, c_inv, vals, pow2, u[j])
             snaps[:, j + 1] = c
         # at a corner a == b, so the update is zero and the corner absorbs:
         # a run ends at a corner iff its block does, at its first corner snapshot
-        done = _at_corner(c, two_n)
+        done = _at_corner(c, c_two_n)
         ends = np.full(rows.size, k0 + m, dtype=np.int64)
-        ends[done] = k0 + np.argmax(_at_corner(snaps[done], two_n), axis=1)
+        ends[done] = k0 + np.argmax(_at_corner(snaps[done], c_two_n[done, None]), axis=1)
         counts[rows] = c
         iterations[rows] = ends
         terminated[rows] = done
         if on_block is not None:
             on_block(rows, k0, snaps, ends)
-        rows = rows[~done]
         k0 += m
+        rows = rows[~done & (budgets[rows] > k0)]
     return LockstepResult(initial=start, counts=counts, iterations=iterations,
                           terminated=terminated)
 
@@ -291,7 +345,7 @@ def run_many(
     out = []
     for r, seed in enumerate(seeds):
         ks = np.concatenate([[0]] + [k for k, _ in kept[r]]).astype(np.int64)
-        counts = np.concatenate([result.initial[None]] + [c for _, c in kept[r]])
+        counts = np.concatenate([result.initial[r][None]] + [c for _, c in kept[r]])
         last = int(result.iterations[r])
         if ks[-1] != last:  # the final state is always kept
             ks = np.append(ks, last)

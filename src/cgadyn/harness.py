@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .cga import _MAX_N, default_max_iters, format_cells, lockstep
+from .cga import _MAX_N, format_cells, lockstep
 from .drift_field import corner_spectra, drift
 from .landscape import (
     FitnessSpec,
@@ -122,6 +122,14 @@ def run_seed(master_seed: int, N: int, run_index: int) -> tuple[int, int, int]:
     return (int(master_seed), int(N), int(run_index))
 
 
+def _campaign_runs(cfg: ExperimentConfig) -> tuple[np.ndarray, list]:
+    """Every run of a campaign, N-major: each run's N and its seed
+    ``run_seed(master_seed, N, run_index)``."""
+    R = cfg.runs_per_setting
+    return (np.repeat(cfg.N_values, R),
+            [run_seed(cfg.master_seed, N, r) for N in cfg.N_values for r in range(R)])
+
+
 def provenance(cfg_hash: str, master_seed) -> dict:
     return {
         "artifact_version": __version__,
@@ -209,7 +217,8 @@ class CampaignResult:
 
 
 def monte_carlo(cfg: ExperimentConfig) -> CampaignResult:
-    """Seeded runs from the center for each N; tally terminal corners.
+    """Seeded runs from the center for each N, all in one lockstep; tally
+    terminal corners.
 
     Terminal corners are cross-referenced against the brute-force
     local-maxima report. Non-injective specs still run, but the result is
@@ -219,11 +228,12 @@ def monte_carlo(cfg: ExperimentConfig) -> CampaignResult:
     injective = is_injective(spec)
     maxima = set(enumerate_local_maxima(spec).maxima) if injective else None
 
+    # every run of every N in one lockstep
+    R = cfg.runs_per_setting
+    result = lockstep(spec, *_campaign_runs(cfg), max_iters=cfg.max_iters)
     settings = []
-    for N in cfg.N_values:
-        max_iters = cfg.max_iters if cfg.max_iters is not None else default_max_iters(N, spec.n)
-        seeds = [run_seed(cfg.master_seed, N, r) for r in range(cfg.runs_per_setting)]
-        ends = lockstep(spec, N, seeds, max_iters=max_iters)
+    for i, N in enumerate(cfg.N_values):
+        ends = result[i * R:(i + 1) * R]
         counts: dict[str, int] = {}
         all_maxima = True
         for final in ends.counts[ends.terminated]:
@@ -260,7 +270,8 @@ class AlphaSweepRow:
 
 def alpha_sweep(cfg: ExperimentConfig) -> list[AlphaSweepRow]:
     """For each N, measure how far seeded runs stray from the deterministic
-    flow started at the same center, as sup distance over [0, T_horizon]."""
+    flow started at the same center, as sup distance over [0, T_horizon].
+    The runs of every N share one lockstep."""
     if len(cfg.N_values) < 2:
         raise DomainError("alpha_sweep needs at least two N values")
     if not cfg.T_horizon > 0:
@@ -271,19 +282,29 @@ def alpha_sweep(cfg: ExperimentConfig) -> list[AlphaSweepRow]:
 
     for N in cfg.N_values:  # refuse an N with too many jump times before any run
         _last_jump(1.0 / (2 * N), T)
+    # every run of every N in one lockstep, each up to its N's horizon
+    R = cfg.runs_per_setting
+    horizons = [int(np.ceil(T / (1.0 / (2 * N)) - 1e-12)) for N in cfg.N_values]
+    trackers = [LockstepSupDistance(reference, T, N, R) for N in cfg.N_values]
+
+    def on_block(rows, k0, snaps, ends):
+        # rows increase, so each N's runs are one slice of the block
+        bounds = np.searchsorted(rows, np.arange(len(trackers) + 1) * R)
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo < hi:
+                trackers[i].update(rows[lo:hi] - i * R, k0, snaps[lo:hi], ends[lo:hi])
+
+    result = lockstep(spec, *_campaign_runs(cfg), max_iters=np.repeat(horizons, R),
+                      on_block=on_block)
     rows = []
-    for N in cfg.N_values:
-        alpha = 1.0 / (2 * N)
-        horizon_iters = int(np.ceil(T / alpha - 1e-12))
-        seeds = [run_seed(cfg.master_seed, N, r) for r in range(cfg.runs_per_setting)]
-        sup = LockstepSupDistance(reference, T, N, len(seeds))
-        dists = sup.finish(lockstep(spec, N, seeds, max_iters=horizon_iters, on_block=sup.update))
+    for i, N in enumerate(cfg.N_values):
+        dists = trackers[i].finish(result[i * R:(i + 1) * R])
         rows.append(AlphaSweepRow(
             N=N,
-            alpha=alpha,
+            alpha=1.0 / (2 * N),
             median_sup_distance=float(np.median(dists)),
             q90_sup_distance=float(np.quantile(dists, 0.9)),
-            runs=cfg.runs_per_setting,
+            runs=R,
         ))
     return rows
 

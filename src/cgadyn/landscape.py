@@ -191,9 +191,12 @@ def random_injective(n: int, seed: int, cap: int = ENUMERATION_CAP) -> FitnessSp
     """A seeded pseudo-random permutation of {0, 1, ..., 2^n - 1}.
 
     Injective by construction; rugged, typically with several local maxima.
+    The seed feeds ``numpy.random.SeedSequence``, so it must be >= 0.
     """
-    return FitnessSpec(kind="random_injective", n=_check_cap(n, cap),
-                       seed=_integer(seed, "seed"))
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return FitnessSpec(kind="random_injective", n=_check_cap(n, cap), seed=seed)
 
 
 def _integer(value, name: str) -> int:

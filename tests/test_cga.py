@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -272,15 +273,16 @@ def test_lockstep_reports_where_runs_end():
         assert ends.iterations[r] == traj.iterations
         assert ends.terminated[r] == traj.terminated
         assert np.array_equal(block_ends[r], ends.counts[r])
-    assert np.array_equal(ends.initial, [8, 8, 8])
+    assert np.array_equal(ends.initial, np.full((len(seeds), 3), 8))
     assert C.run_many(ls.binval(3), 8, []) == []
 
 
 def test_lockstep_with_a_binding_uniforms_budget():
-    # 600 runs * 2n * N > 2^15 uniforms, so a block is shorter than the
-    # N iterations the slowest run needs, and runs leave in different blocks
-    N = 16
-    seeds = [(17, r) for r in range(600)]
+    # 2^15 uniforms / (300 runs * 2n) < 32, so a block is cut to the 32
+    # iterations of C._MIN_DRAW, shorter than the N iterations the slowest
+    # run needs, and runs leave in different blocks
+    N = 40
+    seeds = [(17, r) for r in range(300)]
     for spec in (ls.binval(2), TWO_MAX_TABLE):
         lengths, leaving = [], []
         last = {}  # run -> its counts at the end of its last block so far
@@ -293,12 +295,39 @@ def test_lockstep_with_a_binding_uniforms_budget():
             leaving.append(int(np.count_nonzero(ends < k0 + lengths[-1])))
 
         result = C.lockstep(spec, N, seeds, on_block=check_block)
-        assert lengths[0] < N
+        assert lengths[0] == C._MIN_DRAW < N
         assert sum(x > 0 for x in leaving) > 1
         for r, seed in enumerate(seeds):
             counts, _, iterations, terminated = reference_cga_run(spec, N, seed)
             assert np.array_equal(result.counts[r], counts[-1]), (spec, seed)
             assert (result.iterations[r], result.terminated[r]) == (iterations, terminated)
+
+
+@pytest.mark.parametrize("spec", [ls.binval(3), ls.table_spec([1.0, 2.0, 2.0, 1.0], n=2)],
+                         ids=["binval3", "tied_table"])
+def test_lockstep_of_mixed_N_equals_serial_runs(spec):
+    # N = 1; 2N = 128 > 127, so the snapshots of every run are int16; zero
+    # budgets; budgets of 7 and 37 that end while longer runs go on
+    Ns = [1, 64, 3, 1, 64, 5, 2, 64, 3]
+    budgets = [50, 0, 400, 0, 37, 7, 60, 1000, 400]
+    seeds = [(21, N, r) for r, N in enumerate(Ns)]
+    last = {}  # run -> its counts at the end of its last block so far
+
+    def check_block(rows, k0, snaps, ends):
+        assert snaps.dtype == np.int16 and np.all(np.diff(rows) > 0)
+        for i, r in enumerate(rows):
+            assert np.array_equal(snaps[i, 0], last.get(r, [Ns[r]] * spec.n))
+            assert ends[i] <= budgets[r]
+            last[r] = snaps[i, -1].copy()
+
+    result = C.lockstep(spec, Ns, seeds, max_iters=budgets, on_block=check_block)
+    for r, (N, budget) in enumerate(zip(Ns, budgets)):
+        counts, _, iterations, terminated = reference_cga_run(spec, N, seeds[r], max_iters=budget)
+        assert np.array_equal(result.initial[r], [N] * spec.n)
+        assert np.array_equal(result.counts[r], counts[-1]), (r, N, budget)
+        assert (result.iterations[r], result.terminated[r]) == (iterations, terminated)
+        assert np.array_equal(last.get(r, result.initial[r]), result.counts[r])
+    assert sorted(last) == [r for r, budget in enumerate(budgets) if budget > 0]
 
 
 def test_termination_iff_deterministic():
@@ -315,7 +344,15 @@ def test_empirical_step_mean_matches_drift():
     p = np.array([0.5, 0.25, 0.75])
     f = dr.drift(p, spec)
     M = 100_000
-    result = C.lockstep(spec, 8, [(1234, r) for r in range(M)], initial=p, max_iters=1)
+    tracemalloc.start()
+    try:
+        result = C.lockstep(spec, 8, [(1234, r) for r in range(M)], initial=p, max_iters=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block buffers hold the one iteration drawn; sized for C._MIN_DRAW
+    # iterations instead, they would add about 300 MB
+    assert peak < 160 * 2**20
     assert np.all(result.iterations == 1)
     deltas = result.counts - result.initial
     mean = deltas.mean(axis=0)

@@ -273,6 +273,7 @@ def test_alpha_sweep_deterministic(tmp_path):
     (ls.binval(8), (8, 32), 2.5, 0.01),
     (TWO_MAX_TABLE, (3, 16), 1.37, 0.01),       # T on neither grid
     (ls.table_spec([1.0, 2.0, 2.0, 1.0], n=2), (2, 6), 2.0, 0.03),
+    (ls.binval(3), (2, 5, 16), 1.0, 0.01),     # three horizons in one lockstep
 ])
 def test_alpha_sweep_equals_serial_sup_distance(tmp_path, spec, N_values, T, h):
     cfg = small_config(tmp_path, spec=spec, N_values=N_values, runs_per_setting=9,
@@ -532,6 +533,21 @@ def test_cli_refuses_oversized_grids_and_N(tmp_path, capsys, argv, needle):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("cgadyn: error:") and needle in err
+
+
+def test_negative_spec_seed_is_refused(tmp_path, capsys):
+    # SeedSequence takes no negative entropy, so the spec is refused when made,
+    # not at its first use
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        ls.random_injective(3, seed=-1)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        ls.spec_from_json_dict({"kind": "random_injective", "n": 3, "seed": -1})
+    out = tmp_path / "run.jsonl"
+    argv = ["run", "--spec", "random_injective", "--n", "3", "--spec-seed", "-1", "--N", "4"]
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("cgadyn: error:") and "seed" in err
 
 
 def test_cli_alphasweep_refuses_oversized_jump_times(tmp_path, capsys):
