@@ -36,7 +36,7 @@ from .landscape import (
     spec_from_json_dict,
     spec_to_json_dict,
 )
-from .ode import LockstepSupDistance, _last_jump, integrate
+from .ode import LockstepSupDistance, integrate
 
 
 REAL_FMT = "%.17g"  # 17 significant digits: parses back to the same float
@@ -280,9 +280,8 @@ def alpha_sweep(cfg: ExperimentConfig) -> list[AlphaSweepRow]:
     T = cfg.T_horizon
     reference = integrate(spec, np.full(spec.n, 0.5), h=cfg.ode_step, T=T)
 
-    for N in cfg.N_values:  # refuse an N with too many jump times before any run
-        _last_jump(1.0 / (2 * N), T)
-    # every run of every N in one lockstep, each up to its N's horizon
+    # every run of every N in one lockstep, each up to its N's horizon; each
+    # tracker refuses an N with too many jump times before any run
     R = cfg.runs_per_setting
     horizons = [int(np.ceil(T / (1.0 / (2 * N)) - 1e-12)) for N in cfg.N_values]
     trackers = [LockstepSupDistance(reference, T, N, R) for N in cfg.N_values]

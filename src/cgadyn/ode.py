@@ -240,18 +240,14 @@ def _flow_times(b: OdeTrajectory, T: float) -> np.ndarray:
     return np.concatenate([b.times[b.times <= T + 1e-12], [0.0, T]])
 
 
-def _last_jump(alpha: float, T: float, last_iteration: int | None = None) -> int:
-    """The last k whose jump time k*alpha is at most T and, if given, the
-    last iteration; DomainError past ``_GRID_MAX_POINTS`` jump times."""
+def _jump_times(alpha: float, T: float, last_iteration: int | None = None) -> np.ndarray:
+    """Jump times k*alpha of a step process, up to T and, if given, its last
+    iteration; DomainError past ``_GRID_MAX_POINTS`` jump times."""
     steps = T / alpha + 1e-12
     if last_iteration is not None:
         steps = min(steps, last_iteration)
-    return _last_grid_index(steps, f"a run with alpha = {alpha} up to T = {T}")
-
-
-def _jump_times(alpha: float, T: float, last_iteration: int | None = None) -> np.ndarray:
-    """Jump times k*alpha of a step process, up to T and its last iteration."""
-    return np.arange(_last_jump(alpha, T, last_iteration) + 1, dtype=np.float64) * alpha
+    last = _last_grid_index(steps, f"a run with alpha = {alpha} up to T = {T}")
+    return np.arange(last + 1, dtype=np.float64) * alpha
 
 
 def sup_distance(a, b: OdeTrajectory, T: float) -> float:

@@ -330,6 +330,22 @@ def test_lockstep_of_mixed_N_equals_serial_runs(spec):
     assert sorted(last) == [r for r, budget in enumerate(budgets) if budget > 0]
 
 
+def test_lockstep_and_run_many_refuse_bad_arguments():
+    spec, seeds = ls.binval(2), [1, 2, 3]
+    for N in (0, 1 << 62):
+        with pytest.raises(DomainError, match="2N fits in int64"):
+            C.lockstep(spec, N, seeds)
+    with pytest.raises(DomainError, match="max_iters"):
+        C.lockstep(spec, 4, seeds, max_iters=-1)
+    # N and max_iters are one value or one per run
+    for kw in ({"N": [4, 4]}, {"N": [[4, 4, 4]]}, {"N": 4, "max_iters": [5, 5]},
+               {"N": 4, "max_iters": [[5], [5], [5]]}):
+        with pytest.raises(DimensionError, match="one integer or one per run"):
+            C.lockstep(spec, kw.pop("N"), seeds, **kw)
+    with pytest.raises(DomainError, match="record_every"):
+        C.run_many(spec, 4, seeds, record_every=0)
+
+
 def test_termination_iff_deterministic():
     for seed in range(8):
         traj = C.run(ls.random_injective(3, seed=0), 4, seed=seed, max_iters=400)

@@ -463,6 +463,11 @@ def test_jacobian_numeric_guards():
         dr.jacobian_numeric(np.array([1.0, 0.5]), spec, 1e-5)
 
 
+def test_jacobian_numeric_refuses_a_batch():
+    with pytest.raises(DimensionError, match="single probability vector"):
+        dr.jacobian_numeric(np.full((2, 2), 0.5), ls.binval(2), 1e-5)
+
+
 def test_jacobian_asymmetric_at_interior_point():
     # The numeric Jacobian of the update field is NOT symmetric away from
     # the corners: for the binary-value fitness at p = (0.75, 0.5), the

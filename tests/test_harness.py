@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -17,6 +18,7 @@ from cgadyn import cga
 from cgadyn import harness as hn
 from cgadyn import landscape as ls
 from cgadyn import ode
+from cgadyn import cli
 from cgadyn.cli import cli_main
 from cgadyn.errors import DomainError, TheoremScopeError
 
@@ -698,6 +700,102 @@ def test_calibrate_alpha_sweep_script_runs():
     assert done.returncode == 0, done.stderr
     rows = [line.split()[0] for line in done.stdout.splitlines()[2:-1]]
     assert rows == ["32", "128", "512", "2048"]
+
+
+# each argv, and patterns its message must hold: the flag names, for the
+# --spec/--spec-file clash
+_REFUSED_ARGV = [
+    ([], ["subcommand"]),
+    (["classify", "--spec", "binval", "--n", "2", "--spec-file", "spec.json"],
+     ["--spec-file", "--spec(?!-)"]),
+    (["classify", "--spec-file", "bad.json", "--out", "out.csv"], ["malformed spec JSON"]),
+    (["classify", "--config", "array.json", "--out", "out.csv"], ["JSON object"]),
+    (["run", "--spec", "binval", "--n", "2", "--out", "out.jsonl"], ["--N"]),
+    (["run", "--spec", "binval", "--n", "2", "--N", "4", "--record-every", "0",
+      "--out", "out.jsonl"], ["record_every"]),
+    (["alphasweep", "--spec", "binval", "--n", "2", "--N", "2", "--N", "4", "--horizon", "0",
+      "--out", "sweep"],
+     ["T_horizon"]),
+]
+
+
+@pytest.mark.parametrize("argv, needles", _REFUSED_ARGV,
+                         ids=["no_subcommand", "spec_and_spec_file", "malformed_spec_file",
+                              "config_array", "run_without_N", "run_record_every_0",
+                              "alphasweep_horizon_0"])
+def test_cli_usage_refusals_write_no_file(tmp_path, monkeypatch, capsys, argv, needles):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps({"kind": "binval", "n": 2}))
+    Path("bad.json").write_text('{"kind": "binval", "n": ')
+    Path("array.json").write_text(json.dumps([{"spec": {"kind": "binval", "n": 2}}]))
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cgadyn: error:")
+    assert all(re.search(needle, captured.err) for needle in needles), captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.json", "bad.json", "spec.json"]
+
+
+def _config_flag_table() -> dict[str, tuple[str, set[str]]]:
+    """README's table of the flags that set config fields: flag -> (field,
+    subcommands)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| flag | config field | subcommands |\n|---|---|---|\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines():
+        flag, field, commands = line.strip("|").split("|")
+        rows[flag.strip(" `")] = (field.strip(" `"), set(re.findall(r"`([a-z]+)`", commands)))
+    return rows
+
+
+def test_readme_flag_table_matches_the_parser():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    rows = _config_flag_table()
+    assert rows and all(commands <= set(subparsers.choices) for _, commands in rows.values())
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for flag in action.option_strings:
+                if action.dest in hn._CONFIG_FIELDS:
+                    assert flag in rows, (command, flag)
+                if flag in rows:
+                    field, commands = rows[flag]
+                    assert (action.dest == field) == (command in commands), (command, flag)
+        for flag, (field, commands) in rows.items():
+            has_flag = any(flag in a.option_strings for a in parser._actions)
+            assert has_flag or command not in commands, (command, flag)
+
+
+# each subcommand, and the names it looks up in cgadyn.cli that perfbench wraps
+_TRACED_NAMES = {
+    "run": (["--N", "4"], ["cga_run", "trajectory_to_jsonl"]),
+    "drift": (["--grid", "3"], ["drift_grid_rows", "write_csv"]),
+    "ode": (["--step", "0.1", "--horizon", "0.5"], ["integrate", "ode_to_jsonl"]),
+    "classify": ([], ["classify_all"]),
+    "localmaxima": ([], ["enumerate_local_maxima", "write_csv"]),
+    "montecarlo": (["--runs", "2"], ["monte_carlo", "write_csv"]),
+    "alphasweep": (["--N", "2", "--N", "4", "--runs", "2", "--horizon", "0.5"],
+                   ["alpha_sweep", "write_csv"]),
+}
+
+
+def test_subcommands_look_up_wrapped_names_at_call_time(tmp_path, monkeypatch, capsys):
+    cli._shared_parser()  # built before the names are swapped
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in {name for _, names in _TRACED_NAMES.values() for name in names}:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    monkeypatch.chdir(tmp_path)
+    for command, (flags, names) in _TRACED_NAMES.items():
+        calls.clear()
+        argv = [command, "--spec", "binval", "--n", "2", *flags, "--out", command]
+        assert cli_main(argv) == 0, capsys.readouterr().err
+        assert sorted(set(calls)) == sorted(names), command
 
 
 def test_cli_run_jsonl(capsys):

@@ -81,6 +81,19 @@ def test_enumeration_cap():
         ls.fitness_values(big)
 
 
+def test_evaluate_above_the_cap_uses_the_closed_forms():
+    # n = 20 > ENUMERATION_CAP, so evaluate takes its table-free branches
+    rng = np.random.default_rng(20)
+    weights = tuple(rng.integers(1, 1000, 20) / 8)  # dyadic, so every sum is exact
+    linear, onemax = ls.linear(weights, cap=20), ls.perturbed_onemax(20, 2.0 ** -20, cap=20)
+    for bits in ([0] * 20, [1] * 20, rng.integers(0, 2, 20).tolist(), [1] + [0] * 19):
+        index = int("".join(map(str, bits)), 2)
+        assert ls.evaluate(linear, bits) == sum(w * b for w, b in zip(weights, bits))
+        assert ls.evaluate(onemax, bits) == sum(bits) + 2.0 ** -20 * index
+    with pytest.raises(CapacityError, match="needs the 2\\^n table"):
+        ls.evaluate(ls.random_injective(20, seed=1, cap=20), [0] * 20)
+
+
 def test_raised_cap_stops_where_the_int64_index_would_wrap():
     # at n = 64 the index 2^63 wrapped to -9.22e18; no cap reaches past n = 62
     for n in (63, 64):

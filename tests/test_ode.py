@@ -149,6 +149,17 @@ def test_time_grid_cap(monkeypatch):
         od.LockstepSupDistance(flow, 1.0, 10**12, 3)
 
 
+def test_lockstep_sup_distance_refuses_a_run_that_ends_before_T():
+    spec = ls.binval(2)
+    flow = od.integrate(spec, [0.5, 0.5], h=0.1, T=1.0)
+    tracker = od.LockstepSupDistance(flow, 1.0, 8, 1)
+    # 3 iterations of 1/16 reach t = 0.25 < T
+    result = C.lockstep(spec, 8, [5], max_iters=3, on_block=tracker.update)
+    assert not result.terminated[0]
+    with pytest.raises(HorizonError, match="run 0 ends"):
+        tracker.finish(result)
+
+
 # --- limits ------------------------------------------------------------------
 
 def test_find_limit_binval_center():
@@ -174,6 +185,14 @@ def test_find_limit_stationary_start_stays():
     assert res.t_stop[0] == 0.0
     assert np.array_equal(res.states[0], [0.0, 0.0])
     assert tuple(res.nearest_corners[0].tolist()) == (0, 0)
+
+
+def test_find_limit_many_refuses_bad_starts_and_tolerance():
+    spec = ls.binval(2)
+    with pytest.raises(DimensionError, match=r"\(B, n\)"):
+        od.find_limit_many(spec, np.full((2, 2, 2), 0.5))
+    with pytest.raises(DomainError, match="tolerance"):
+        od.find_limit_many(spec, [[0.3, 0.6]], tol=0.0)
 
 
 def test_find_limit_many_matches_singles():
