@@ -45,6 +45,7 @@ from .harness import (
     write_csv,
 )
 from .landscape import (
+    _KINDS,
     FitnessSpec,
     bits_to_string,
     enumerate_local_maxima,
@@ -73,15 +74,17 @@ def _add_subcommand(sub, name: str, handler, help: str) -> _Parser:
     p = sub.add_parser(name, help=help)
     p.set_defaults(handler=handler)
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--spec", dest="kind", help="built-in fitness kind",
-                        choices=["binval", "linear", "perturbed_onemax", "random_injective"])
+    kind = source.add_argument("--spec", dest="kind", help="built-in fitness kind")
     source.add_argument("--spec-file", type=Path, help="JSON file with a fitness spec object")
-    p.add_argument("--n", type=int, help="solution length")
-    p.add_argument("--epsilon", type=float, help="perturbation size for perturbed_onemax")
-    p.add_argument("--weights", type=lambda text: text.split(","),
-                   help="comma-separated locus weights for linear")
-    p.add_argument("--spec-seed", type=int, dest="seed", metavar="SPEC_SEED",
-                   help="seed for random_injective (its spec field 'seed')")
+    flags = [p.add_argument("--n", type=int, help="solution length"),
+             p.add_argument("--epsilon", type=float, help="perturbation size"),
+             p.add_argument("--weights", type=lambda text: text.split(","),
+                            help="comma-separated locus weights"),
+             p.add_argument("--spec-seed", type=int, dest="seed", metavar="SPEC_SEED",
+                            help="spec seed (its spec field 'seed')")]
+    # --spec offers each kind whose fields all have a flag; the rest need a file
+    given = {flag.dest for flag in flags}
+    kind.choices = [k for k, (_, names) in _KINDS.items() if given.issuperset(names)]
     p.add_argument("--config", type=Path, help="experiment-config JSON file")
     return p
 

@@ -57,9 +57,9 @@ def _is_real(value) -> bool:
 # every config field but "spec": its rule, and the test of its value (a
 # JSON value, or a constructor argument: N_values may be a tuple there)
 _CONFIG_FIELDS = {
-    "N_values": (f"a nonempty list of integers in [1, {_MAX_N}], so that 2N fits in int64",
+    "N_values": (f"a nonempty list of distinct integers in [1, {_MAX_N}] (2N fits in int64)",
                  lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-                 and all(_is_int(N) and 1 <= N <= _MAX_N for N in v)),
+                 and all(_is_int(N) and 1 <= N <= _MAX_N for N in v) and len(set(v)) == len(v)),
     "runs_per_setting": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
     "T_horizon": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
     "master_seed": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),

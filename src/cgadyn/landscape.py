@@ -5,13 +5,14 @@ most significant position. Solutions are handled as plain sequences
 (tuples or 0/1 numpy arrays) and are also addressable by their integer
 index ``sum(bits[i] << (n-1-i))``.
 
-The module provides the built-in fitness families (``binval``,
-``linear``, ``perturbed_onemax``, ``table``, ``random_injective``), an
-exact injectivity check, and a brute-force local-maxima oracle. All
-fitness values for the built-in families are chosen to be exactly
-representable in binary floating point, so equality tests need no
-tolerance. Operations that enumerate all 2^n solutions refuse lengths
-above ``ENUMERATION_CAP`` instead of thrashing.
+The module provides the built-in fitness families, each declared once:
+its factory checks its fields, its ``_KINDS`` entry names its JSON
+fields, and its ``_fitness`` branch is its one formula. It also provides
+an exact injectivity check and a brute-force local-maxima oracle. All
+fitness values for the built-in families are exactly representable in
+binary floating point, so equality tests need no tolerance. Operations
+that enumerate all 2^n solutions refuse lengths above
+``ENUMERATION_CAP`` instead of thrashing.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ ENUMERATION_CAP = 16
 # this n, 2^n (the count of solutions) and every index fit in int64; no cap
 # raises n past it, so an index never wraps.
 _MAX_INDEX_N = 62
-
-SPEC_KINDS = ("binval", "linear", "perturbed_onemax", "table", "random_injective")
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +96,9 @@ def all_bit_matrix(n: int) -> np.ndarray:
 class FitnessSpec:
     """A deterministic fitness function over {0,1}^n.
 
-    Use the factory functions (:func:`binval`, :func:`linear`,
-    :func:`perturbed_onemax`, :func:`table_spec`,
-    :func:`random_injective`) rather than the constructor; they validate
-    the kind-specific fields.
+    Use the factory of its kind (``_KINDS`` maps each kind in
+    ``SPEC_KINDS`` to it) rather than the constructor: the factory checks
+    the kind's fields, and the fields a kind does not take stay None.
     """
 
     kind: str
@@ -169,15 +167,15 @@ def table_spec(values, n: int | None = None, cap: int = ENUMERATION_CAP) -> Fitn
     :func:`is_injective` holds.
     """
     if isinstance(values, dict):
-        keys = list(values)
         if n is None:
-            if not keys:
+            if not values:
                 raise DomainError("empty fitness table")
-            n = len(keys[0])
+            n = len(next(iter(values)))
         n = _check_cap(n, cap)
-        if sorted(keys) != [bits_to_string(index_to_bits(i, n)) for i in range(1 << n)]:
+        keys = sorted(values)
+        if keys != [format(i, f"0{n}b") for i in range(1 << n)]:
             raise DomainError(f"table must cover all 2^{n} bitstrings exactly once")
-        values = [values[bits_to_string(index_to_bits(i, n))] for i in range(1 << n)]
+        values = [values[key] for key in keys]
     tab = _finite(values, "table")
     if n is None:
         n = max((len(tab)).bit_length() - 1, 0)
@@ -197,6 +195,18 @@ def random_injective(n: int, seed: int, cap: int = ENUMERATION_CAP) -> FitnessSp
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return FitnessSpec(kind="random_injective", n=_check_cap(n, cap), seed=seed)
+
+
+# each kind: its factory, and the JSON fields besides "kind" that it takes,
+# in the factory's argument order; a kind without "n" among them derives n
+_KINDS = {
+    "binval": (binval, ("n",)),
+    "linear": (linear, ("weights",)),
+    "perturbed_onemax": (perturbed_onemax, ("n", "epsilon")),
+    "table": (table_spec, ("table",)),
+    "random_injective": (random_injective, ("n", "seed")),
+}
+SPEC_KINDS = tuple(_KINDS)
 
 
 def _integer(value, name: str) -> int:
@@ -245,29 +255,33 @@ def fitness_values(spec: FitnessSpec) -> np.ndarray:
 def _build_values(spec: FitnessSpec) -> np.ndarray:
     if spec.n > ENUMERATION_CAP:
         raise CapacityError(f"n={spec.n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    size = spec.num_solutions
+    return _read_only(_fitness(spec, all_bit_matrix(spec.n), np.arange(spec.num_solutions)))
+
+
+def _fitness(spec: FitnessSpec, bits: np.ndarray, index):
+    """Each kind's one formula: the fitness of every row of ``bits`` at the int64
+    array ``index`` (the 2^n table), or of one solution's bits at its int index."""
     if spec.kind == "binval":
-        vals = np.arange(size, dtype=np.float64)
-    elif spec.kind == "linear":
-        vals = all_bit_matrix(spec.n) @ np.asarray(spec.weights, dtype=np.float64)
-    elif spec.kind == "perturbed_onemax":
-        ones = all_bit_matrix(spec.n).sum(axis=1)
-        vals = ones + spec.epsilon * np.arange(size, dtype=np.float64)
-    elif spec.kind == "table":
-        vals = np.asarray(spec.table, dtype=np.float64)
-    elif spec.kind == "random_injective":
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-        vals = rng.permutation(size).astype(np.float64)
-    else:  # pragma: no cover - guarded in __post_init__
-        raise DomainError(f"unknown fitness kind {spec.kind!r}")
-    return _read_only(vals)
+        return np.asarray(index, dtype=np.float64)
+    if spec.kind == "linear":
+        return bits @ np.asarray(spec.weights, dtype=np.float64)
+    if spec.kind == "perturbed_onemax":
+        return bits.sum(axis=-1) + spec.epsilon * index
+    # the other kinds have no closed form: each reads its 2^n table
+    if spec.n > ENUMERATION_CAP:
+        raise CapacityError(f"{spec.kind} evaluation needs the 2^n table; n={spec.n} exceeds the cap")
+    if spec.kind == "table":
+        return np.asarray(spec.table, dtype=np.float64)[index]
+    # random_injective: a seeded permutation of 0, 1, ..., 2^n - 1
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    return rng.permutation(spec.num_solutions).astype(np.float64)[index]
 
 
 def _as_bits(spec: FitnessSpec, y) -> np.ndarray:
     arr = np.asarray(y)
     if arr.ndim != 1 or arr.shape[0] != spec.n:
         raise DimensionError(f"solution length {arr.shape} does not match spec n={spec.n}")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():  # np.isin cost most of evaluate's time
         raise DomainError("solution bits must be 0 or 1")
     return arr.astype(np.int64)
 
@@ -279,14 +293,8 @@ def evaluate(spec: FitnessSpec, y) -> float:
     if spec.n <= ENUMERATION_CAP:
         # read from the table, so evaluate agrees bit for bit with every lookup
         return float(fitness_values(spec)[idx])
-    # table-free paths for specs built above the cap
-    if spec.kind == "binval":
-        return float(idx)
-    if spec.kind == "linear":
-        return float(np.asarray(spec.weights, dtype=np.float64) @ bits)
-    if spec.kind == "perturbed_onemax":
-        return float(bits.sum() + spec.epsilon * idx)
-    raise CapacityError(f"{spec.kind} evaluation needs the 2^n table; n={spec.n} exceeds the cap")
+    # above the cap, the formula that builds the table, for this one solution
+    return float(_fitness(spec, bits, idx))
 
 
 def is_injective(spec: FitnessSpec) -> bool:
@@ -342,48 +350,37 @@ def enumerate_local_maxima(spec: FitnessSpec) -> LocalMaxReport:
 # ---------------------------------------------------------------------------
 
 def spec_to_json_dict(spec: FitnessSpec) -> dict:
-    """JSON object form: {"kind", "n"} plus the kind-specific field.
+    """JSON object form: {"kind", "n"} plus the fields of its kind in ``_KINDS``.
 
     Table keys are bitstrings written most significant locus first.
     """
     out: dict = {"kind": spec.kind, "n": spec.n}
-    if spec.kind == "linear":
-        out["weights"] = list(spec.weights)
-    elif spec.kind == "perturbed_onemax":
-        out["epsilon"] = spec.epsilon
-    elif spec.kind == "table":
-        out["table"] = {
-            bits_to_string(index_to_bits(i, spec.n)): spec.table[i]
-            for i in range(spec.num_solutions)
-        }
-    elif spec.kind == "random_injective":
-        out["seed"] = spec.seed
+    for name in _KINDS[spec.kind][1]:
+        value = getattr(spec, name)
+        if name == "table":
+            value = {format(i, f"0{spec.n}b"): v for i, v in enumerate(value)}
+        out[name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
 def spec_from_json_dict(obj: dict) -> FitnessSpec:
     """Inverse of spec_to_json_dict, and the one parser of spec input (the CLI
-    turns its flags into this object); a missing or bad field raises DomainError."""
+    turns its flags into this object). A missing, bad or stray field raises
+    DomainError; a kind that derives n from another field takes an "n" as a
+    check on it."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("fitness spec JSON must be an object with a 'kind' field")
     kind = obj["kind"]
-
-    def field(name):
+    if kind not in SPEC_KINDS:  # a tuple, so an unhashable kind is refused too
+        raise DomainError(f"unknown fitness kind {kind!r}")
+    factory, names = _KINDS[kind]
+    stray = set(obj) - {"kind", "n", *names}
+    if stray:
+        raise DomainError(f"{kind} spec does not take fields {sorted(stray, key=str)}")
+    for name in names:
         if name not in obj:
             raise DomainError(f"{kind} spec needs field {name!r}")
-        return obj[name]
-
-    if kind == "binval":
-        return binval(field("n"))
-    if kind == "linear":
-        spec = linear(field("weights"))
-        if "n" in obj and _integer(obj["n"], "solution length") != spec.n:
-            raise DomainError(f"linear spec has n={obj['n']} but {spec.n} weights")
-        return spec
-    if kind == "perturbed_onemax":
-        return perturbed_onemax(field("n"), field("epsilon"))
-    if kind == "table":
-        return table_spec(field("table"), n=obj.get("n"))
-    if kind == "random_injective":
-        return random_injective(field("n"), field("seed"))
-    raise DomainError(f"unknown fitness kind {kind!r}")
+    spec = factory(*(obj[name] for name in names))
+    if "n" in obj and _integer(obj["n"], "solution length") != spec.n:
+        raise DomainError(f"{kind} spec has n={obj['n']}, but its field {names[0]!r} gives {spec.n}")
+    return spec

@@ -765,6 +765,41 @@ def test_readme_flag_table_matches_the_parser():
             assert has_flag or command not in commands, (command, flag)
 
 
+def _spec_kind_table() -> dict[str, list[tuple[list[str], list[str]]]]:
+    """README's table of fitness kinds: kind -> [(JSON fields, optional
+    ones), (CLI flags, optional ones)]."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| kind | JSON fields | CLI flags |\n|---|---|---|\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines():
+        kind, *cells = line.strip("|").split("|")
+        rows[kind.strip(" `")] = [(re.findall(r"(?<!optional )`([\w-]+)`", cell),
+                                   re.findall(r"optional `([\w-]+)`", cell)) for cell in cells]
+    return rows
+
+
+def test_readme_spec_table_matches_the_kinds_and_the_parser():
+    rows = _spec_kind_table()
+    assert list(rows) == list(ls.SPEC_KINDS)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        dest = {flag: a.dest for a in parser._actions for flag in a.option_strings}
+        listed = set()
+        for kind, ((names, optional), (flags, optional_flags)) in rows.items():
+            fields = ls._KINDS[kind][1]
+            assert names == list(fields) and optional == ([] if "n" in fields else ["n"]), kind
+            # --spec offers a kind iff the table gives a flag for each of its fields
+            assert (kind in parser._option_string_actions["--spec"].choices) == bool(flags)
+            if flags:
+                assert [dest[f] for f in flags] == names, (command, kind)
+                assert [dest[f] for f in optional_flags] == optional, (command, kind)
+            listed |= set(flags + optional_flags)
+        # every flag that sets a spec field but the kind has a row
+        assert listed == {flag for flag, field in dest.items()
+                          if field in cli._SPEC_FIELDS - {"kind"}}, command
+
+
 # each subcommand, and the names it looks up in cgadyn.cli that perfbench wraps
 _TRACED_NAMES = {
     "run": (["--N", "4"], ["cga_run", "trajectory_to_jsonl"]),
@@ -862,6 +897,50 @@ def test_cli_rejects_malformed_spec_file(tmp_path, capsys, spec_obj, needle):
     assert cli_main(["classify", "--spec-file", str(spec_file)]) == 1
     err = capsys.readouterr().err
     assert needle in err and "internal error" not in err
+
+
+def test_spec_fields_the_kind_does_not_take_are_refused(tmp_path, monkeypatch, capsys):
+    # flags, spec files and config specs are checked alike: a stray field is
+    # named, not ignored
+    with pytest.raises(DomainError, match="binval spec does not take fields \\['bogus'\\]"):
+        ls.spec_from_json_dict({"kind": "binval", "n": 3, "bogus": 1})
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps({"kind": "binval", "n": 3, "epsilon": 0.1}))
+    Path("cfg.json").write_text(json.dumps(
+        {"spec": {"kind": "random_injective", "n": 3, "seed": 1, "weights": [1.0]}}))
+    Path("kind.json").write_text(json.dumps({"kind": [1]}))
+    for argv, needle in (
+        (["--spec", "binval", "--n", "3", "--epsilon", "0.1", "--weights", "5,6",
+          "--spec-seed", "9"], "binval spec does not take fields ['epsilon', 'seed', 'weights']"),
+        (["--spec-file", "spec.json"], "binval spec does not take fields ['epsilon']"),
+        (["--config", "cfg.json"], "random_injective spec does not take fields ['weights']"),
+        (["--spec-file", "kind.json"], "unknown fitness kind [1]"),
+    ):
+        assert cli_main(["localmaxima", *argv, "--out", "out.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("cgadyn: error:")
+        assert needle in captured.err, captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "kind.json", "spec.json"]
+
+
+def test_duplicate_N_values_are_refused(tmp_path, monkeypatch, capsys):
+    # one N given twice made two identical rows: a sweep over one step
+    with pytest.raises(DomainError, match="'N_values' must be a nonempty list of distinct"):
+        small_config(tmp_path, N_values=(4, 2, 4))
+    monkeypatch.chdir(tmp_path)
+    spec = ["--spec", "binval", "--n", "2"]
+    runs = [["montecarlo", *spec, "--N", "4", "--N", "4", "--runs", "3"],
+            ["alphasweep", *spec, "--N", "4", "--N", "4", "--runs", "3", "--horizon", "1"]]
+    for values in ([4, 2, 4], [[1]]):  # an unhashable N is refused before any set
+        Path("cfg.json").write_text(json.dumps({"spec": {"kind": "binval", "n": 2},
+                                                "N_values": values}))
+        runs += [["montecarlo", "--config", "cfg.json"], ["alphasweep", "--config", "cfg.json"]]
+    for argv in runs:
+        assert cli_main([*argv, "--out", "out"]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(
+            "cgadyn: error: config field 'N_values' must be a nonempty list of distinct")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_cli_ode_and_drift(tmp_path):

@@ -244,3 +244,60 @@ def test_spec_from_json_rejects_garbage():
                 {"kind": "table", "table": [0.0, 1.0, float("-inf"), 2.0]}):
         with pytest.raises(DomainError):
             ls.spec_from_json_dict(obj)
+
+
+# one example per kind, so a kind added to _KINDS without one fails here
+_EXAMPLE_SPECS = {
+    "binval": ls.binval(3),
+    "linear": ls.linear(superincreasing_weights(3)),
+    "perturbed_onemax": ls.perturbed_onemax(3, 0.125),
+    "table": TWO_MAX_TABLE,
+    "random_injective": ls.random_injective(3, seed=4),
+}
+# a valid value of each spec field, to give a kind a field it does not take
+_FIELD_VALUES = {"n": 3, "weights": [1.0, 2.0, 4.0], "epsilon": 0.125,
+                 "table": {"0": 1.0, "1": 2.0}, "seed": 1}
+
+
+@pytest.mark.parametrize("kind", ls.SPEC_KINDS)
+def test_every_kind_reads_exactly_its_own_fields(kind):
+    spec = _EXAMPLE_SPECS[kind]
+    obj = json.loads(json.dumps(ls.spec_to_json_dict(spec)))
+    assert obj["kind"] == kind and ls.spec_from_json_dict(obj) == spec
+    names = ls._KINDS[kind][1]
+    assert set(obj) == {"kind", "n", *names}
+    others = {name for _, fields in ls._KINDS.values() for name in fields} - {"n", *names}
+    for name in sorted(others) + ["bogus"]:
+        with pytest.raises(DomainError, match=f"{kind} spec does not take fields \\['{name}'\\]"):
+            ls.spec_from_json_dict({**obj, name: _FIELD_VALUES.get(name, 1)})
+    for name in names:
+        with pytest.raises(DomainError, match=f"{kind} spec needs field '{name}'"):
+            ls.spec_from_json_dict({key: value for key, value in obj.items() if key != name})
+    if "n" not in names:  # an "n" is optional, and checked against the one the kind derives
+        assert ls.spec_from_json_dict({k: v for k, v in obj.items() if k != "n"}) == spec
+        with pytest.raises(DomainError, match="has n=4"):
+            ls.spec_from_json_dict({**obj, "n": 4})
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: ls.binval(n, cap=n),
+    lambda n: ls.linear(superincreasing_weights(17)[17 - n:], cap=n),
+    lambda n: ls.perturbed_onemax(n, 2.0 ** -17, cap=n),
+], ids=["binval", "linear", "perturbed_onemax"])
+def test_evaluate_above_the_cap_equals_the_table_below_it(make):
+    # with locus 1 at 0, each of these kinds at n = 17 is the same kind at n = 16
+    assert ls.ENUMERATION_CAP == 16
+    above, below = make(17), make(16)
+    rows = np.hstack([np.zeros((1 << 16, 1), np.int64), ls.all_bit_matrix(16).astype(np.int64)])
+    assert [ls.evaluate(above, bits) for bits in rows] == ls.fitness_values(below).tolist()
+
+
+def test_table_keys_are_the_bitstrings_of_each_index():
+    for n in range(1, 11):
+        keys = list(ls.spec_to_json_dict(ls.table_spec(list(range(1 << n))))["table"])
+        assert keys == [ls.bits_to_string(ls.index_to_bits(i, n)) for i in range(1 << n)]
+    spec = ls.random_injective(16, seed=16)
+    table = ls.table_spec(ls.fitness_values(spec))
+    obj = json.loads(json.dumps(ls.spec_to_json_dict(table)))
+    assert ls.spec_from_json_dict(obj) == table
+    assert np.array_equal(ls.fitness_values(ls.spec_from_json_dict(obj)), ls.fitness_values(spec))
