@@ -30,6 +30,11 @@ block's snapshots finds each run's first corner, and finished runs leave
 the active set between blocks. A block is cut to 2**15 uniforms over all
 active runs, but to no fewer than 32 iterations, since each block costs
 one ``Generator.random`` call per active run.
+
+Runs and flows are written as JSON lines by :func:`write_jsonl`. Its text
+kernel, ``_block_text``, also writes every float table of
+``harness.write_csv``: it formats each distinct value of a block once,
+with its separator or line end attached, and joins the block once.
 """
 
 from __future__ import annotations
@@ -406,36 +411,49 @@ def _iteration_of(ts: np.ndarray, alpha: float) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-def format_cells(a, fmt: str) -> np.ndarray:
-    """``fmt % x`` for every cell x of float array ``a``, as an object array
-    of ``a``'s shape.
+def _block_text(block, fmt: str, sep: str, end: str, prefix=None, suffix=None) -> str:
+    """The text of a float array ``block``, one line per row (every axis
+    but the last): each cell in ``fmt`` followed by ``sep``, the row's last
+    cell followed by ``end``, between the row's ``prefix`` and ``suffix``
+    texts when those per-row lists are given.
 
-    Each distinct bit pattern is formatted once and its text gathered back
-    into place. That pays where values repeat, as in a run's states (they
-    lie on the 1/(2N) grid) and a drift grid. Keying on bits, not values,
-    keeps ``0.0`` and ``-0.0`` apart.
+    Each distinct bit pattern is formatted once, with ``sep`` or ``end``
+    attached, and one gather puts the texts in place for one join. That
+    pays where values repeat, as in a run's states (they lie on the 1/(2N)
+    grid), a drift grid and corner eigenvalues. Keying on bits, not
+    values, keeps ``0.0`` and ``-0.0`` apart.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = np.ascontiguousarray(block, dtype=np.float64)
     keys, inverse = np.unique(a.view(np.uint64), return_inverse=True)
-    text = np.array([fmt % x for x in keys.view(np.float64).tolist()], dtype=object)
+    texts = [fmt % x for x in keys.view(np.float64).tolist()]
     # numpy versions disagree on the shape of the inverse
-    return text[inverse.reshape(a.shape)]
+    index = inverse.reshape(-1, a.shape[-1])
+    index[:, -1] += len(texts)
+    table = [t + sep for t in texts] + [t + end for t in texts]
+    rows = np.arange(len(index))[:, None]
+    columns = [index]
+    if prefix is not None:
+        columns.insert(0, len(table) + rows)
+        table += prefix
+    if suffix is not None:
+        columns.append(len(table) + rows)
+        table += suffix
+    return "".join(np.array(table, dtype=object)[np.hstack(columns)].ravel().tolist())
 
 
 def write_jsonl(fp, header: dict, key: str, stamps, states) -> None:
     """Write ``header`` as one JSON record, then one ``{key: stamp, "p": row}``
     record per stamp and row of ``states``.
 
-    The records are formatted in one pass, each stamp and each float by
-    ``repr`` (the floats through :func:`format_cells`): for finite floats
-    and ints that is the text ``json.dumps`` writes, so the bytes are those
-    of one ``json.dumps`` call per record.
+    The records are written from the arrays in one pass of
+    :func:`_block_text`: each stamp and each float by ``repr`` (each
+    distinct float once), which for finite floats and ints is the text
+    ``json.dumps`` writes, so the bytes are those of one ``json.dumps`` call
+    per record.
     """
     fp.write(json.dumps(header, sort_keys=True) + "\n")
-    fp.write("".join([
-        '{"%s": %r, "p": [%s]}\n' % (key, stamp, ", ".join(row))
-        for stamp, row in zip(stamps, format_cells(states, "%r").tolist())
-    ]))
+    head = '{"%s": %%r, "p": [' % key
+    fp.write(_block_text(states, "%r", ", ", "]}\n", prefix=[head % stamp for stamp in stamps]))
 
 
 def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | None = None) -> None:

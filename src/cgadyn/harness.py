@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .cga import _MAX_N, format_cells, lockstep
+from .cga import _MAX_N, _block_text, lockstep
 from .drift_field import corner_spectra, drift
 from .landscape import (
     FitnessSpec,
@@ -171,13 +171,15 @@ def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str
 
     - a list (or other iterable that is not an iterator) of rows of raw
       values, each cell written by one rule (:func:`_cell`);
-    - an iterator of 2-D float arrays, such as :func:`drift_grid_rows`
-      returns, each block written with every value in ``REAL_FMT`` before
-      the next block is pulled.
+    - an iterator of blocks, each written before the next is pulled: a 2-D
+      float array, such as :func:`drift_grid_rows` yields, with every value
+      in ``REAL_FMT``, or a block of rows already written as CSV text, as
+      :meth:`ClassificationReport.write_csv` yields.
 
-    A block formats each distinct value once
-    (:func:`cgadyn.cga.format_cells`). Reals never need CSV quoting, so
-    both writers give the same bytes for the same reals.
+    A float block is written from its array by one pass of
+    :func:`cgadyn.cga._block_text`: each distinct value is formatted once,
+    and the block is joined once. Reals never need CSV quoting, so both
+    paths give the same bytes for the same reals.
     """
     if header:
         for key in sorted(header):
@@ -186,7 +188,7 @@ def write_csv(fp, fieldnames, rows, header: dict | None = None, footer: list[str
     writer.writerow(fieldnames)
     if isinstance(rows, Iterator):
         for block in rows:
-            fp.write("".join([",".join(row) + "\n" for row in format_cells(block, REAL_FMT).tolist()]))
+            fp.write(block if isinstance(block, str) else _block_text(block, REAL_FMT, ",", "\n"))
     else:
         writer.writerows(map(_cell, row) for row in rows)
     for line in footer or ():
@@ -322,43 +324,83 @@ class ClassificationRow:
     agreement: bool
 
 
+_VERDICTS = ("unstable", "asymptotically_stable")  # indexed by the stable flag
+
+
 @dataclass
 class ClassificationReport:
+    """The corner report, held as arrays with one entry per corner index:
+    ``fitness`` (the spec's ``fitness_values``), and the ``eigenvalues``
+    (2^n, n) and ``local_max`` flags of ``corner_spectra``.
+
+    ``rows`` builds one :class:`ClassificationRow` per corner each time it
+    is read; the counts and the CSV table are taken from the arrays, so no
+    per-corner object is made to write the report.
+    """
+
     spec: FitnessSpec
-    rows: list[ClassificationRow]
+    fitness: np.ndarray
+    eigenvalues: np.ndarray
+    local_max: np.ndarray
+
+    @property
+    def stable(self) -> np.ndarray:
+        """A corner is asymptotically stable iff every eigenvalue of its
+        Jacobian is negative, and unstable otherwise."""
+        return (self.eigenvalues < 0).all(axis=1)
+
+    @property
+    def rows(self) -> list[ClassificationRow]:
+        columns = zip(self.fitness.tolist(), self.local_max.tolist(), self.stable.tolist(),
+                      self.eigenvalues.tolist())
+        return [ClassificationRow(corner=format(i, f"0{self.spec.n}b"), fitness=fitness,
+                                  local_max=is_max, verdict=_VERDICTS[stable],
+                                  eigenvalues=tuple(e), agreement=stable == is_max)
+                for i, (fitness, is_max, stable, e) in enumerate(columns)]
 
     @property
     def agreement_count(self) -> int:
-        return sum(r.agreement for r in self.rows)
+        return int(np.count_nonzero(self.stable == self.local_max))
 
     @property
     def all_agree(self) -> bool:
-        return self.agreement_count == len(self.rows)
+        return self.agreement_count == len(self.fitness)
 
     def write_csv(self, fp, header: dict | None = None) -> None:
-        summary = f"agreement: {self.agreement_count}/{len(self.rows)}" + (
+        """The rows as a CSV table (:func:`write_csv`), with the agreement
+        count as its footer. The table is written ``_CSV_BLOCK_ROWS`` rows
+        at a time from the arrays, each cell by the rule of :func:`_cell`:
+        the eigenvalues through :func:`cgadyn.cga._block_text`."""
+        summary = f"agreement: {self.agreement_count}/{len(self.fitness)}" + (
             " (100%)" if self.all_agree else " (MISMATCH)"
         )
-        # vars, not dataclasses.astuple, which deep-copies every field
-        write_csv(fp, [f.name for f in fields(ClassificationRow)],
-                  [vars(r).values() for r in self.rows], header=header, footer=[summary])
+        write_csv(fp, [f.name for f in fields(ClassificationRow)], self._text_blocks(),
+                  header=header, footer=[summary])
+
+    def _text_blocks(self) -> Iterator[str]:
+        bits = f"0{self.spec.n}b"
+        all_stable = self.stable
+        for lo in range(0, len(self.fitness), _CSV_BLOCK_ROWS):
+            hi = lo + _CSV_BLOCK_ROWS
+            stable, is_max = all_stable[lo:hi], self.local_max[lo:hi]
+            # corner, fitness, local_max and verdict lead the eigenvalues,
+            # and the agreement ends the row
+            lead = ["%s,%s,%s,%s," % (format(i, bits), REAL_FMT % fitness, m, _VERDICTS[s])
+                    for i, fitness, m, s in zip(range(lo, hi), self.fitness[lo:hi].tolist(),
+                                                is_max.tolist(), stable.tolist())]
+            agreement = np.where(stable == is_max, "True\n", "False\n").tolist()
+            yield _block_text(self.eigenvalues[lo:hi], REAL_FMT, ";", ",", lead, agreement)
 
 
 def classify_all(spec: FitnessSpec) -> ClassificationReport:
-    """One row per corner: fitness, local-max flag, stability verdict, and
-    whether the two agree (stable iff local maximum). A corner is
-    asymptotically stable iff every eigenvalue of its Jacobian is negative,
-    and unstable otherwise. Injective specs only."""
+    """The corner report of an injective spec, from one ``corner_spectra``
+    call: each corner's fitness, local-max flag and eigenvalues, its
+    stability verdict, and whether the two agree (stable iff local
+    maximum)."""
     require_injective(spec, "classify_all")
     eigs, local_max = corner_spectra(spec)
-    columns = zip(fitness_values(spec).tolist(), local_max.tolist(),
-                  (eigs < 0).all(axis=1).tolist(), eigs.tolist())
-    return ClassificationReport(spec=spec, rows=[
-        ClassificationRow(corner=format(i, f"0{spec.n}b"), fitness=fitness, local_max=is_max,
-                          verdict="asymptotically_stable" if stable else "unstable",
-                          eigenvalues=tuple(e), agreement=stable == is_max)
-        for i, (fitness, is_max, stable, e) in enumerate(columns)
-    ])
+    return ClassificationReport(spec=spec, fitness=fitness_values(spec), eigenvalues=eigs,
+                                local_max=local_max)
 
 
 # ---------------------------------------------------------------------------

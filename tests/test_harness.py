@@ -7,7 +7,8 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from cgadyn import landscape as ls
 from cgadyn import ode
 from cgadyn import cli
 from cgadyn.cli import cli_main
+from cgadyn.drift_field import corner_spectra
 from cgadyn.errors import DomainError, TheoremScopeError
 
 from conftest import (
@@ -345,6 +347,72 @@ def test_classify_csv_shape():
     assert lines[-1].startswith("# agreement: 4/4")
 
 
+def _classify_csv_oracle(report, header) -> str:
+    """The report as csv.writer writes its rows, each cell by ``_cell``."""
+    buf = io.StringIO()
+    buf.write("".join(f"# {key}: {header[key]}\n" for key in sorted(header)))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f.name for f in fields(hn.ClassificationRow)])
+    writer.writerows(map(hn._cell, vars(row).values()) for row in report.rows)
+    agree = sum(row.agreement for row in report.rows)
+    verdict = "(100%)" if agree == len(report.rows) else "(MISMATCH)"
+    buf.write(f"# agreement: {agree}/{len(report.rows)} {verdict}\n")
+    return buf.getvalue()
+
+
+def _assert_same_lines(got: str, want: str) -> None:
+    """Line by line, so that a failure names its first differing line
+    without diffing two tables of a megabyte."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"line {i}"
+    assert len(got) == len(want)
+
+
+def test_classify_csv_across_a_block_boundary():
+    # 2^13 = 8 192 corners: two blocks
+    spec = ls.random_injective(13, seed=3)
+    assert 1 << spec.n == 2 * hn._CSV_BLOCK_ROWS
+    report = hn.classify_all(spec)
+    eigs, local_max = corner_spectra(spec)
+    stable = (eigs < 0).all(axis=1)
+    assert report.rows == [
+        hn.ClassificationRow(format(i, "013b"), fitness, bool(local_max[i]),
+                             "asymptotically_stable" if stable[i] else "unstable",
+                             tuple(eigs[i].tolist()), bool(stable[i] == local_max[i]))
+        for i, fitness in enumerate(ls.fitness_values(spec).tolist())]
+    header = {"master_seed": 0, "config_hash": "abc"}
+    buf = io.StringIO()
+    report.write_csv(buf, header=header)
+    _assert_same_lines(buf.getvalue(), _classify_csv_oracle(report, header))
+    assert report.agreement_count == 1 << spec.n and report.all_agree
+
+    # a report whose flags disagree in one corner of each block
+    flipped = report.local_max.copy()
+    flipped[[5, hn._CSV_BLOCK_ROWS + 7]] ^= True
+    odd = replace(report, local_max=flipped)
+    assert odd.agreement_count == (1 << spec.n) - 2 and not odd.all_agree
+    buf = io.StringIO()
+    odd.write_csv(buf, header=header)
+    _assert_same_lines(buf.getvalue(), _classify_csv_oracle(odd, header))
+    assert buf.getvalue().endswith(f"# agreement: {(1 << spec.n) - 2}/{1 << spec.n} (MISMATCH)\n")
+
+
+def test_classify_report_holds_no_object_per_corner(tmp_path):
+    # 2^14 = 16 384 corners. The report and its CSV peak at 6.1 MiB traced;
+    # a report of one row object per corner peaks at 16.9 MiB
+    spec = ls.random_injective(14, seed=1)
+    ls.fitness_values(spec)  # the spec's own table is not the report's
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "classify.csv", "w") as fp:
+            hn.classify_all(spec).write_csv(fp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 # --- drift grid --------------------------------------------------------------------
 
 def _sub_block_sizes(rows):
@@ -451,16 +519,37 @@ def test_write_csv_real_array_equals_csv_writer(rng, rows, pooled):
     assert buf.getvalue() == "# seed: 1\n" + reference_real_csv(names, table) + "# end\n"
 
 
+def _joined(cells, sep, end, prefix=None, suffix=None) -> str:
+    """Rows of cell texts joined one row at a time: what ``_block_text``
+    writes for a block at once."""
+    return "".join((prefix[r] if prefix else "") + sep.join(row) + end + (suffix[r] if suffix else "")
+                   for r, row in enumerate(cells))
+
+
 @pytest.mark.parametrize("shape", [(7,), (0, 3), (2, 3, 4), (40, 6)])
-def test_format_cells_formats_every_cell(rng, shape):
+def test_block_text_formats_every_cell(rng, shape):
     a = rng.choice(_REAL_POOL, shape)
     for fmt in (hn.REAL_FMT, "%r"):
-        cells = cga.format_cells(a, fmt)
-        assert cells.shape == a.shape
-        assert cells.ravel().tolist() == [fmt % x for x in a.ravel().tolist()]
+        cells = [[fmt % x for x in row] for row in a.reshape(-1, shape[-1]).tolist()]
+        assert cga._block_text(a, fmt, ",", "\n") == _joined(cells, ",", "\n")
     strided = a[..., ::2]
-    assert cga.format_cells(strided, "%r").tolist() == cga.format_cells(strided.copy(), "%r").tolist()
-    assert cga.format_cells(np.array([0.0, -0.0, 0.0]), "%r").tolist() == ["0.0", "-0.0", "0.0"]
+    assert cga._block_text(strided, "%r", ",", "\n") == cga._block_text(strided.copy(), "%r", ",", "\n")
+    assert cga._block_text(np.array([0.0, -0.0, 0.0]), "%r", ",", "\n") == "0.0,-0.0,0.0\n"
+
+
+def test_block_text_separator_line_end_prefix_and_suffix(rng):
+    a = rng.choice(_REAL_POOL, (60, 4))
+    a[::2, -1] = a[::2, 0]  # the last column shares texts with the first
+    cells = [["%r" % x for x in row] for row in a.tolist()]
+    prefix = ['{"k": %d, "p": [' % r for r in range(len(a))]
+    suffix = [f"|{r}\n" for r in range(len(a))]
+    assert cga._block_text(a, "%r", ", ", "]}\n", prefix=prefix) == _joined(cells, ", ", "]}\n", prefix)
+    assert cga._block_text(a, "%r", ";", ",", suffix=suffix) == _joined(cells, ";", ",", None, suffix)
+    assert (cga._block_text(a, "%r", ";", ",", prefix, suffix)
+            == _joined(cells, ";", ",", prefix, suffix))
+    # one column: every cell is the last of its row
+    assert cga._block_text(a[:, :1], "%r", ",", "\n") == _joined([r[:1] for r in cells], ",", "\n")
+    assert cga._block_text(np.zeros((0, 2)), "%r", ",", "\n", prefix=[], suffix=[]) == ""
 
 
 class _GivenStates(cga.StochasticTrajectory):
