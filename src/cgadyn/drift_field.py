@@ -12,7 +12,8 @@ learning step, computed by two formulae: ``drift`` (single pass over
 fitness-sorted prefix sums, O(2^n * n)) and ``drift_naive`` (through the
 winner/loser distributions). Both share the sampling product and the
 prefix sums, so they are not independent arithmetic. Ties in fitness are
-handled throughout via the first-sample-wins rule.
+handled throughout via the first-sample-wins rule. Corner Jacobians are
+diagonal, 2 times ``landscape.neighbor_signs``: +2, -2, or 0 on a tie.
 
 The tournament sums are built in fitness order: Pr(z|p) comes out of the
 product already sorted by fitness, and only the last per-solution array
@@ -38,10 +39,10 @@ from .errors import DimensionError, DomainError
 from .landscape import (
     FitnessSpec,
     _as_bits,
-    _neighbor_value_matrix,
     _read_only,
     all_bit_matrix,
     fitness_values,
+    neighbor_signs,
     place_values,
     require_injective,
 )
@@ -296,16 +297,12 @@ def drift_naive(p, spec: FitnessSpec) -> np.ndarray:
 
 def corner_spectra(spec: FitnessSpec, indices=None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the corner Jacobians and local-maximum flags, one row
-    per corner index (default: all 2^n, in order), read off the neighbour
-    table: eigenvalue m is +2 when flipping locus m raises fitness and -2
-    otherwise; a corner is a local maximum when no neighbour is fitter.
-
-    The eigenvalues are exact for injective specs only; callers check.
-    """
-    vals = fitness_values(spec)
-    own = (vals if indices is None else vals[indices])[:, None]
-    neighbors = _neighbor_value_matrix(spec, indices)
-    return np.where(neighbors > own, 2.0, -2.0), (own >= neighbors).all(axis=1)
+    per corner index (default: all 2^n, in order), exact for every spec:
+    eigenvalue m is 2 times the sign of the fitness change from flipping
+    locus m (0.0 on a tie, where the first-sample-wins rule cancels the two
+    orders of the entrants); a corner is a local maximum if no neighbor is fitter."""
+    signs = neighbor_signs(spec, indices)
+    return 2.0 * signs, (signs <= 0).all(axis=1)
 
 
 def jacobian_analytic(corner, spec: FitnessSpec) -> np.ndarray:

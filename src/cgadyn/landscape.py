@@ -8,7 +8,7 @@ index ``sum(bits[i] << (n-1-i))``.
 The module provides the built-in fitness families, each declared once:
 its factory checks its fields, its ``_KINDS`` entry names its JSON
 fields, and its ``_fitness`` branch is its one formula. It also provides
-an exact injectivity check and a brute-force local-maxima oracle. All
+an exact injectivity check and ``neighbor_signs``, the one neighbor table. All
 fitness values for the built-in families are exactly representable in
 binary floating point, so equality tests need no tolerance. Operations
 that enumerate all 2^n solutions refuse lengths above
@@ -325,24 +325,27 @@ class LocalMaxReport:
     strict_flags: tuple[bool, ...]
 
 
-def _neighbor_value_matrix(spec: FitnessSpec, rows=None) -> np.ndarray:
-    """(len(rows), n) matrix: column m holds the fitness of each index in
-    ``rows`` (default: all 2^n, in order) with locus m flipped."""
+def neighbor_signs(spec: FitnessSpec, rows=None) -> np.ndarray:
+    """int8 (len(rows), n): entry m is +1, 0 or -1 as flipping locus m raises,
+    keeps or lowers the fitness of each index in ``rows`` (default: all 2^n).
+    Filled one locus at a time: no (rows, n) index or value matrix is built."""
     vals = fitness_values(spec)
     idx = np.arange(spec.num_solutions) if rows is None else np.asarray(rows, dtype=np.int64)
-    return vals[idx[:, None] ^ place_values(spec.n)]
+    own = vals[idx]
+    signs = np.empty((idx.size, spec.n), dtype=np.int8)
+    for m, bit in enumerate(place_values(spec.n).tolist()):
+        other = vals[idx ^ bit]
+        np.subtract(other > own, other < own, out=signs[:, m], dtype=np.int8)
+    return signs
 
 
 def enumerate_local_maxima(spec: FitnessSpec) -> LocalMaxReport:
-    """Exhaustive scan: y is a local maximum iff g(y) >= g(z) for all n
-    Hamming-1 neighbors z; strict iff every inequality is strict."""
-    vals = fitness_values(spec)
-    nb = _neighbor_value_matrix(spec)
-    ge = (vals[:, None] >= nb).all(axis=1)
-    gt = (vals[:, None] > nb).all(axis=1)
-    maxima = tuple(index_to_bits(int(i), spec.n) for i in np.flatnonzero(ge))
-    strict = tuple(bool(gt[int(i)]) for i in np.flatnonzero(ge))
-    return LocalMaxReport(maxima=maxima, strict_flags=strict)
+    """Exhaustive scan of :func:`neighbor_signs`: y is a local maximum iff no
+    Hamming-1 neighbor is fitter; strict iff every neighbor is less fit."""
+    signs = neighbor_signs(spec)
+    found = np.flatnonzero((signs <= 0).all(axis=1))
+    return LocalMaxReport(maxima=tuple(index_to_bits(int(i), spec.n) for i in found),
+                          strict_flags=tuple((signs[found] < 0).all(axis=1).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, HorizonError
 from .cga import StochasticTrajectory, _iteration_of, write_jsonl
 from .drift_field import _as_pv, drift
-from .landscape import FitnessSpec, spec_to_json_dict
+from .landscape import FitnessSpec, place_values, spec_to_json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +129,22 @@ def integrate(spec: FitnessSpec, x0, h: float = 1e-2, T: float = 10.0) -> OdeTra
 # limits of the flow
 # ---------------------------------------------------------------------------
 
+# A limit names a corner only closer to it than this (Euclidean distance).
+_CORNER_TOL = 1e-6
+
+
 @dataclass
 class BatchLimitResult:
     """Where the flow ended, one row per start: final state, whether the
-    stall criterion ||f||_inf < tol was met, the stop time, and the nearest
-    corner (reported, never applied to the state)."""
+    stall criterion ||f||_inf < tol was met, the stop time, and the index of
+    the corner the state lies within ``_CORNER_TOL`` of, or -1 where it lies
+    near no corner (a stall in the interior or on a face, such as a saddle).
+    The corner is reported, never applied to the state."""
 
-    states: np.ndarray           # (B, n)
-    converged: np.ndarray        # (B,) bool
-    t_stop: np.ndarray           # (B,)
-    nearest_corners: np.ndarray  # (B, n) int
-    corner_distances: np.ndarray  # (B,)
+    states: np.ndarray     # (B, n)
+    converged: np.ndarray  # (B,) bool
+    t_stop: np.ndarray     # (B,)
+    corners: np.ndarray    # (B,) int64 corner index, or -1
 
 
 def find_limit_many(
@@ -197,10 +202,10 @@ def find_limit_many(
         rows, x, k1 = stall_check(t_now, rows, x)
     X[rows] = x
 
-    corners = np.where(X >= 0.5, 1, 0).astype(np.int64)
-    dists = np.linalg.norm(X - corners, axis=-1)
+    nearest = (X >= 0.5).astype(np.int64)
+    near = np.linalg.norm(X - nearest, axis=-1) < _CORNER_TOL
     return BatchLimitResult(states=X, converged=converged, t_stop=t_stop,
-                            nearest_corners=corners, corner_distances=dists)
+                            corners=np.where(near, nearest @ place_values(spec.n), -1))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,26 @@ def injective_suite(n: int) -> list[ls.FitnessSpec]:
     return specs
 
 
+def unitation_table(n: int, g) -> ls.FitnessSpec:
+    """The table spec of a fitness g(|y|) that reads only the count of ones."""
+    return ls.table_spec([float(g(i.bit_count())) for i in range(1 << n)], n=n)
+
+
+def jump_table(n: int, k: int) -> ls.FitnessSpec:
+    """Jump_k: k + |y| where |y| <= n - k or |y| = n, and n - |y| in the gap."""
+    return unitation_table(n, lambda u: k + u if u <= n - k or u == n else n - u)
+
+
+def assert_same_lines(got: str, want: str) -> None:
+    """``got == want``, checked line by line and then by the line count, so
+    that a failure names its first differing line without diffing two
+    tables of a megabyte."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"line {i}"
+    assert len(got) == len(want)
+
+
 # ---------------------------------------------------------------------------
 # independent oracles (ordered-pair enumeration)
 # ---------------------------------------------------------------------------

@@ -201,18 +201,18 @@ def test_criterion_07_flow_reaches_local_maxima():
     rng = np.random.default_rng(MASTER_SEED + 7)
     starts_checked = 0
     for spec in spec_pool((2, 3, 4)):
-        maxima = set(ls.enumerate_local_maxima(spec).maxima)
+        maxima = {ls.bits_to_index(m) for m in ls.enumerate_local_maxima(spec).maxima}
+        bits = ls.all_bit_matrix(spec.n)
         center = od.find_limit_many(spec, np.full((1, spec.n), 0.5))
         assert center.converged[0], spec
-        assert tuple(int(b) for b in center.nearest_corners[0]) in maxima, spec
+        assert center.corners[0] in maxima, spec  # never -1, the mark of no corner
         assert np.max(np.abs(dr.drift(center.states[0], spec))) < 1e-8
-        assert center.corner_distances[0] < 1e-6
+        assert np.linalg.norm(center.states[0] - bits[center.corners[0]]) < 1e-6
 
         batch = od.find_limit_many(spec, interior_points(rng, 100, spec.n))
         assert batch.converged.all(), spec
-        assert np.all(batch.corner_distances < 1e-6), spec
-        for row in batch.nearest_corners:
-            assert tuple(int(b) for b in row) in maxima, spec
+        assert set(batch.corners.tolist()) <= maxima, spec
+        assert np.all(np.linalg.norm(batch.states - bits[batch.corners], axis=-1) < 1e-6), spec
         starts_checked += 101
     elapsed = time.perf_counter() - t0
     report("criterion 7: flow limits are local-max corners with ||f|| < 1e-8",

@@ -12,7 +12,7 @@ from cgadyn import drift_field as dr
 from cgadyn import landscape as ls
 from cgadyn.errors import DimensionError, DomainError, HorizonError
 
-from conftest import TWO_MAX_TABLE, reference_cga_run, reference_jsonl_records
+from conftest import TWO_MAX_TABLE, assert_same_lines, reference_cga_run, reference_jsonl_records
 
 
 def _update(spec, N, counts, ua, ub):
@@ -473,4 +473,5 @@ def test_trajectory_jsonl_records_equal_json_dumps(spec, N, kw):
     C.trajectory_to_jsonl(traj, buf)
     head, body = buf.getvalue().split("\n", 1)
     assert json.loads(head)["iterations"] == traj.iterations
-    assert body == reference_jsonl_records("k", [int(k) for k in traj.recorded_ks], traj.states)
+    assert_same_lines(body, reference_jsonl_records("k", [int(k) for k in traj.recorded_ks],
+                                                    traj.states))

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,9 +15,11 @@ from conftest import (
     TWO_MAX_TABLE,
     binval_drift_closed_form,
     injective_suite,
+    local_maxima,
     pair_oracle,
     reference_drift,
     reference_sampling_probs,
+    unitation_table,
 )
 
 
@@ -440,6 +443,56 @@ def test_jacobian_analytic_rejects_non_corner_and_non_injective():
         dr.jacobian_analytic((1, 0, 1), ls.binval(2))
     with pytest.raises(TheoremScopeError, match="outside boundary|outside theorem scope"):
         dr.jacobian_analytic((0,), ls.table_spec([1.0, 1.0], n=1))
+
+
+def _non_injective_tables():
+    """A 2-bit table and [1, 1], whose neighbors tie, OneMax, whose ties are
+    never between neighbors, and seeded {0, 1, 2} tables."""
+    yield ls.table_spec({"00": 2.0, "01": 0.0, "10": 1.0, "11": 1.0})
+    yield ls.table_spec([1.0, 1.0], n=1)
+    yield unitation_table(4, lambda u: u)
+    yield unitation_table(6, lambda u: u)
+    rng = np.random.default_rng(25)
+    for n in range(2, 6):
+        for _ in range(10):
+            yield ls.table_spec(rng.integers(0, 3, 1 << n).astype(float), n=n)
+
+
+def test_corner_spectra_equal_one_sided_differences_on_ties():
+    # column m of the Jacobian at corner c, by a step eps into the box along
+    # locus m; the exact entries are +-2(1 - eps) and 0 on a tie
+    eps = 1e-7
+    ties = 0
+    for spec in _non_injective_tables():
+        n = spec.n
+        corners = ls.all_bit_matrix(n)
+        inward = 1.0 - 2.0 * corners  # +1 at a 0 bit, -1 at a 1 bit
+        steps = eps * inward[:, :, None] * np.eye(n)  # steps[c, m] = eps * inward[c, m] e_m
+        diff = (dr.drift(corners[:, None, :] + steps, spec)
+                - dr.drift(corners, spec)[:, None, :]) / (eps * inward[:, :, None])
+        eigs, local_max = dr.corner_spectra(spec)
+        np.testing.assert_allclose(np.diagonal(diff, axis1=1, axis2=2), eigs, rtol=0, atol=1e-6)
+        assert np.max(np.abs(diff * (1.0 - np.eye(n))), initial=0.0) < 1e-6
+        vals = ls.fitness_values(spec)
+        tie = vals[np.arange(1 << n)[:, None] ^ ls.place_values(n)] == vals[:, None]
+        assert np.all(eigs[tie] == 0.0) and not np.signbit(eigs[tie]).any()
+        assert set(np.flatnonzero(local_max)) == {ls.bits_to_index(y) for y in local_maxima(spec)}
+        ties += int(np.count_nonzero(tie))
+    assert ties > 0
+
+
+def test_corner_spectra_builds_no_neighbor_matrix():
+    # at the cap the eigenvalues are 8 MiB; a (2^16, 16) neighbor index or
+    # value matrix would add 8 MiB more each
+    spec = ls.random_injective(16, seed=3)
+    ls.fitness_values(spec)  # the spec's own table is not the call's
+    tracemalloc.start()
+    try:
+        dr.corner_spectra(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_jacobian_numeric_matches_analytic_near_corners():

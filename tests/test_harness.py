@@ -26,6 +26,7 @@ from cgadyn.errors import DomainError, TheoremScopeError
 
 from conftest import (
     TWO_MAX_TABLE,
+    assert_same_lines,
     injective_suite,
     reference_drift_grid_csv,
     reference_jsonl_records,
@@ -360,15 +361,6 @@ def _classify_csv_oracle(report, header) -> str:
     return buf.getvalue()
 
 
-def _assert_same_lines(got: str, want: str) -> None:
-    """Line by line, so that a failure names its first differing line
-    without diffing two tables of a megabyte."""
-    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
-    for i, (g, w) in enumerate(zip(got, want)):
-        assert g == w, f"line {i}"
-    assert len(got) == len(want)
-
-
 def test_classify_csv_across_a_block_boundary():
     # 2^13 = 8 192 corners: two blocks
     spec = ls.random_injective(13, seed=3)
@@ -384,7 +376,7 @@ def test_classify_csv_across_a_block_boundary():
     header = {"master_seed": 0, "config_hash": "abc"}
     buf = io.StringIO()
     report.write_csv(buf, header=header)
-    _assert_same_lines(buf.getvalue(), _classify_csv_oracle(report, header))
+    assert_same_lines(buf.getvalue(), _classify_csv_oracle(report, header))
     assert report.agreement_count == 1 << spec.n and report.all_agree
 
     # a report whose flags disagree in one corner of each block
@@ -394,7 +386,7 @@ def test_classify_csv_across_a_block_boundary():
     assert odd.agreement_count == (1 << spec.n) - 2 and not odd.all_agree
     buf = io.StringIO()
     odd.write_csv(buf, header=header)
-    _assert_same_lines(buf.getvalue(), _classify_csv_oracle(odd, header))
+    assert_same_lines(buf.getvalue(), _classify_csv_oracle(odd, header))
     assert buf.getvalue().endswith(f"# agreement: {(1 << spec.n) - 2}/{1 << spec.n} (MISMATCH)\n")
 
 
@@ -516,7 +508,7 @@ def test_write_csv_real_array_equals_csv_writer(rng, rows, pooled):
     blocks = np.split(table, range(hn._CSV_BLOCK_ROWS, rows, hn._CSV_BLOCK_ROWS))
     buf = io.StringIO()
     hn.write_csv(buf, names, iter(blocks), header={"seed": 1}, footer=["end"])
-    assert buf.getvalue() == "# seed: 1\n" + reference_real_csv(names, table) + "# end\n"
+    assert_same_lines(buf.getvalue(), "# seed: 1\n" + reference_real_csv(names, table) + "# end\n")
 
 
 def _joined(cells, sep, end, prefix=None, suffix=None) -> str:
@@ -564,15 +556,16 @@ def test_jsonl_writers_real_pool_equal_json_dumps(rng):
     run.states, run.recorded_ks = states, np.arange(len(states)) * 2
     buf = io.StringIO()
     cga.trajectory_to_jsonl(run, buf)
-    assert buf.getvalue().split("\n", 1)[1] == reference_jsonl_records(
-        "k", run.recorded_ks.tolist(), states)
+    assert_same_lines(buf.getvalue().split("\n", 1)[1],
+                      reference_jsonl_records("k", run.recorded_ks.tolist(), states))
 
     times = np.linspace(0.0, 3.0, len(states))
     flow = replace(ode.integrate(ls.binval(3), np.full(3, 0.5), h=0.5, T=1.0),
                    times=times, states=states)
     buf = io.StringIO()
     ode.ode_to_jsonl(flow, buf)
-    assert buf.getvalue().split("\n", 1)[1] == reference_jsonl_records("t", times.tolist(), states)
+    assert_same_lines(buf.getvalue().split("\n", 1)[1],
+                      reference_jsonl_records("t", times.tolist(), states))
 
 
 def _csv_body(path) -> str:
@@ -594,7 +587,7 @@ def test_cli_drift_csv_bytes(tmp_path, spec_args, spec, grid):
         spec_args = ["--spec-file", str(spec_file)]
     out = tmp_path / "grid.csv"
     assert cli_main(["drift", *spec_args, "--grid", str(grid), "--out", str(out)]) == 0
-    assert _csv_body(out) == reference_drift_grid_csv(spec, grid)
+    assert_same_lines(_csv_body(out), reference_drift_grid_csv(spec, grid))
 
 
 @pytest.mark.parametrize("n, grid", [(2, 1), (4, 32)], ids=["grid1", "over_row_cap"])

@@ -139,6 +139,20 @@ def test_point_query_consistent_with_enumeration(rng):
     assert non_strict > 0
 
 
+def test_neighbor_signs_rows_equal_the_full_table(rng):
+    spec = ls.table_spec(rng.integers(0, 3, 32).astype(float), n=5)
+    vals = ls.fitness_values(spec).tolist()
+    full = ls.neighbor_signs(spec)
+    assert full.dtype == np.int8 and full.shape == (32, 5)
+    for y in range(32):
+        for m in range(5):
+            other = vals[y ^ (1 << (4 - m))]
+            assert full[y, m] == (other > vals[y]) - (other < vals[y])
+    rows = [29, 3, 17, 3, 0, 31, 8]
+    assert np.array_equal(ls.neighbor_signs(spec, rows), full[rows])
+    assert ls.neighbor_signs(spec, []).shape == (0, 5)
+
+
 def test_injective_specs_have_a_strict_maximum():
     for n in (2, 3, 4):
         for spec in injective_suite(n):

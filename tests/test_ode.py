@@ -13,7 +13,9 @@ from cgadyn.errors import DimensionError, DomainError, HorizonError, TheoremScop
 
 from conftest import (
     TWO_MAX_TABLE,
+    assert_same_lines,
     injective_suite,
+    jump_table,
     reference_find_limit_many,
     reference_jsonl_records,
 )
@@ -95,7 +97,8 @@ def test_ode_jsonl_records_equal_json_dumps(spec, h, T):
     od.ode_to_jsonl(traj, buf)
     head, body = buf.getvalue().split("\n", 1)
     assert json.loads(head)["T"] == traj.horizon
-    assert body == reference_jsonl_records("t", [float(t) for t in traj.times], traj.states)
+    assert_same_lines(body, reference_jsonl_records("t", [float(t) for t in traj.times],
+                                                    traj.states))
 
 
 def test_containment_and_no_clamps_from_center():
@@ -166,15 +169,15 @@ def test_find_limit_binval_center():
     res = od.find_limit_many(ls.binval(2), [[0.5, 0.5]])
     assert res.converged[0]
     assert np.max(np.abs(res.states[0] - [1.0, 1.0])) < 1e-6
-    assert tuple(res.nearest_corners[0].tolist()) == (1, 1)
+    assert res.corners[0] == 0b11
     assert np.max(np.abs(dr.drift(res.states[0], ls.binval(2)))) < 1e-8
 
 
 def test_find_limit_two_max_table_center():
     res = od.find_limit_many(TWO_MAX_TABLE, [[0.5, 0.5]])
     assert res.converged[0]
-    assert tuple(res.nearest_corners[0].tolist()) in {(0, 0), (1, 1)}
-    assert res.corner_distances[0] < 1e-6
+    assert res.corners[0] in {0b00, 0b11}
+    assert np.linalg.norm(res.states[0] - ls.all_bit_matrix(2)[res.corners[0]]) < 1e-6
 
 
 def test_find_limit_stationary_start_stays():
@@ -184,7 +187,7 @@ def test_find_limit_stationary_start_stays():
     assert res.converged[0]
     assert res.t_stop[0] == 0.0
     assert np.array_equal(res.states[0], [0.0, 0.0])
-    assert tuple(res.nearest_corners[0].tolist()) == (0, 0)
+    assert res.corners[0] == 0b00
 
 
 def test_find_limit_many_refuses_bad_starts_and_tolerance():
@@ -206,8 +209,17 @@ def test_find_limit_many_matches_singles():
     for i in range(8):
         single = od.find_limit_many(spec, starts[i : i + 1], T_max=100.0)
         assert np.array_equal(single.states[0], batch.states[i])
-        assert np.array_equal(single.nearest_corners[0], batch.nearest_corners[i])
+        assert single.corners[0] == batch.corners[i]
         assert single.t_stop[0] == batch.t_stop[i]
+
+
+def test_find_limit_names_no_corner_at_a_saddle():
+    # from the centre the flow on Jump(8, 3) climbs the diagonal and stalls
+    # at the saddle 0.5416 * 1, which lies 1.297 from its nearest corner 1^8
+    res = od.find_limit_many(jump_table(8, 3), np.full((1, 8), 0.5))
+    assert res.converged[0]
+    assert np.max(np.abs(res.states[0] - 0.5416)) < 1e-4
+    assert res.corners.dtype == np.int64 and res.corners.tolist() == [-1]
 
 
 def _staggered_starts(n, rows, seed):
