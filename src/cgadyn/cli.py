@@ -47,9 +47,8 @@ from .harness import (
 from .landscape import (
     _KINDS,
     FitnessSpec,
-    bits_to_string,
     enumerate_local_maxima,
-    evaluate,
+    fitness_values,
     spec_from_json_dict,
     spec_to_json_dict,
 )
@@ -150,17 +149,21 @@ def _shared_parser() -> _Parser:
 # argument resolution
 # ---------------------------------------------------------------------------
 
-def _load_config(args) -> dict:
-    path = args.config
-    if path is None:
-        return {}
+def _read_json(path: Path, what: str):
+    """The JSON value in the file at ``path``; ``what`` names it if malformed."""
     try:
         with open(path) as fp:
-            obj = json.load(fp)
+            return json.load(fp)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"malformed config JSON in {path}: {exc}") from exc
+        raise _UsageError(f"malformed {what} JSON in {path}: {exc}") from exc
+
+
+def _load_config(args) -> dict:
+    if args.config is None:
+        return {}
+    obj = _read_json(args.config, "config")
     if not isinstance(obj, dict):
-        raise _UsageError(f"config file {path} must contain a JSON object")
+        raise _UsageError(f"config file {args.config} must contain a JSON object")
     check_config_fields(obj)
     return obj
 
@@ -171,11 +174,7 @@ def _resolve_spec(args, cfg: dict):
     and the config's spec even where a flag replaces it."""
     config_spec = spec_from_json_dict(cfg["spec"]) if "spec" in cfg else None
     if args.spec_file is not None:
-        try:
-            with open(args.spec_file) as fp:
-                obj = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"malformed spec JSON in {args.spec_file}: {exc}") from exc
+        obj = _read_json(args.spec_file, "spec")
     elif args.kind is not None:
         obj = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS and v is not None}
     elif config_spec is not None:
@@ -254,8 +253,8 @@ def _cmd_classify(args) -> int:
 def _cmd_localmaxima(args) -> int:
     config = _config(args)
     report = enumerate_local_maxima(config.spec)
-    rows = [(bits_to_string(bits), evaluate(config.spec, bits), strict)
-            for bits, strict in zip(report.maxima, report.strict_flags)]
+    rows = list(zip([format(i, f"0{config.spec.n}b") for i in report.indices.tolist()],
+                    fitness_values(config.spec)[report.indices].tolist(), report.strict.tolist()))
     return _write_artifact(args, config, {}, lambda fp, header: write_csv(
         fp, ["solution", "fitness", "strict"], rows, header=header))
 

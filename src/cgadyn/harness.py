@@ -28,10 +28,10 @@ from .cga import _MAX_N, _block_text, lockstep
 from .drift_field import corner_spectra, drift
 from .landscape import (
     FitnessSpec,
-    bits_to_string,
     enumerate_local_maxima,
     fitness_values,
     is_injective,
+    place_values,
     require_injective,
     spec_from_json_dict,
     spec_to_json_dict,
@@ -220,7 +220,7 @@ class CampaignResult:
 
 def monte_carlo(cfg: ExperimentConfig) -> CampaignResult:
     """Seeded runs from the center for each N, all in one lockstep; tally
-    terminal corners.
+    terminal corners, keyed by their bitstrings.
 
     Terminal corners are cross-referenced against the brute-force
     local-maxima report. Non-injective specs still run, but the result is
@@ -228,7 +228,7 @@ def monte_carlo(cfg: ExperimentConfig) -> CampaignResult:
     """
     spec = cfg.spec
     injective = is_injective(spec)
-    maxima = set(enumerate_local_maxima(spec).maxima) if injective else None
+    maxima = enumerate_local_maxima(spec).indices if injective else None
 
     # every run of every N in one lockstep
     R = cfg.runs_per_setting
@@ -236,22 +236,19 @@ def monte_carlo(cfg: ExperimentConfig) -> CampaignResult:
     settings = []
     for i, N in enumerate(cfg.N_values):
         ends = result[i * R:(i + 1) * R]
-        counts: dict[str, int] = {}
-        all_maxima = True
-        for final in ends.counts[ends.terminated]:
-            corner = tuple(int(c) for c in final // (2 * N))
-            counts[bits_to_string(corner)] = counts.get(bits_to_string(corner), 0) + 1
-            if injective and corner not in maxima:
-                all_maxima = False
+        # a terminated run's counts are 0 or 2N, so counts // 2N are its corner's bits
+        corners, counts = np.unique(ends.counts[ends.terminated] // (2 * N) @ place_values(spec.n),
+                                    return_counts=True)
         iters = ends.iterations[ends.terminated]
-        non_term = int(np.count_nonzero(~ends.terminated))
         settings.append(SettingResult(
             N=N,
             alpha=1.0 / (2 * N),
-            convergence_counts=counts,
-            non_terminated=non_term,
+            convergence_counts={format(c, f"0{spec.n}b"): k
+                                for c, k in zip(corners.tolist(), counts.tolist())},
+            non_terminated=int(np.count_nonzero(~ends.terminated)),
             mean_iterations=float(np.mean(iters)) if iters.size else None,
-            terminal_corners_are_local_maxima=all_maxima if injective else None,
+            terminal_corners_are_local_maxima=(bool(np.isin(corners, maxima).all())
+                                               if injective else None),
         ))
     return CampaignResult(config=cfg, settings=settings,
                           theorem_scope="ok" if injective else "outside")

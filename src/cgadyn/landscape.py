@@ -1,9 +1,9 @@
 """Pseudo-boolean fitness landscapes over fixed-length bitstrings.
 
 A solution is an ordered sequence of n bits; locus 1 is the leftmost /
-most significant position. Solutions are handled as plain sequences
-(tuples or 0/1 numpy arrays) and are also addressable by their integer
-index ``sum(bits[i] << (n-1-i))``.
+most significant position. Inside the package a solution is its int64
+index ``sum(bits[i] << (n-1-i))``: bits (tuples or 0/1 arrays) are read
+only from the user, and bitstrings are written only to artifacts.
 
 The module provides the built-in fitness families, each declared once:
 its factory checks its fields, its ``_KINDS`` entry names its JSON
@@ -319,18 +319,23 @@ def require_injective(spec: FitnessSpec, operation: str) -> None:
 
 @dataclass(frozen=True)
 class LocalMaxReport:
-    """All local maxima of a spec, with per-maximum strictness flags."""
+    """The local maxima of a spec: their increasing int64 indices and strict flags."""
 
-    maxima: tuple[tuple[int, ...], ...]
-    strict_flags: tuple[bool, ...]
+    indices: np.ndarray
+    strict: np.ndarray
 
 
 def neighbor_signs(spec: FitnessSpec, rows=None) -> np.ndarray:
     """int8 (len(rows), n): entry m is +1, 0 or -1 as flipping locus m raises,
-    keeps or lowers the fitness of each index in ``rows`` (default: all 2^n).
+    keeps or lowers the fitness of each index in ``rows`` (default: all 2^n;
+    anything but integers in [0, 2^n) raises DomainError).
     Filled one locus at a time: no (rows, n) index or value matrix is built."""
     vals = fitness_values(spec)
-    idx = np.arange(spec.num_solutions) if rows is None else np.asarray(rows, dtype=np.int64)
+    idx = np.arange(spec.num_solutions) if rows is None else np.asarray(rows)
+    if rows is not None and (idx.ndim != 1 or idx.size and (
+            idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= spec.num_solutions)):
+        raise DomainError(f"corner indices must be 1-D integers in [0, {spec.num_solutions})")
+    idx = idx.astype(np.int64, copy=False)
     own = vals[idx]
     signs = np.empty((idx.size, spec.n), dtype=np.int8)
     for m, bit in enumerate(place_values(spec.n).tolist()):
@@ -344,8 +349,7 @@ def enumerate_local_maxima(spec: FitnessSpec) -> LocalMaxReport:
     Hamming-1 neighbor is fitter; strict iff every neighbor is less fit."""
     signs = neighbor_signs(spec)
     found = np.flatnonzero((signs <= 0).all(axis=1))
-    return LocalMaxReport(maxima=tuple(index_to_bits(int(i), spec.n) for i in found),
-                          strict_flags=tuple((signs[found] < 0).all(axis=1).tolist()))
+    return LocalMaxReport(indices=found, strict=(signs[found] < 0).all(axis=1))
 
 
 # ---------------------------------------------------------------------------

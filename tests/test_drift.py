@@ -433,7 +433,7 @@ def test_jacobian_analytic_diagonal_pm2_and_stability_link():
                 assert np.array_equal(off_diag, np.zeros((n, n)))
                 assert set(np.unique(np.diag(jac))) <= {-2.0, 2.0}
                 all_negative = bool(np.all(np.diag(jac) == -2.0))
-                assert all_negative == (corner in report.maxima)
+                assert all_negative == (i in report.indices)
 
 
 def test_jacobian_analytic_rejects_non_corner_and_non_injective():
@@ -479,6 +479,26 @@ def test_corner_spectra_equal_one_sided_differences_on_ties():
         assert set(np.flatnonzero(local_max)) == {ls.bits_to_index(y) for y in local_maxima(spec)}
         ties += int(np.count_nonzero(tie))
     assert ties > 0
+
+
+@pytest.mark.parametrize("rows", [[-1], [4], [1.5], [[3]], np.array([2**63], dtype=np.uint64)],
+                         ids=["negative", "past_the_last", "float", "2d", "past_int64"])
+def test_corner_indices_outside_the_cube_are_refused(rows):
+    # -1 used to read corner 3's row: two's complement makes -1 ^ bit the
+    # right neighbor of 2^n - 1
+    for read in (ls.neighbor_signs, dr.corner_spectra):
+        with pytest.raises(DomainError, match="corner indices"):
+            read(ls.binval(2), rows)
+
+
+def test_corner_indices_of_any_integer_dtype_are_read():
+    spec = ls.binval(2)
+    full = ls.neighbor_signs(spec)
+    for rows in ([3, 0], np.array([3, 0], dtype=np.uint8), np.array([3, 0], dtype=np.int32)):
+        assert np.array_equal(ls.neighbor_signs(spec, rows), full[[3, 0]])
+        assert np.array_equal(dr.corner_spectra(spec, rows)[0], 2.0 * full[[3, 0]])
+    assert ls.neighbor_signs(spec, []).shape == (0, 2)
+    assert dr.corner_spectra(spec, [])[0].shape == (0, 2)
 
 
 def test_corner_spectra_builds_no_neighbor_matrix():

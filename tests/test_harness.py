@@ -187,7 +187,7 @@ def test_monte_carlo_counts_add_up(tmp_path):
     cfg = small_config(tmp_path, runs_per_setting=20)
     result = hn.monte_carlo(cfg)
     assert result.theorem_scope == "ok"
-    maxima = {ls.bits_to_string(m) for m in ls.enumerate_local_maxima(cfg.spec).maxima}
+    maxima = {format(i, "02b") for i in ls.enumerate_local_maxima(cfg.spec).indices.tolist()}
     for setting in result.settings:
         assert sum(setting.convergence_counts.values()) + setting.non_terminated == 20
         # coarse learning steps may absorb off the maxima; the flag must say so
@@ -198,7 +198,7 @@ def test_monte_carlo_counts_add_up(tmp_path):
 
 def test_monte_carlo_terminal_corners_subset_of_maxima(tmp_path):
     spec = ls.random_injective(3, seed=12)
-    maxima = {ls.bits_to_string(m) for m in ls.enumerate_local_maxima(spec).maxima}
+    maxima = {format(i, "03b") for i in ls.enumerate_local_maxima(spec).indices.tolist()}
     cfg = small_config(tmp_path, spec=spec, N_values=(16,), runs_per_setting=40)
     result = hn.monte_carlo(cfg)
     seen = set(result.settings[0].convergence_counts)
@@ -220,7 +220,8 @@ def test_monte_carlo_non_injective_labeled(tmp_path):
 def serial_tallies(cfg):
     """monte_carlo's tallies, recomputed from one cga.run per run seed."""
     spec = cfg.spec
-    maxima = set(ls.enumerate_local_maxima(spec).maxima) if ls.is_injective(spec) else None
+    maxima = (set(ls.enumerate_local_maxima(spec).indices.tolist()) if ls.is_injective(spec)
+              else None)
     out = []
     for N in cfg.N_values:
         max_iters = cfg.max_iters if cfg.max_iters is not None else cga.default_max_iters(N, spec.n)
@@ -233,7 +234,8 @@ def serial_tallies(cfg):
                 iters.append(traj.iterations)
             else:
                 non_terminated += 1
-        on_maxima = None if maxima is None else all(ls.string_to_bits(c) in maxima for c in counts)
+        on_maxima = None if maxima is None else all(
+            ls.bits_to_index(ls.string_to_bits(c)) in maxima for c in counts)
         out.append((counts, non_terminated, float(np.mean(iters)) if iters else None, on_maxima))
     return out
 
@@ -250,6 +252,27 @@ def test_monte_carlo_equals_serial_runs(tmp_path, spec, N_values, runs, max_iter
     got = [(s.convergence_counts, s.non_terminated, s.mean_iterations,
             s.terminal_corners_are_local_maxima) for s in hn.monte_carlo(cfg).settings]
     assert got == serial_tallies(cfg)
+
+
+_ORDER_TABLES = [np.random.default_rng(n).permutation(1 << n) for n in range(2, 7)] + [
+    np.array([1, 2, 2, 1, 0, 3, 1, 3])]
+
+
+@pytest.mark.parametrize("values", _ORDER_TABLES, ids=[f"permutation{n}" for n in range(2, 7)]
+                         + ["tied3"])
+def test_maxima_and_tallies_are_bit_identical_under_an_increasing_map(tmp_path, values):
+    # the tournament and the neighbor table only compare fitness values, so
+    # v and exp(v / 7) give the same maxima and the same runs
+    spec, mapped = (ls.table_spec(v) for v in (values.astype(float), np.exp(values / 7)))
+    got = [ls.enumerate_local_maxima(s) for s in (spec, mapped)]
+    assert got[0].indices.dtype == got[1].indices.dtype == np.int64
+    assert np.array_equal(got[0].indices, got[1].indices)
+    assert np.array_equal(got[0].strict, got[1].strict)
+    settings = [hn.monte_carlo(small_config(tmp_path, spec=s, N_values=(1, 2, 8),
+                                            runs_per_setting=12, max_iters=60)).settings
+                for s in (spec, mapped)]
+    assert settings[0] == settings[1]
+    assert sum(sum(s.convergence_counts.values()) for s in settings[0]) > 0
 
 
 # --- learning-step sweep ---------------------------------------------------------
@@ -311,7 +334,7 @@ def test_classify_all_random_injective_matches_oracle():
     spec = ls.random_injective(4, seed=7)
     report = hn.classify_all(spec)
     stable = sum(r.verdict == "asymptotically_stable" for r in report.rows)
-    assert stable == len(ls.enumerate_local_maxima(spec).maxima)
+    assert stable == len(ls.enumerate_local_maxima(spec).indices)
     assert report.all_agree
 
 
@@ -731,7 +754,17 @@ def test_cli_classify_stdout_bytes_are_pinned(capsys, spec_args, sha256):
     (["ode", "--step", "0.1", "--out", "ode.jsonl"], {
         "ode.jsonl": "821ba2a9b039898fa82ee1818289df1d3505353cea1c2925ccd0cf2ad0317b96",
     }),
-], ids=["montecarlo", "alphasweep", "run", "ode"])
+    # runs end at six corners, three of them not local maxima, and no N=16 run
+    # terminates within the budget
+    (["montecarlo", "--spec", "random_injective", "--n", "4", "--spec-seed", "5",
+      "--N", "1", "--N", "2", "--N", "4", "--N", "16", "--runs", "12", "--max-iters", "30",
+      "--out", "mc"], {
+        "mc/montecarlo_summary.json":
+            "be3e18e974bc67e6d03a57df2a56622bc4a31f2b935b4f865f8e8b46bbe81cec",
+        "mc/montecarlo_settings.csv":
+            "cf5e68d1dfb57282591582b78a852fa498d765f0aa916d995cfc64f94666923c",
+    }),
+], ids=["montecarlo", "alphasweep", "run", "ode", "montecarlo_many_corners"])
 def test_cli_campaign_and_trajectory_bytes_are_pinned(tmp_path, monkeypatch, argv, sha256):
     # output_dir is part of the hashed config, so the paths are relative
     monkeypatch.chdir(tmp_path)
@@ -751,8 +784,13 @@ def test_cli_campaign_and_trajectory_bytes_are_pinned(tmp_path, monkeypatch, arg
      "9348aaa7924229f2d7929868d8ae9ffb4477abc71de18b37574d502bd3e46ddb"),
     (["drift", "--spec", "random_injective", "--n", "3", "--spec-seed", "4", "--grid", "7"],
      "85fe243d7231dd8feea0f5da46e58ceed4cc0abeb5ee35e887052a2dd3e5ff23"),
-], ids=["localmaxima", "classify", "drift"])
-def test_cli_table_bytes_are_pinned(tmp_path, argv, sha256):
+    # maxima 010 (strict), 101 and 111 (a tie between neighbors)
+    (["localmaxima", "--spec-file", "tied.json"],
+     "d9d14e65777aa9f9a2abd8a7709c85e3242545676823562f4ee7bcebe154597f"),
+], ids=["localmaxima", "classify", "drift", "localmaxima_tied"])
+def test_cli_table_bytes_are_pinned(tmp_path, monkeypatch, argv, sha256):
+    monkeypatch.chdir(tmp_path)
+    Path("tied.json").write_text(json.dumps({"kind": "table", "table": [1, 2, 2, 1, 0, 3, 1, 3]}))
     out = tmp_path / "table.csv"
     assert cli_main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

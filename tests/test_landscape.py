@@ -104,20 +104,21 @@ def test_raised_cap_stops_where_the_int64_index_would_wrap():
 
 def test_local_maxima_binval():
     report = ls.enumerate_local_maxima(ls.binval(2))
-    assert report.maxima == ((1, 1),)
-    assert report.strict_flags == (True,)
+    assert report.indices.dtype == np.int64
+    assert report.indices.tolist() == [3]
+    assert report.strict.tolist() == [True]
 
 
 def test_local_maxima_two_max_table():
     report = ls.enumerate_local_maxima(TWO_MAX_TABLE)
-    assert report.maxima == ((0, 0), (1, 1))
-    assert report.strict_flags == (True, True)
+    assert report.indices.tolist() == [0, 3]
+    assert report.strict.tolist() == [True, True]
 
 
 def test_local_maxima_tied_table():
     report = ls.enumerate_local_maxima(ls.table_spec([1.0, 1.0], n=1))
-    assert report.maxima == ((0,), (1,))
-    assert report.strict_flags == (False, False)
+    assert report.indices.tolist() == [0, 1]
+    assert report.strict.tolist() == [False, False]
 
 
 def test_point_query_consistent_with_enumeration(rng):
@@ -133,9 +134,9 @@ def test_point_query_consistent_with_enumeration(rng):
         spec = ls.table_spec(vals, n=int(np.log2(len(vals))))
         report = ls.enumerate_local_maxima(spec)
         expected = local_maxima(spec)
-        assert report.maxima == tuple(expected)
-        assert report.strict_flags == tuple(expected.values())
-        non_strict += report.strict_flags.count(False)
+        assert report.indices.tolist() == [ls.bits_to_index(y) for y in expected]
+        assert report.strict.tolist() == list(expected.values())
+        non_strict += int(np.count_nonzero(~report.strict))
     assert non_strict > 0
 
 
@@ -157,8 +158,8 @@ def test_injective_specs_have_a_strict_maximum():
     for n in (2, 3, 4):
         for spec in injective_suite(n):
             report = ls.enumerate_local_maxima(spec)
-            assert len(report.maxima) >= 1
-            assert all(report.strict_flags)
+            assert len(report.indices) >= 1
+            assert report.strict.all()
 
 
 def test_random_injective_many_seeds():

@@ -1,5 +1,7 @@
-"""Every private module-level name and private method defined in src/ is
-mentioned again somewhere in src/, so a refactor leaves no orphaned helper.
+"""Every private module-level name and private method defined in src/, and
+every public module-level function and class, is mentioned again somewhere
+in src/ (an export from ``cgadyn/__init__.py`` is a mention), so a refactor
+leaves no orphaned helper.
 
 A name is private if it starts with one underscore and is not a dunder.
 """
@@ -31,6 +33,13 @@ def private_definitions(tree: ast.Module) -> list[str]:
     return [name for name in defined if _is_private(name)]
 
 
+def public_definitions(tree: ast.Module) -> list[str]:
+    """The public functions and classes a module defines at module level."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def mentions(tree: ast.Module) -> set[str]:
     """The names a module reads, as a name, an attribute or an import."""
     found = set()
@@ -44,11 +53,11 @@ def mentions(tree: ast.Module) -> set[str]:
     return found
 
 
-def orphans(sources: list[str]) -> list[str]:
-    """The private names defined in ``sources`` that none of them mentions."""
+def orphans(sources: list[str], definitions=private_definitions) -> list[str]:
+    """The names ``definitions`` finds in ``sources`` that none of them mentions."""
     trees = [ast.parse(source) for source in sources]
     used = set().union(*map(mentions, trees))
-    return [name for tree in trees for name in private_definitions(tree) if name not in used]
+    return [name for tree in trees for name in definitions(tree) if name not in used]
 
 
 def test_orphans_finds_each_form():
@@ -61,6 +70,18 @@ def test_orphans_finds_each_form():
     assert orphans([defining, using]) == ["_D", "_f", "_K", "_m"]
 
 
+def test_public_orphans_finds_functions_and_classes():
+    defining = ("A = 1\ndef f():\n    return g()\ndef g():\n    pass\n"
+                "def h():\n    pass\nclass K:\n    def m(self):\n        pass\n"
+                "class L:\n    pass\ndef _p():\n    pass\n")
+    exporting = "from .defining import L\n"
+    assert orphans([defining, exporting], public_definitions) == ["f", "h", "K"]
+
+
 def test_no_orphaned_private_names_in_src():
     assert SOURCES
     assert orphans([path.read_text() for path in SOURCES]) == []
+
+
+def test_no_orphaned_public_functions_or_classes_in_src():
+    assert orphans([path.read_text() for path in SOURCES], public_definitions) == []
