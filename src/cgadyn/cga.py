@@ -46,7 +46,7 @@ import numpy as np
 
 from .drift_field import _as_pv
 from .errors import DimensionError, DomainError, HorizonError
-from .landscape import FitnessSpec, fitness_values, place_values, spec_to_json_dict
+from .landscape import FitnessSpec, _integer, fitness_values, place_values, spec_to_json_dict
 
 
 def default_max_iters(N: int, n: int) -> int:
@@ -203,6 +203,17 @@ def _per_run(values: np.ndarray, runs: int, name: str) -> np.ndarray:
     return np.broadcast_to(np.asarray(np.minimum(values, _INT64_MAX), dtype=np.int64), (runs,))
 
 
+def _distinct_integers(values, name: str) -> list:
+    """The distinct values of ``values``, one value or an array of them, in
+    increasing order. Each is refused unless it is an integer (Python or
+    numpy, not a bool): one value per distinct type is checked, as a set
+    would fold True into 1."""
+    flat = np.asarray(values, dtype=object).ravel().tolist()
+    for kind in set(map(type, flat)):
+        _integer(next(v for v in flat if type(v) is kind), name)
+    return sorted(set(flat))
+
+
 def lockstep(
     spec: FitnessSpec,
     N,
@@ -240,14 +251,14 @@ def lockstep(
     """
     n = spec.n
     Ns = np.asarray(N, dtype=object)
-    grid = sorted(set(Ns.ravel().tolist()))  # the distinct N
+    grid = _distinct_integers(Ns, "N")
     for value in grid:
         if not 1 <= value <= _MAX_N:
             raise DomainError(
                 f"N must lie in [1, {_MAX_N}], so that 2N fits in int64, got {value}")
     budgets = np.asarray(default_max_iters(Ns, n) if max_iters is None else max_iters,
                          dtype=object)
-    for value in set(budgets.ravel().tolist()):
+    for value in _distinct_integers(budgets, "max_iters"):
         if value < 0:
             raise DomainError(f"max_iters must be >= 0, got {value}")
     # the start of every distinct N, gathered per run below
@@ -334,7 +345,7 @@ def run_many(
     Trajectory r is exactly ``run(spec, N, seed=seeds[r], ...)`` with the
     same ``initial``, ``max_iters`` and ``record_every``.
     """
-    if record_every < 1:
+    if _integer(record_every, "record_every") < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every}")
     seeds = list(seeds)
     kept = [[] for _ in seeds]

@@ -14,7 +14,8 @@ Each subcommand is declared once, in ``build_parser``: its own flags and
 the handler it runs. Every subcommand also takes the spec flags and
 ``--config FILE`` with an experiment-config JSON object. A flag's argparse
 dest is the spec or config field it sets; a config flag given overrides
-the file's value, and every config field is checked by its rule in
+the file's value, and ``ExperimentConfig.from_json_dict`` reads the
+result, checking every config field by its rule in
 ``harness._CONFIG_FIELDS``. Exit codes: 0 success, 1 validation/usage
 error (diagnostic on stderr), 2 internal error.
 """
@@ -36,7 +37,6 @@ from .harness import (
     _CONFIG_FIELDS,
     ExperimentConfig,
     alpha_sweep,
-    check_config_fields,
     classify_all,
     drift_grid_rows,
     hash_of,
@@ -158,41 +158,33 @@ def _read_json(path: Path, what: str):
         raise _UsageError(f"malformed {what} JSON in {path}: {exc}") from exc
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
-    obj = _read_json(args.config, "config")
-    if not isinstance(obj, dict):
-        raise _UsageError(f"config file {args.config} must contain a JSON object")
-    check_config_fields(obj)
-    return obj
-
-
-def _resolve_spec(args, cfg: dict):
-    """The spec from --spec-file, --spec flags (whose dests are the fields of a
-    spec file's JSON object) or the config; one parser checks every source,
-    and the config's spec even where a flag replaces it."""
-    config_spec = spec_from_json_dict(cfg["spec"]) if "spec" in cfg else None
+def _spec_object(args, cfg: dict):
+    """The spec JSON object from --spec-file, the --spec flags (whose dests
+    are the fields of a spec object) or the config; a config's spec that a
+    file or flags replace is still checked, first."""
+    if args.spec_file is None and args.kind is None:
+        if "spec" not in cfg:
+            raise _UsageError("no fitness spec: use --spec/--spec-file or a config file")
+        return cfg["spec"]
+    if "spec" in cfg:
+        spec_from_json_dict(cfg["spec"])
     if args.spec_file is not None:
-        obj = _read_json(args.spec_file, "spec")
-    elif args.kind is not None:
-        obj = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS and v is not None}
-    elif config_spec is not None:
-        return config_spec
-    else:
-        raise _UsageError("no fitness spec: use --spec/--spec-file or a config file")
-    return spec_from_json_dict(obj)
+        return _read_json(args.spec_file, "spec")
+    return {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS and v is not None}
 
 
 def _config(args, needs_N: bool = False) -> ExperimentConfig:
-    """The config file's fields, then each flag given on top of them: a
-    flag's argparse dest is the name of the field it sets."""
-    cfg = _load_config(args)
-    spec = _resolve_spec(args, cfg)
-    cfg.update({k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None})
-    if needs_N and "N_values" not in cfg:
+    """The config read by ``ExperimentConfig.from_json_dict`` from one object:
+    the config file's fields, each flag given on top of them (a flag's
+    argparse dest is the name of the field it sets), and the chosen spec."""
+    cfg = {} if args.config is None else _read_json(args.config, "config")
+    if not isinstance(cfg, dict):
+        raise _UsageError(f"config file {args.config} must contain a JSON object")
+    obj = {**cfg, **{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None},
+           "spec": _spec_object(args, cfg)}
+    if needs_N and "N_values" not in obj:
         raise _UsageError("run needs --N")
-    return ExperimentConfig(**{**cfg, "spec": spec})
+    return ExperimentConfig.from_json_dict(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -152,13 +152,11 @@ _CSV_BLOCK_ROWS = 4096
 
 
 def _cell(value):
-    """One CSV cell: a real in ``REAL_FMT``, a tuple of reals joined by ``;``,
-    a dict (a tally) as sorted-key JSON, anything else as csv.writer writes
-    it (None becomes an empty cell)."""
+    """One CSV cell: a real in ``REAL_FMT``, a dict (a tally) as sorted-key
+    JSON, anything else as csv.writer writes it (None becomes an empty
+    cell)."""
     if isinstance(value, float):
         return REAL_FMT % value
-    if isinstance(value, tuple):
-        return ";".join([REAL_FMT % x for x in value])
     if isinstance(value, dict):
         return json.dumps(value, sort_keys=True)
     return value
@@ -311,16 +309,7 @@ def alpha_sweep(cfg: ExperimentConfig) -> list[AlphaSweepRow]:
 # corner classification report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClassificationRow:
-    corner: str
-    fitness: float
-    local_max: bool
-    verdict: str
-    eigenvalues: tuple[float, ...]
-    agreement: bool
-
-
+_REPORT_COLUMNS = ("corner", "fitness", "local_max", "verdict", "eigenvalues", "agreement")
 _VERDICTS = ("unstable", "asymptotically_stable")  # indexed by the stable flag
 
 
@@ -328,11 +317,8 @@ _VERDICTS = ("unstable", "asymptotically_stable")  # indexed by the stable flag
 class ClassificationReport:
     """The corner report, held as arrays with one entry per corner index:
     ``fitness`` (the spec's ``fitness_values``), and the ``eigenvalues``
-    (2^n, n) and ``local_max`` flags of ``corner_spectra``.
-
-    ``rows`` builds one :class:`ClassificationRow` per corner each time it
-    is read; the counts and the CSV table are taken from the arrays, so no
-    per-corner object is made to write the report.
+    (2^n, n) and ``local_max`` flags of ``corner_spectra``. The counts and
+    the CSV table are taken from the arrays; no object is made per corner.
     """
 
     spec: FitnessSpec
@@ -347,15 +333,6 @@ class ClassificationReport:
         return (self.eigenvalues < 0).all(axis=1)
 
     @property
-    def rows(self) -> list[ClassificationRow]:
-        columns = zip(self.fitness.tolist(), self.local_max.tolist(), self.stable.tolist(),
-                      self.eigenvalues.tolist())
-        return [ClassificationRow(corner=format(i, f"0{self.spec.n}b"), fitness=fitness,
-                                  local_max=is_max, verdict=_VERDICTS[stable],
-                                  eigenvalues=tuple(e), agreement=stable == is_max)
-                for i, (fitness, is_max, stable, e) in enumerate(columns)]
-
-    @property
     def agreement_count(self) -> int:
         return int(np.count_nonzero(self.stable == self.local_max))
 
@@ -364,15 +341,15 @@ class ClassificationReport:
         return self.agreement_count == len(self.fitness)
 
     def write_csv(self, fp, header: dict | None = None) -> None:
-        """The rows as a CSV table (:func:`write_csv`), with the agreement
-        count as its footer. The table is written ``_CSV_BLOCK_ROWS`` rows
-        at a time from the arrays, each cell by the rule of :func:`_cell`:
-        the eigenvalues through :func:`cgadyn.cga._block_text`."""
+        """One row per corner as a CSV table (:func:`write_csv`) with the
+        columns ``_REPORT_COLUMNS``, and the agreement count as its footer.
+        The table is written ``_CSV_BLOCK_ROWS`` rows at a time from the
+        arrays: each real in ``REAL_FMT``, and a corner's eigenvalues
+        joined by ``;`` through :func:`cgadyn.cga._block_text`."""
         summary = f"agreement: {self.agreement_count}/{len(self.fitness)}" + (
             " (100%)" if self.all_agree else " (MISMATCH)"
         )
-        write_csv(fp, [f.name for f in fields(ClassificationRow)], self._text_blocks(),
-                  header=header, footer=[summary])
+        write_csv(fp, _REPORT_COLUMNS, self._text_blocks(), header=header, footer=[summary])
 
     def _text_blocks(self) -> Iterator[str]:
         bits = f"0{self.spec.n}b"

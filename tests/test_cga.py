@@ -346,6 +346,33 @@ def test_lockstep_and_run_many_refuse_bad_arguments():
         C.run_many(spec, 4, seeds, record_every=0)
 
 
+
+def test_non_integer_engine_settings_are_refused():
+    # each of these used to run: N = 2.5 stepped on the N = 2 grid but
+    # reported alpha 0.2, max_iters = 1.5 ran one iteration, record_every =
+    # 2.5 kept every fifth iteration, and N = True ran as N = 1
+    spec, seeds = ls.binval(2), [0, 1]
+    for call, name in (
+        (lambda: C.run(spec, 2.5, seed=1), "N"),
+        (lambda: C.run(spec, True), "N"),
+        (lambda: C.lockstep(spec, [4, 4.0], seeds), "N"),
+        (lambda: C.lockstep(spec, [1, True], seeds), "N"),  # a set folds True into 1
+        (lambda: C.lockstep(spec, np.array([True, False]), seeds), "N"),
+        (lambda: C.lockstep(spec, 4, seeds, max_iters=1.5), "max_iters"),
+        (lambda: C.lockstep(spec, 4, seeds, max_iters=[3, np.float64(2.0)]), "max_iters"),
+        (lambda: C.run(spec, 4, max_iters=True), "max_iters"),
+        (lambda: C.run(spec, 4, record_every=2.5), "record_every"),
+        (lambda: C.run_many(spec, 4, seeds, record_every=True), "record_every"),
+    ):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+            call()
+    # numpy integers are integers
+    ours = C.run(spec, np.int64(4), seed=3, max_iters=np.int32(9), record_every=np.int8(2))
+    plain = C.run(spec, 4, seed=3, max_iters=9, record_every=2)
+    assert ours.alpha == plain.alpha == 0.125
+    assert np.array_equal(ours.recorded_ks, plain.recorded_ks)
+    assert np.array_equal(ours.counts, plain.counts)
+
 def test_termination_iff_deterministic():
     for seed in range(8):
         traj = C.run(ls.random_injective(3, seed=0), 4, seed=seed, max_iters=400)

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,8 +166,7 @@ def test_fmt_real_roundtrips():
 def test_write_csv_rows_write_every_cell_by_one_rule():
     # callers pass raw values; write_csv alone decides how each is written
     tally = {"10": 2, "01": 1}  # keys out of order
-    reals = tuple(_EDGE_REALS)
-    rows = [[x, reals, tally, None, True, False, 7, -3, "a,b"]
+    rows = [[x, tally, None, True, False, 7, -3, "a,b"]
             for x in [*_EDGE_REALS, -0.0, np.float64(0.1)]]
     names = [f"c{i}" for i in range(len(rows[0]))]
     buf = io.StringIO()
@@ -175,9 +174,8 @@ def test_write_csv_rows_write_every_cell_by_one_rule():
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(names)
-    for x, eigs, counts, *rest in rows:
-        writer.writerow(["%.17g" % x, ";".join("%.17g" % e for e in eigs),
-                         json.dumps(counts, sort_keys=True), *rest])
+    for x, counts, *rest in rows:
+        writer.writerow(["%.17g" % x, json.dumps(counts, sort_keys=True), *rest])
     assert buf.getvalue() == "# seed: 1\n" + expected.getvalue() + "# end\n"
 
 
@@ -275,6 +273,22 @@ def test_maxima_and_tallies_are_bit_identical_under_an_increasing_map(tmp_path, 
     assert sum(sum(s.convergence_counts.values()) for s in settings[0]) > 0
 
 
+@pytest.mark.parametrize("values", _ORDER_TABLES[:-1],
+                         ids=[f"permutation{n}" for n in range(2, 7)])
+def test_classify_report_is_bit_identical_under_an_increasing_map(values):
+    # a corner's spectrum only compares its fitness with its neighbors', so v
+    # and exp(v / 7) give the same report apart from the fitness column
+    specs = [ls.table_spec(v) for v in (values.astype(float), np.exp(values / 7))]
+    reports = [hn.classify_all(spec) for spec in specs]
+    for name in ("eigenvalues", "local_max", "stable"):
+        ours, mapped = (getattr(report, name) for report in reports)
+        assert ours.dtype == mapped.dtype and ours.tobytes() == mapped.tobytes(), name
+    tables = [_report_table(report) for report in reports]
+    assert [[row[0], *row[2:]] for row in tables[0]] == [[row[0], *row[2:]] for row in tables[1]]
+    for table, spec in zip(tables, specs):
+        assert [float(row[1]) for row in table] == ls.fitness_values(spec).tolist()
+
+
 # --- learning-step sweep ---------------------------------------------------------
 
 def test_alpha_sweep_rows(tmp_path):
@@ -324,34 +338,48 @@ def test_alpha_sweep_equals_serial_sup_distance(tmp_path, spec, N_values, T, h):
 
 def test_classify_all_binval3():
     report = hn.classify_all(ls.binval(3))
-    assert len(report.rows) == 8
-    stable = [r for r in report.rows if r.verdict == "asymptotically_stable"]
-    assert len(stable) == 1 and stable[0].corner == "111"
+    assert len(report.fitness) == 8
+    assert np.flatnonzero(report.stable).tolist() == [ls.bits_to_index((1, 1, 1))]
     assert report.all_agree
 
 
 def test_classify_all_random_injective_matches_oracle():
     spec = ls.random_injective(4, seed=7)
     report = hn.classify_all(spec)
-    stable = sum(r.verdict == "asymptotically_stable" for r in report.rows)
+    stable = np.count_nonzero(report.stable)
     assert stable == len(ls.enumerate_local_maxima(spec).indices)
     assert report.all_agree
+
+
+def _report_table(report) -> list[list[str]]:
+    """The cells of each corner's row of the report's CSV table."""
+    buf = io.StringIO()
+    report.write_csv(buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == ",".join(hn._REPORT_COLUMNS) and lines[-1].startswith("# agreement")
+    return list(csv.reader(lines[1:-1]))
 
 
 @pytest.mark.parametrize("spec", [s for n in (2, 3, 4) for s in injective_suite(n)]
                          + [ls.random_injective(8, seed=8)])
 def test_classify_all_equals_per_corner_verdicts_and_oracle(spec):
+    # each corner's arrays and its row of the written report, against the
+    # oracle's strict local maxima and each neighbor's own evaluation
     report = hn.classify_all(spec)
     maxima = strict_local_maxima(spec)
-    assert len(report.rows) == 1 << spec.n
-    for i, row in enumerate(report.rows):
+    table = _report_table(report)
+    assert report.eigenvalues.shape == (1 << spec.n, spec.n) and len(table) == 1 << spec.n
+    for i, (bits, fitness, local_max, verdict, eigenvalues, agreement) in enumerate(table):
         corner = ls.index_to_bits(i, spec.n)
-        assert row.corner == ls.bits_to_string(corner)
+        assert bits == ls.bits_to_string(corner)
         own = ls.evaluate(spec, corner)
-        assert row.fitness == own
-        assert row.local_max == (corner in maxima) == (row.verdict == "asymptotically_stable")
-        assert row.agreement
-        for m, e in enumerate(row.eigenvalues):
+        assert report.fitness[i] == float(fitness) == own
+        is_max = corner in maxima
+        assert report.local_max[i] == report.stable[i] == is_max
+        assert local_max == str(is_max) and agreement == "True"
+        assert verdict == ("asymptotically_stable" if is_max else "unstable")
+        assert [float(e) for e in eigenvalues.split(";")] == report.eigenvalues[i].tolist()
+        for m, e in enumerate(report.eigenvalues[i]):
             flipped = corner[:m] + (1 - corner[m],) + corner[m + 1:]
             assert e == (2.0 if ls.evaluate(spec, flipped) > own else -2.0)
 
@@ -372,15 +400,22 @@ def test_classify_csv_shape():
 
 
 def _classify_csv_oracle(report, header) -> str:
-    """The report as csv.writer writes its rows, each cell by ``_cell``."""
+    """The report as csv.writer writes one row per corner of its arrays."""
     buf = io.StringIO()
     buf.write("".join(f"# {key}: {header[key]}\n" for key in sorted(header)))
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f.name for f in fields(hn.ClassificationRow)])
-    writer.writerows(map(hn._cell, vars(row).values()) for row in report.rows)
-    agree = sum(row.agreement for row in report.rows)
-    verdict = "(100%)" if agree == len(report.rows) else "(MISMATCH)"
-    buf.write(f"# agreement: {agree}/{len(report.rows)} {verdict}\n")
+    writer.writerow(["corner", "fitness", "local_max", "verdict", "eigenvalues", "agreement"])
+    columns = zip(report.fitness.tolist(), report.local_max.tolist(), report.stable.tolist(),
+                  report.eigenvalues.tolist())
+    agree = 0
+    for i, (fitness, is_max, stable, eigs) in enumerate(columns):
+        writer.writerow([format(i, f"0{report.spec.n}b"), "%.17g" % fitness, is_max,
+                         "asymptotically_stable" if stable else "unstable",
+                         ";".join("%.17g" % e for e in eigs), stable == is_max])
+        agree += stable == is_max
+    corners = len(report.fitness)
+    verdict = "(100%)" if agree == corners else "(MISMATCH)"
+    buf.write(f"# agreement: {agree}/{corners} {verdict}\n")
     return buf.getvalue()
 
 
@@ -390,12 +425,10 @@ def test_classify_csv_across_a_block_boundary():
     assert 1 << spec.n == 2 * hn._CSV_BLOCK_ROWS
     report = hn.classify_all(spec)
     eigs, local_max = corner_spectra(spec)
-    stable = (eigs < 0).all(axis=1)
-    assert report.rows == [
-        hn.ClassificationRow(format(i, "013b"), fitness, bool(local_max[i]),
-                             "asymptotically_stable" if stable[i] else "unstable",
-                             tuple(eigs[i].tolist()), bool(stable[i] == local_max[i]))
-        for i, fitness in enumerate(ls.fitness_values(spec).tolist())]
+    assert np.array_equal(report.fitness, ls.fitness_values(spec))
+    assert np.array_equal(report.eigenvalues, eigs)
+    assert np.array_equal(report.local_max, local_max)
+    assert np.array_equal(report.stable, (eigs < 0).all(axis=1))
     header = {"master_seed": 0, "config_hash": "abc"}
     buf = io.StringIO()
     report.write_csv(buf, header=header)
@@ -1102,6 +1135,28 @@ def test_cli_montecarlo_and_alphasweep(tmp_path, capsys):
     table = (tmp_path / "sweep" / "alpha_sweep.csv").read_text()
     assert "median_sup_distance" in table
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--spec", "random_injective", "--n", "4", "--spec-seed", "5", "--N", "1",
+     "--N", "2", "--N", "16", "--runs", "12", "--max-iters", "30", "--seed", "7"],
+    ["alphasweep", "--N", "4", "--N", "8", "--runs", "3", "--horizon", "0.5", "--step", "0.05"],
+], ids=["montecarlo", "alphasweep"])
+def test_campaign_reproduces_from_the_config_in_its_summary(tmp_path, monkeypatch, argv):
+    # the summary's config, written by to_json_dict, is a config file that
+    # from_json_dict reads back into the same campaign, byte for byte
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"spec": {"kind": "binval", "n": 3},
+                                            "master_seed": 2, "T_horizon": 2.0}))
+    assert cli_main([*argv, "--config", "cfg.json", "--out", "out"]) == 0
+    written = {path.name: path.read_bytes() for path in Path("out").iterdir()}
+    summary = json.loads(next(data for name, data in written.items() if name.endswith(".json")))
+    Path("summary_config.json").write_text(json.dumps(summary["config"]))
+    for path in Path("out").iterdir():
+        path.unlink()
+    assert cli_main([argv[0], "--config", "summary_config.json"]) == 0
+    assert {path.name: path.read_bytes() for path in Path("out").iterdir()} == written
+    assert len(written) == 2
 
 def test_cli_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.json"

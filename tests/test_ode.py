@@ -317,21 +317,22 @@ def test_unstable_corner_escape():
 # --- stability classification -------------------------------------------------
 
 def test_classify_binval3_corners():
-    rows = hn.classify_all(ls.binval(3)).rows
-    top = rows[ls.bits_to_index((1, 1, 1))]
-    assert top.verdict == "asymptotically_stable"
-    assert top.eigenvalues == (-2.0, -2.0, -2.0)
-    assert top.local_max
-    near = rows[ls.bits_to_index((1, 1, 0))]
-    assert near.verdict == "unstable"
-    assert 2.0 in near.eigenvalues
-    assert not near.local_max
+    report = hn.classify_all(ls.binval(3))
+    top = ls.bits_to_index((1, 1, 1))
+    assert report.stable[top]
+    assert report.eigenvalues[top].tolist() == [-2.0, -2.0, -2.0]
+    assert report.local_max[top]
+    near = ls.bits_to_index((1, 1, 0))
+    assert not report.stable[near]
+    assert 2.0 in report.eigenvalues[near]
+    assert not report.local_max[near]
 
 
 def test_classify_two_max_table():
-    row = hn.classify_all(TWO_MAX_TABLE).rows[ls.bits_to_index((0, 0))]
-    assert row.verdict == "asymptotically_stable"
-    assert row.local_max
+    report = hn.classify_all(TWO_MAX_TABLE)
+    corner = ls.bits_to_index((0, 0))
+    assert report.stable[corner]
+    assert report.local_max[corner]
 
 
 def test_classify_refuses_non_injective():
@@ -340,11 +341,16 @@ def test_classify_refuses_non_injective():
 
 
 def test_stable_iff_negative_eigenvalues():
+    # read from the written report: each verdict against its eigenvalues
     for n in (2, 3):
         for spec in injective_suite(n):
-            for row in hn.classify_all(spec).rows:
-                stable = row.verdict == "asymptotically_stable"
-                assert stable == all(e < 0 for e in row.eigenvalues)
+            buf = io.StringIO()
+            hn.classify_all(spec).write_csv(buf)
+            table = [line.split(",") for line in buf.getvalue().splitlines()[1:-1]]
+            assert len(table) == 1 << n
+            for _, _, _, verdict, eigenvalues, _ in table:
+                stable = verdict == "asymptotically_stable"
+                assert stable == all(float(e) < 0 for e in eigenvalues.split(";"))
 
 
 # --- diagnostics ---------------------------------------------------------------

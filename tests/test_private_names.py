@@ -1,9 +1,15 @@
-"""Every private module-level name and private method defined in src/, and
-every public module-level function and class, is mentioned again somewhere
-in src/ (an export from ``cgadyn/__init__.py`` is a mention), so a refactor
-leaves no orphaned helper.
+"""Every private module-level name and private method defined in src/,
+every public module-level function and class, and every public method of a
+class with no explicit base class, is mentioned again somewhere in src/ (an
+export from ``cgadyn/__init__.py`` is a mention), so a refactor leaves no
+orphaned helper.
 
-A name is private if it starts with one underscore and is not a dunder.
+A name is private if it starts with one underscore and is not a dunder. A
+method of a class with a base class may override one that the base's own
+code calls (as ``cli._Parser.error`` does), so it is not checked. Names are
+matched, not bindings: a method that shares its name with a mentioned
+variable, such as a ``rows`` property beside the many local ``rows``, is
+never reported.
 """
 
 import ast
@@ -38,6 +44,14 @@ def public_definitions(tree: ast.Module) -> list[str]:
     return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+def public_methods(tree: ast.Module) -> list[str]:
+    """The public methods of the module-level classes with no base class."""
+    return [method.name for node in tree.body if isinstance(node, ast.ClassDef) and not node.bases
+            for method in node.body
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not method.name.startswith("_")]
 
 
 def mentions(tree: ast.Module) -> set[str]:
@@ -78,6 +92,17 @@ def test_public_orphans_finds_functions_and_classes():
     assert orphans([defining, exporting], public_definitions) == ["f", "h", "K"]
 
 
+def test_public_method_orphans_skip_classes_with_a_base():
+    defining = ("class K:\n    def m(self):\n        return self.n()\n"
+                "    def n(self):\n        pass\n    def _p(self):\n        pass\n"
+                "    @property\n    def q(self):\n        return 1\n"
+                "    @classmethod\n    def r(cls):\n        return cls()\n"
+                "class Parser(Base):\n    def error(self):\n        pass\n"
+                "def f():\n    pass\n")
+    using = "from .defining import K\nK.r().q\n"
+    assert orphans([defining, using], public_methods) == ["m"]
+
+
 def test_no_orphaned_private_names_in_src():
     assert SOURCES
     assert orphans([path.read_text() for path in SOURCES]) == []
@@ -85,3 +110,7 @@ def test_no_orphaned_private_names_in_src():
 
 def test_no_orphaned_public_functions_or_classes_in_src():
     assert orphans([path.read_text() for path in SOURCES], public_definitions) == []
+
+
+def test_no_orphaned_public_methods_in_src():
+    assert orphans([path.read_text() for path in SOURCES], public_methods) == []
