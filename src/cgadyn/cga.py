@@ -15,11 +15,12 @@ Randomness comes from numpy's PCG64. A run's stream is seeded with
 ``(master_seed, N, run_index)`` so results are independent of execution
 order.
 
-Runs are stepped R at a time on an (R, n) counts array (:func:`lockstep`;
-:func:`run` is the case R = 1), and ``_update`` is the only code that
-samples and competes. The runs of one lockstep may differ in N and in
-their iteration budgets, so a campaign steps every run of every N in one
-lockstep, as long as its longest run needs. Each run draws a block of B
+Runs are stepped R at a time on an (R, n) int64 counts array, whose
+snapshots are int64 whatever the N (:func:`lockstep`; :func:`run` is the
+case R = 1), and ``_update`` is the only code that samples and competes.
+The runs of one lockstep may differ in N and in their iteration budgets,
+and each starts on its own grid, so a campaign steps every run of every N
+in one lockstep, as long as its longest run needs. Each run draws a block of B
 iterations' uniforms into its own row of a slab, B * 2 * n of them in
 stream order, and one copy lays the block out iteration-major; iteration
 j reads the n uniforms of sample a, then the n of sample b: the stream
@@ -170,48 +171,48 @@ _MAX_N = _INT64_MAX // 2
 _MAX_START_2N = 1 << 53
 
 
-def _initial_counts(initial, N: int, n: int) -> np.ndarray:
-    """The grid positions of the start ``initial`` (default the center), a
-    probability vector of length n on the 1/(2N) grid: each entry within
-    min(1e-9, a quarter grid step) of it. An explicit start needs
-    2N <= 2^53."""
+def _initial_counts(initial, Ns: np.ndarray, n: int) -> np.ndarray:
+    """The (R, n) grid positions of run r's start ``initial`` (default the
+    center), a probability vector of length n on its 1/(2N) grid, N =
+    ``Ns[r]``: each entry within min(1e-9, a quarter grid step) of it. An
+    explicit start needs 2N <= 2^53."""
     if initial is None:
-        return np.full(n, N, dtype=np.int64)
-    if 2 * N > _MAX_START_2N:
+        return np.repeat(Ns[:, None], n, axis=1)
+    too_fine = Ns[Ns > _MAX_START_2N // 2]
+    if too_fine.size:
         raise DomainError(
             f"an initial start needs 2N <= 2**53, where float64 holds every 1/(2N) "
-            f"grid point, got N = {N}"
+            f"grid point, got N = {too_fine.min()}"
         )
     p = _as_pv(initial, n)
     if p.ndim != 1:
         raise DimensionError("initial must be one-dimensional")
-    counts = np.rint(p * 2 * N).astype(np.int64)
-    if np.any(np.abs(counts / (2.0 * N) - p) > min(1e-9, 0.25 / (2 * N))):
-        raise DomainError(
-            f"initial probabilities must be integer multiples of 1/(2N) = {1.0 / (2 * N)}"
-        )
+    two_n = 2.0 * Ns[:, None]
+    counts = np.rint(p * two_n).astype(np.int64)
+    off = (np.abs(counts / two_n - p) > np.minimum(1e-9, 0.25 / two_n)).any(axis=1)
+    if off.any():
+        raise DomainError(f"initial probabilities must be integer multiples of "
+                          f"1/(2N) = {1.0 / (2 * Ns[off].min())}")
     return counts
 
 
-def _per_run(values: np.ndarray, runs: int, name: str) -> np.ndarray:
-    """One int64 per run from ``values``, an object array of integers: one
-    value serves every run, a sequence gives one per run. Values past int64
-    are clipped to it, which no iteration count reaches."""
+def _per_run(values, runs: int, name: str, rule: str, accepts) -> np.ndarray:
+    """One int64 per run from ``values``: one integer for every run, or one
+    per run. Each distinct type is checked to be an integer (Python or
+    numpy, not a bool) once, as a set would fold True into 1, and each
+    distinct value by ``accepts`` once, refused as breaking ``rule``. Values
+    past int64 are clipped to it, which no iteration count reaches."""
+    values = np.asarray(values, dtype=object)
     if values.ndim > 1 or (values.ndim == 1 and values.size != runs):
         raise DimensionError(
             f"{name} must be one integer or one per run ({runs}), got shape {values.shape}")
-    return np.broadcast_to(np.asarray(np.minimum(values, _INT64_MAX), dtype=np.int64), (runs,))
-
-
-def _distinct_integers(values, name: str) -> list:
-    """The distinct values of ``values``, one value or an array of them, in
-    increasing order. Each is refused unless it is an integer (Python or
-    numpy, not a bool): one value per distinct type is checked, as a set
-    would fold True into 1."""
-    flat = np.asarray(values, dtype=object).ravel().tolist()
+    flat = values.ravel().tolist()
     for kind in set(map(type, flat)):
         _integer(next(v for v in flat if type(v) is kind), name)
-    return sorted(set(flat))
+    for value in set(flat):
+        if not accepts(value):
+            raise DomainError(f"{name} must {rule}, got {value}")
+    return np.broadcast_to(np.asarray(np.minimum(values, _INT64_MAX), dtype=np.int64), (runs,))
 
 
 def lockstep(
@@ -228,12 +229,12 @@ def lockstep(
     ``N`` and ``max_iters`` are each one integer for every run or one per
     run (default budget: :func:`default_max_iters` of the run's N). Run r
     starts from ``initial`` on its own 1/(2N) grid (default the center) and
-    advances one iteration at a time on an (R, n) counts array, in blocks
-    of B iterations. Per block, run r draws B * 2 * n uniforms from its own
-    ``PCG64(SeedSequence(seeds[r]))`` into its row of a slab, and one copy
-    lays the block out iteration-major, read as a then b per iteration; so
-    it is bit-identical to the same run stepped alone, whatever runs share
-    its lockstep.
+    advances one iteration at a time on an (R, n) int64 counts array, in
+    blocks of B iterations. Per block, run r draws B * 2 * n uniforms from
+    its own ``PCG64(SeedSequence(seeds[r]))`` into its row of a slab, and
+    one copy lays the block out iteration-major, read as a then b per
+    iteration; so it is bit-identical to the same run stepped alone,
+    whatever runs share its lockstep.
 
     A block is as long as the slowest active run needs to reach a corner
     (at least 8 iterations, or k0 / 8 after k0 iterations; at most 256),
@@ -241,8 +242,8 @@ def lockstep(
     2**15 uniforms over all of them, but never below 32 iterations for that
     last cut. After each block, ``on_block(rows, k0, snaps, ends)`` sees the
     runs that were active at its start: ``rows`` their indices in
-    increasing order, ``snaps[i, j]`` the counts of run ``rows[i]`` after
-    iteration ``k0 + j`` for j = 0..B, and ``ends[i]`` that run's last
+    increasing order, ``snaps[i, j]`` the int64 counts of run ``rows[i]``
+    after iteration ``k0 + j`` for j = 0..B, and ``ends[i]`` that run's last
     iteration so far (its corner, or the block's end). So ``snaps[:, 0]`` is
     the block's start: ``initial`` in the first block, the previous block's
     last column in every later one. Snapshots past a corner repeat it; the
@@ -250,36 +251,22 @@ def lockstep(
     or at the end of their budget leave the active set.
     """
     n = spec.n
-    Ns = np.asarray(N, dtype=object)
-    grid = _distinct_integers(Ns, "N")
-    for value in grid:
-        if not 1 <= value <= _MAX_N:
-            raise DomainError(
-                f"N must lie in [1, {_MAX_N}], so that 2N fits in int64, got {value}")
-    budgets = np.asarray(default_max_iters(Ns, n) if max_iters is None else max_iters,
-                         dtype=object)
-    for value in _distinct_integers(budgets, "max_iters"):
-        if value < 0:
-            raise DomainError(f"max_iters must be >= 0, got {value}")
-    # the start of every distinct N, gathered per run below
-    starts = np.array([_initial_counts(initial, N_, n) for N_ in grid],
-                      dtype=np.int64).reshape(-1, n)
+    seeds = list(seeds)
+    R = len(seeds)
+    Ns = _per_run(N, R, "N", f"lie in [1, {_MAX_N}], so that 2N fits in int64",
+                  lambda v: 1 <= v <= _MAX_N)
+    # the default budgets are Python ints, clipped to int64 with the rest
+    budgets = _per_run(default_max_iters(Ns.astype(object), n) if max_iters is None
+                       else max_iters, R, "max_iters", "be >= 0", lambda v: v >= 0)
+    start = _initial_counts(initial, Ns, n)
     rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
-    R = len(rngs)
-    Ns = _per_run(Ns, R, "N")
-    budgets = _per_run(budgets, R, "max_iters")
     vals = fitness_values(spec)
     pow2 = place_values(n)
-    # snapshots are kept in the narrowest integer type that holds the
-    # largest 2N, and so is 2N itself, so that no test of a snapshot casts
-    # it. 2N and 1/(2N) are kept for every count, so that each test of the
+    # 2N and 1/(2N) are kept for every count, so that each test of the
     # counts and p = counts * inv are elementwise, as fast as with one N
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).max >= 2 * max(grid, default=0))
-    two_n = np.repeat(2 * Ns[:, None], n, axis=1).astype(dtype)
+    two_n = np.repeat(2 * Ns[:, None], n, axis=1)
     inv = 1.0 / two_n
 
-    start = starts[np.searchsorted(grid, Ns)]
     counts = start.copy()
     iterations = np.zeros(R, dtype=np.int64)
     terminated = _at_corner(start, two_n)
@@ -288,7 +275,7 @@ def lockstep(
     # _BLOCK_UNIFORMS caps; they grow for a block the _MIN_DRAW floor lengthens
     size = max(_BLOCK_UNIFORMS, 2 * n * rows.size)
     slab_buf, u_buf = np.empty(size), np.empty(size)
-    snaps_buf = np.empty(size // 2 + n * rows.size, dtype=dtype)
+    snaps_buf = np.empty(size // 2 + n * rows.size, dtype=np.int64)
     k0 = 0
     while rows.size:
         c = counts[rows]
@@ -302,7 +289,7 @@ def lockstep(
         size = rows.size * m * 2 * n
         if slab_buf.size < size:
             slab_buf, u_buf = np.empty(size), np.empty(size)
-            snaps_buf = np.empty(size // 2 + n * rows.size, dtype=dtype)
+            snaps_buf = np.empty(size // 2 + n * rows.size, dtype=np.int64)
         # each run fills its own contiguous row, continuing its stream
         slab = slab_buf[:size].reshape(rows.size, m * 2 * n)
         for i, r in enumerate(rows):
@@ -345,8 +332,10 @@ def run_many(
     Trajectory r is exactly ``run(spec, N, seed=seeds[r], ...)`` with the
     same ``initial``, ``max_iters`` and ``record_every``.
     """
-    if _integer(record_every, "record_every") < 1:
+    record_every = _integer(record_every, "record_every")
+    if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every}")
+    N = _integer(N, "N")
     seeds = list(seeds)
     kept = [[] for _ in seeds]
 
@@ -360,6 +349,7 @@ def run_many(
     result = lockstep(spec, N, seeds, initial=initial, max_iters=max_iters, on_block=keep)
     out = []
     for r, seed in enumerate(seeds):
+        seed = np.asarray(seed).tolist()  # Python ints, which JSON writes
         ks = np.concatenate([[0]] + [k for k, _ in kept[r]]).astype(np.int64)
         counts = np.concatenate([result.initial[r][None]] + [c for _, c in kept[r]])
         last = int(result.iterations[r])
@@ -367,8 +357,9 @@ def run_many(
             ks = np.append(ks, last)
             counts = np.concatenate([counts, result.counts[r][None]])
         out.append(StochasticTrajectory(
-            spec=spec, alpha_steps=N, seed=seed, counts=counts, recorded_ks=ks,
-            iterations=last, terminated=bool(result.terminated[r]), record_every=record_every,
+            spec=spec, alpha_steps=N, seed=tuple(seed) if isinstance(seed, list) else seed,
+            counts=counts, recorded_ks=ks, iterations=last,
+            terminated=bool(result.terminated[r]), record_every=record_every,
         ))
     return out
 

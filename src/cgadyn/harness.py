@@ -28,6 +28,7 @@ from .cga import _MAX_N, _block_text, lockstep
 from .drift_field import corner_spectra, drift
 from .landscape import (
     FitnessSpec,
+    _integer,
     enumerate_local_maxima,
     fitness_values,
     is_injective,
@@ -280,7 +281,6 @@ def alpha_sweep(cfg: ExperimentConfig) -> list[AlphaSweepRow]:
     # every run of every N in one lockstep, each up to its N's horizon; each
     # tracker refuses an N with too many jump times before any run
     R = cfg.runs_per_setting
-    horizons = [int(np.ceil(T / (1.0 / (2 * N)) - 1e-12)) for N in cfg.N_values]
     trackers = [LockstepSupDistance(reference, T, N, R) for N in cfg.N_values]
 
     def on_block(rows, k0, snaps, ends):
@@ -290,8 +290,8 @@ def alpha_sweep(cfg: ExperimentConfig) -> list[AlphaSweepRow]:
             if lo < hi:
                 trackers[i].update(rows[lo:hi] - i * R, k0, snaps[lo:hi], ends[lo:hi])
 
-    result = lockstep(spec, *_campaign_runs(cfg), max_iters=np.repeat(horizons, R),
-                      on_block=on_block)
+    result = lockstep(spec, *_campaign_runs(cfg),
+                      max_iters=np.repeat([t.max_iters for t in trackers], R), on_block=on_block)
     rows = []
     for i, N in enumerate(cfg.N_values):
         dists = trackers[i].finish(result[i * R:(i + 1) * R])
@@ -399,6 +399,7 @@ def drift_grid_rows(spec: FitnessSpec, resolution: int) -> Iterator[np.ndarray]:
     at a time. Drift rows do not depend on the batch, so the blocks equal
     one call over the whole grid.
     """
+    resolution = _integer(resolution, "grid resolution")
     if resolution < 2:
         raise DomainError(f"grid resolution must be >= 2, got {resolution}")
     total = resolution ** spec.n

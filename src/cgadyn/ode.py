@@ -306,6 +306,8 @@ class LockstepSupDistance:
     k*alpha reads the state at iteration k-1. A block's snapshots begin
     with its start state, so each block holds every state its times and
     left limits read, and nothing but ``sup`` is carried between blocks.
+    ``max_iters``, ceil(T / alpha), is a budget that steps every run that
+    does not absorb over [0, T], as ``finish`` needs.
     """
 
     def __init__(self, b: OdeTrajectory, T: float, N: int, runs: int):
@@ -314,6 +316,7 @@ class LockstepSupDistance:
         self.T = T
         shared = _flow_times(b, T)
         jumps = _jump_times(self.alpha, T)
+        self.max_iters = int(np.ceil(T / self.alpha - 1e-12))
         self.ts = np.unique(np.concatenate([jumps, shared]))
         self.jump_only = ~np.isin(self.ts, shared)
         self.ks = _iteration_of(self.ts, self.alpha)

@@ -306,7 +306,7 @@ def test_lockstep_with_a_binding_uniforms_budget():
 @pytest.mark.parametrize("spec", [ls.binval(3), ls.table_spec([1.0, 2.0, 2.0, 1.0], n=2)],
                          ids=["binval3", "tied_table"])
 def test_lockstep_of_mixed_N_equals_serial_runs(spec):
-    # N = 1; 2N = 128 > 127, so the snapshots of every run are int16; zero
+    # N = 1; 2N = 128 > 127, and the snapshots of every run are int64; zero
     # budgets; budgets of 7 and 37 that end while longer runs go on
     Ns = [1, 64, 3, 1, 64, 5, 2, 64, 3]
     budgets = [50, 0, 400, 0, 37, 7, 60, 1000, 400]
@@ -314,7 +314,7 @@ def test_lockstep_of_mixed_N_equals_serial_runs(spec):
     last = {}  # run -> its counts at the end of its last block so far
 
     def check_block(rows, k0, snaps, ends):
-        assert snaps.dtype == np.int16 and np.all(np.diff(rows) > 0)
+        assert snaps.dtype == np.int64 and np.all(np.diff(rows) > 0)
         for i, r in enumerate(rows):
             assert np.array_equal(snaps[i, 0], last.get(r, [Ns[r]] * spec.n))
             assert ends[i] <= budgets[r]
@@ -363,15 +363,26 @@ def test_non_integer_engine_settings_are_refused():
         (lambda: C.run(spec, 4, max_iters=True), "max_iters"),
         (lambda: C.run(spec, 4, record_every=2.5), "record_every"),
         (lambda: C.run_many(spec, 4, seeds, record_every=True), "record_every"),
+        (lambda: C.run_many(spec, [4, 4], seeds), "N"),  # a trajectory has one N
     ):
         with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
             call()
-    # numpy integers are integers
-    ours = C.run(spec, np.int64(4), seed=3, max_iters=np.int32(9), record_every=np.int8(2))
-    plain = C.run(spec, 4, seed=3, max_iters=9, record_every=2)
-    assert ours.alpha == plain.alpha == 0.125
-    assert np.array_equal(ours.recorded_ks, plain.recorded_ks)
-    assert np.array_equal(ours.counts, plain.counts)
+    # numpy integers are integers, and their runs export as Python ints do
+    for seed, plain_seed in ((np.int64(3), 3), ((np.int64(3), np.uint8(7)), (3, 7))):
+        ours = C.run(spec, np.int64(4), seed=seed, max_iters=np.int32(9),
+                     record_every=np.int8(2))
+        plain = C.run(spec, 4, seed=plain_seed, max_iters=9, record_every=2)
+        assert ours.alpha == plain.alpha == 0.125
+        assert ours.seed == plain.seed == plain_seed
+        assert np.array_equal(ours.recorded_ks, plain.recorded_ks)
+        assert np.array_equal(ours.counts, plain.counts)
+        texts = []
+        for traj in (ours, plain):
+            fp = io.StringIO()
+            C.trajectory_to_jsonl(traj, fp)
+            texts.append(fp.getvalue())
+        assert texts[0] == texts[1]
+
 
 def test_termination_iff_deterministic():
     for seed in range(8):

@@ -99,6 +99,12 @@ def test_config_validation(tmp_path):
             hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
 
 
+@pytest.mark.parametrize("obj", [[], {"N_values": [4]}], ids=["not_an_object", "no_spec"])
+def test_config_json_needs_an_object_with_a_spec(obj):
+    with pytest.raises(DomainError, match="must be an object with a 'spec' field"):
+        hn.ExperimentConfig.from_json_dict(obj)
+
+
 # a value that breaks each field's rule
 _BAD_FIELDS = [("N_values", [0]), ("runs_per_setting", 0), ("T_horizon", -1.0),
                ("master_seed", -1), ("ode_step", 0.0), ("max_iters", -1)]
@@ -323,7 +329,7 @@ def test_alpha_sweep_equals_serial_sup_distance(tmp_path, spec, N_values, T, h):
     reference = ode.integrate(spec, np.full(spec.n, 0.5), h=h, T=T)
     ended_early = 0
     for row in hn.alpha_sweep(cfg):
-        horizon = int(np.ceil(T / (1.0 / (2 * row.N)) - 1e-12))
+        horizon = ode.LockstepSupDistance(reference, T, row.N, 1).max_iters
         trajs = [cga.run(spec, row.N, seed=hn.run_seed(cfg.master_seed, row.N, r),
                          max_iters=horizon) for r in range(cfg.runs_per_setting)]
         ended_early += sum(t.terminated and t.iterations < horizon for t in trajs)
@@ -508,6 +514,15 @@ def test_drift_grid_guards():
         hn.drift_grid_rows(ls.binval(2), 1)
     with pytest.raises(DomainError):
         hn.drift_grid_rows(ls.binval(8), 101)
+    for resolution in (3.0, True):
+        with pytest.raises(DomainError, match="grid resolution must be an integer"):
+            hn.drift_grid_rows(ls.binval(2), resolution)
+    # a numpy integer is read as an int, so 2^16 points per axis cannot wrap
+    # (2^16)^8 to a grid of 0 rows
+    with pytest.raises(DomainError, match="row limit"):
+        hn.drift_grid_rows(ls.binval(8), np.int64(2 ** 16))
+    assert np.array_equal(np.concatenate(list(hn.drift_grid_rows(ls.binval(2), np.int64(3)))),
+                          np.concatenate(list(hn.drift_grid_rows(ls.binval(2), 3))))
 
 
 def test_drift_grid_writes_each_block_before_the_next_is_built(monkeypatch):

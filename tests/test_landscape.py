@@ -185,6 +185,27 @@ def test_bits_index_roundtrip():
     assert ls.bits_to_string((1, 0)) == "10"
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ls.table_spec({}), "empty fitness table"),
+    (lambda: ls.table_spec({"00": 1, "01": 2, "10": 3}), r"must cover all 2\^2 bitstrings"),
+    (lambda: ls.table_spec([1.0, 2.0, 3.0]), r"needs 2\^1 = 2 values, got 3"),
+    (lambda: ls.bits_to_index([0, 2]), "bits must be 0 or 1, got 2"),
+    (lambda: ls.index_to_bits(4, 2), "index 4 out of range for n=2"),
+    (lambda: ls.index_to_bits(-1, 2), "index -1 out of range for n=2"),
+    (lambda: ls.string_to_bits(""), "not a bitstring: ''"),
+    (lambda: ls.string_to_bits("012"), "not a bitstring: '012'"),
+    (lambda: ls.linear(["a", 1.0]), "weights must be numbers"),
+    (lambda: ls.binval(0), "solution length must be >= 1, got 0"),
+    (lambda: ls.FitnessSpec(kind="bogus", n=2), "unknown fitness kind 'bogus'"),
+    (lambda: ls.FitnessSpec(kind="binval", n=0), "must be a positive integer, got 0"),
+], ids=["empty_table", "table_missing_a_key", "table_not_a_power_of_two", "bit_2",
+        "index_past_2n", "negative_index", "empty_bitstring", "bitstring_digit_2",
+        "weight_not_a_number", "binval_n0", "unknown_kind", "spec_n0"])
+def test_bad_landscape_arguments_are_refused(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 # --- serialization -------------------------------------------------------
 
 @st.composite

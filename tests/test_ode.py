@@ -382,6 +382,12 @@ def test_sup_distance_identical_is_zero():
     assert od.sup_distance(traj, traj, 2.0) == 0.0
 
 
+def test_sup_distance_refuses_an_unsupported_trajectory():
+    flow = od.integrate(ls.binval(2), [0.5, 0.5], h=0.1, T=1.0)
+    with pytest.raises(DomainError, match="unsupported trajectory type object"):
+        od.sup_distance(object(), flow, 1.0)
+
+
 def test_sup_distance_constant_gap():
     # a constant-fitness table makes the field vanish, so both flows sit still
     a = od.integrate(_flat(1), [0.5], h=0.1, T=3.0)
