@@ -308,7 +308,7 @@ def corner_spectra(spec: FitnessSpec, indices=None) -> tuple[np.ndarray, np.ndar
 def jacobian_analytic(corner, spec: FitnessSpec) -> np.ndarray:
     """Exact Jacobian of f at a corner of [0,1]^n, an (n, n) diagonal matrix
     whose entries are the corner's eigenvalues (injective specs only)."""
-    idx = int(_as_bits(spec, corner) @ place_values(spec.n))
+    idx = int(_as_bits(corner, spec.n) @ place_values(spec.n))
     require_injective(spec, "jacobian_analytic")
     return np.diag(corner_spectra(spec, [idx])[0][0])
 

@@ -41,24 +41,20 @@ _MAX_INDEX_N = 62
 
 def bits_to_index(bits) -> int:
     """Integer index of a bit sequence, most significant locus first."""
-    idx = 0
-    for b in bits:
-        b = int(b)
-        if b not in (0, 1):
-            raise DomainError(f"bits must be 0 or 1, got {b!r}")
-        idx = (idx << 1) | b
-    return idx
+    bits = _as_bits(bits)
+    return int(bits @ place_values(bits.size))
 
 
 def index_to_bits(index: int, n: int) -> tuple[int, ...]:
     """Bit tuple of length n for an integer index (inverse of bits_to_index)."""
-    if not 0 <= index < (1 << n):
+    index, n = _integer(index, "index"), _integer(n, "solution length")
+    if n < 0 or not 0 <= index < (1 << n):
         raise DomainError(f"index {index} out of range for n={n}")
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
 def bits_to_string(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
+    return "".join(map(str, _as_bits(bits).tolist()))
 
 
 def string_to_bits(s: str) -> tuple[int, ...]:
@@ -76,7 +72,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 @functools.cache
 def place_values(n: int) -> np.ndarray:
     """int64 place values 2^(n-1), ..., 2, 1: a solution's bits (locus 1
-    first) times these sum to its index. Read-only, one per n."""
+    first) times these sum to its index. Read-only, one per n; past
+    ``_MAX_INDEX_N`` an index would not fit in int64, so CapacityError."""
+    if n > _MAX_INDEX_N:
+        raise CapacityError(f"n={n} exceeds {_MAX_INDEX_N}: 2^n and every index must fit in int64")
     return _read_only(1 << np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
@@ -111,7 +110,9 @@ class FitnessSpec:
     def __post_init__(self):
         if self.kind not in SPEC_KINDS:
             raise DomainError(f"unknown fitness kind {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        # read as the factories read it: a bool is refused, a numpy integer stored as int
+        object.__setattr__(self, "n", _integer(self.n, "solution length"))
+        if self.n < 1:
             raise DomainError(f"solution length must be a positive integer, got {self.n!r}")
         # the only home of this object's 2^n tables (fitness_values and
         # drift's fitness order), built on first use and freed with it; an
@@ -223,8 +224,7 @@ def _check_cap(n, cap: int) -> int:
         raise DomainError(f"solution length must be >= 1, got {n}")
     if n > cap:
         raise CapacityError(f"n={n} exceeds the enumeration cap {cap}")
-    if n > _MAX_INDEX_N:
-        raise CapacityError(f"n={n} exceeds {_MAX_INDEX_N}: 2^n and every index must fit in int64")
+    place_values(n)  # refuses n > _MAX_INDEX_N
     return n
 
 
@@ -277,18 +277,23 @@ def _fitness(spec: FitnessSpec, bits: np.ndarray, index):
     return rng.permutation(spec.num_solutions).astype(np.float64)[index]
 
 
-def _as_bits(spec: FitnessSpec, y) -> np.ndarray:
+def _as_bits(y, n: int | None = None) -> np.ndarray:
+    """The one reader of a solution's bits: a 1-D sequence (of length n, if
+    given) whose entries are exactly 0 or 1, as int64. A str is refused with
+    DimensionError, since :func:`string_to_bits` reads bitstrings."""
     arr = np.asarray(y)
-    if arr.ndim != 1 or arr.shape[0] != spec.n:
-        raise DimensionError(f"solution length {arr.shape} does not match spec n={spec.n}")
-    if not ((arr == 0) | (arr == 1)).all():  # np.isin cost most of evaluate's time
-        raise DomainError("solution bits must be 0 or 1")
+    if arr.ndim != 1 or n not in (None, arr.shape[0]):
+        raise DimensionError(f"solution bits must be 1-D{'' if n is None else f' of length n={n}'}, "
+                             f"got shape {arr.shape}")
+    ok = (arr == 0) | (arr == 1)  # np.isin cost most of evaluate's time
+    if not ok.all():
+        raise DomainError(f"solution bits must be 0 or 1, got {arr[~ok].tolist()[0]!r}")
     return arr.astype(np.int64)
 
 
 def evaluate(spec: FitnessSpec, y) -> float:
     """Fitness of solution y under spec. Pure and deterministic."""
-    bits = _as_bits(spec, y)
+    bits = _as_bits(y, spec.n)
     idx = int(bits @ place_values(spec.n))
     if spec.n <= ENUMERATION_CAP:
         # read from the table, so evaluate agrees bit for bit with every lookup

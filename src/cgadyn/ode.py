@@ -237,11 +237,11 @@ def lyapunov_increments(traj: OdeTrajectory, spec: FitnessSpec) -> np.ndarray:
 
 def _flow_times(b: OdeTrajectory, T: float) -> np.ndarray:
     """The times every comparison with the flow ``b`` over [0, T] includes:
-    b's grid up to T, and the two ends. NaN fails the horizon check."""
+    b's grid up to T, and the two ends. The one horizon check of a flow; NaN fails it."""
     if not T >= 0.0:
         raise DomainError(f"horizon must be nonnegative, got {T}")
     if b.horizon < T - 1e-9:
-        raise HorizonError(f"second trajectory ends at {b.horizon} < T={T}")
+        raise HorizonError(f"flow ends at {b.horizon} < T={T}")
     return np.concatenate([b.times[b.times <= T + 1e-12], [0.0, T]])
 
 
@@ -267,27 +267,20 @@ def sup_distance(a, b: OdeTrajectory, T: float) -> float:
     p(k-1) against b(k*alpha). The result is exact for the
     piecewise-linear b.
     """
+    if not isinstance(a, (StochasticTrajectory, OdeTrajectory)):
+        raise DomainError(f"unsupported trajectory type {type(a).__name__}")
+    if a.n != b.n:
+        raise DimensionError(f"trajectories of n={a.n} and n={b.n} cannot be compared")
     ts_b = _flow_times(b, T)
     left = 0.0
-
     if isinstance(a, StochasticTrajectory):
-        if not a.terminated and (a.iterations + 1) * a.alpha <= T:
-            raise HorizonError(
-                f"first trajectory ends at {(a.iterations + 1) * a.alpha} <= T={T}"
-            )
-        jumps = _jump_times(a.alpha, T, a.iterations)
-        ts = np.unique(np.concatenate([jumps, ts_b]))
-        va = a.values_at(ts)
-        d_left = np.linalg.norm(a.values_at(jumps[:-1]) - b.values_at(jumps[1:]), axis=-1)
+        ts_a = _jump_times(a.alpha, T, a.iterations)
+        d_left = np.linalg.norm(a.values_at(ts_a[:-1]) - b.values_at(ts_a[1:]), axis=-1)
         left = np.max(d_left, initial=0.0)
-    elif isinstance(a, OdeTrajectory):
-        if a.horizon < T - 1e-9:
-            raise HorizonError(f"first trajectory ends at {a.horizon} < T={T}")
-        ts = np.unique(np.concatenate([a.times[a.times <= T + 1e-12], ts_b]))
-        va = a.values_at(ts)
     else:
-        raise DomainError(f"unsupported trajectory type {type(a).__name__}")
-
+        ts_a = _flow_times(a, T)
+    ts = np.unique(np.concatenate([ts_a, ts_b]))
+    va = a.values_at(ts)  # an unterminated run that ends before T fails here
     vb = b.values_at(ts)
     return float(max(np.max(np.linalg.norm(va - vb, axis=-1)), left))
 
@@ -306,8 +299,9 @@ class LockstepSupDistance:
     k*alpha reads the state at iteration k-1. A block's snapshots begin
     with its start state, so each block holds every state its times and
     left limits read, and nothing but ``sup`` is carried between blocks.
-    ``max_iters``, ceil(T / alpha), is a budget that steps every run that
-    does not absorb over [0, T], as ``finish`` needs.
+    ``max_iters``, floor(T / alpha) by :func:`sup_distance`'s rule for jump
+    times, is a budget that steps every run that does not absorb over [0, T],
+    as ``finish`` needs.
     """
 
     def __init__(self, b: OdeTrajectory, T: float, N: int, runs: int):
@@ -316,7 +310,7 @@ class LockstepSupDistance:
         self.T = T
         shared = _flow_times(b, T)
         jumps = _jump_times(self.alpha, T)
-        self.max_iters = int(np.ceil(T / self.alpha - 1e-12))
+        self.max_iters = jumps.size - 1  # the last jump time's iteration
         self.ts = np.unique(np.concatenate([jumps, shared]))
         self.jump_only = ~np.isin(self.ts, shared)
         self.ks = _iteration_of(self.ts, self.alpha)

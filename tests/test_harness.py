@@ -340,6 +340,30 @@ def test_alpha_sweep_equals_serial_sup_distance(tmp_path, spec, N_values, T, h):
         assert ended_early > 0
 
 
+def test_alpha_sweep_budget_stops_at_the_last_jump_before_T(tmp_path, monkeypatch):
+    # T / alpha = 8.22, 43.84 and 13.7: each run is given floor(T / alpha)
+    # iterations, since iteration k holds its state up to (k + 1) * alpha > T;
+    # the bytes were recorded with the ceil(T / alpha) budgets 9, 44 and 14
+    monkeypatch.chdir(tmp_path)
+    budgets = []
+
+    def spy(*args, max_iters, **kwargs):
+        budgets.append(np.asarray(max_iters).tolist())
+        return cga.lockstep(*args, max_iters=max_iters, **kwargs)
+
+    monkeypatch.setattr(hn, "lockstep", spy)
+    assert cli_main(["alphasweep", "--spec", "binval", "--n", "3", "--N", "3", "--N", "16",
+                     "--N", "5", "--runs", "30", "--horizon", "1.37", "--seed", "4",
+                     "--out", "sweep"]) == 0
+    assert budgets == [[8] * 30 + [43] * 30 + [13] * 30]
+    assert {name: hashlib.sha256(Path("sweep", name).read_bytes()).hexdigest()
+            for name in ("alpha_sweep.csv", "alpha_sweep_summary.json")} == {
+        "alpha_sweep.csv": "4f3b16851e5936ea50150a63421772f47f0f04534a9a9a96c80ce4d7437e78f7",
+        "alpha_sweep_summary.json":
+            "deb0fc739ac7aebfdb548bc1b64fa3cad4081f698d6299d9518ae8a0260ca23a",
+    }
+
+
 # --- classification report -------------------------------------------------------
 
 def test_classify_all_binval3():

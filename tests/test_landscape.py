@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgadyn import landscape as ls
+from cgadyn.drift_field import jacobian_analytic
 from cgadyn.errors import CapacityError, DimensionError, DomainError
 
 from conftest import TWO_MAX_TABLE, injective_suite, local_maxima, superincreasing_weights
@@ -99,7 +100,10 @@ def test_raised_cap_stops_where_the_int64_index_would_wrap():
     for n in (63, 64):
         with pytest.raises(CapacityError, match="int64"):
             ls.binval(n, cap=100)
+        with pytest.raises(CapacityError, match="int64"):
+            ls.bits_to_index([1] * n)
     assert ls.evaluate(ls.binval(62, cap=62), [1] + [0] * 61) == 2.0 ** 61
+    assert ls.bits_to_index([1] * 62) == (1 << 62) - 1
 
 
 def test_local_maxima_binval():
@@ -198,12 +202,66 @@ def test_bits_index_roundtrip():
     (lambda: ls.binval(0), "solution length must be >= 1, got 0"),
     (lambda: ls.FitnessSpec(kind="bogus", n=2), "unknown fitness kind 'bogus'"),
     (lambda: ls.FitnessSpec(kind="binval", n=0), "must be a positive integer, got 0"),
+    (lambda: ls.bits_to_index([0.5, 1]), "bits must be 0 or 1, got 0.5"),
+    (lambda: ls.bits_to_index([np.nan, 1]), "bits must be 0 or 1, got nan"),
+    (lambda: ls.bits_to_string([2, 0]), "bits must be 0 or 1, got 2"),
+    (lambda: ls.bits_to_string([0.5, 1]), "bits must be 0 or 1, got 0.5"),
+    (lambda: ls.index_to_bits(1.5, 2), "index must be an integer, got 1.5"),
+    (lambda: ls.index_to_bits(True, 2), "index must be an integer, got True"),
+    (lambda: ls.index_to_bits(0, -1), "index 0 out of range for n=-1"),
+    (lambda: ls.FitnessSpec(kind="binval", n=True), "solution length must be an integer, got True"),
 ], ids=["empty_table", "table_missing_a_key", "table_not_a_power_of_two", "bit_2",
         "index_past_2n", "negative_index", "empty_bitstring", "bitstring_digit_2",
-        "weight_not_a_number", "binval_n0", "unknown_kind", "spec_n0"])
+        "weight_not_a_number", "binval_n0", "unknown_kind", "spec_n0",
+        "index_of_bit_half", "index_of_bit_nan", "string_of_bit_2", "string_of_bit_half",
+        "index_to_bits_float", "index_to_bits_bool", "index_to_bits_negative_n",
+        "spec_n_bool"])
 def test_bad_landscape_arguments_are_refused(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+# a str is refused by its shape, since string_to_bits reads bitstrings
+@pytest.mark.parametrize("bits, error", [
+    ([0.5, 1], DomainError), ([np.nan, 1], DomainError), ([2, 0], DomainError),
+    ([-1, 0], DomainError), (["0", "1"], DomainError), ([None, 1], DomainError),
+    ([[0, 1]], DimensionError), ("01", DimensionError), (1, DimensionError),
+], ids=["half", "nan", "two", "minus_one", "chars", "none", "2d", "str", "scalar"])
+def test_every_bit_reader_refuses_the_same_sequences(bits, error):
+    spec = ls.binval(2)
+    readers = [ls.bits_to_index, ls.bits_to_string, lambda y: ls.evaluate(spec, y),
+               lambda y: jacobian_analytic(y, spec)]
+    messages = set()
+    for read in readers:
+        with pytest.raises(error) as info:
+            read(bits)
+        messages.add(str(info.value))
+    if error is DomainError:
+        assert len(messages) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))),
+       st.sampled_from([int, np.int64, np.uint16]))
+def test_bits_index_and_string_round_trip(n_index, as_type):
+    n, i = n_index
+    if as_type is np.uint16 and i >= 1 << 16:
+        as_type = np.uint32
+    bits = ls.index_to_bits(as_type(i), as_type(n))
+    assert len(bits) == n and all(type(b) is int for b in bits)
+    index = ls.bits_to_index(bits)
+    assert type(index) is int and index == i
+    assert ls.bits_to_index(np.array(bits, dtype=np.uint8)) == i
+    text = ls.bits_to_string(bits)
+    assert text == format(i, f"0{n}b")
+    assert ls.string_to_bits(text) == bits
+
+
+def test_spec_n_is_read_as_the_factories_read_it():
+    spec = ls.FitnessSpec(kind="binval", n=np.int64(3))
+    assert spec == ls.binval(3) == ls.binval(np.int64(3))
+    assert type(spec.n) is int
+    assert ls.spec_to_json_dict(spec) == {"kind": "binval", "n": 3}
 
 
 # --- serialization -------------------------------------------------------

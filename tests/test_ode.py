@@ -388,6 +388,51 @@ def test_sup_distance_refuses_an_unsupported_trajectory():
         od.sup_distance(object(), flow, 1.0)
 
 
+def _sup_distance_refusal(case):
+    spec = ls.binval(2)
+    flow = od.integrate(spec, [0.5, 0.5], h=0.1, T=1.0)
+    short = od.integrate(spec, [0.5, 0.5], h=0.1, T=0.5)
+    run = C.run(spec, 8, seed=9, max_iters=3)  # unterminated, defined on [0, 0.25)
+    calls = {
+        "short_run": lambda: od.sup_distance(run, flow, 0.5),
+        "short_flow_a": lambda: od.sup_distance(short, flow, 0.8),
+        "short_flow_b": lambda: od.sup_distance(flow, short, 0.8),
+        "short_flow_b_against_a_run": lambda: od.sup_distance(run, short, 0.8),
+        "nan_T": lambda: od.sup_distance(flow, flow, float("nan")),
+        "nan_T_run": lambda: od.sup_distance(run, flow, float("nan")),
+        "negative_T": lambda: od.sup_distance(flow, flow, -1.0),
+        "negative_T_run": lambda: od.sup_distance(run, flow, -1.0),
+        "n_mismatch_run": lambda: od.sup_distance(
+            C.run(spec, 8, seed=9), od.integrate(ls.binval(3), [0.5] * 3, h=0.1, T=1.0), 0.5),
+        "n_mismatch_flow": lambda: od.sup_distance(
+            flow, od.integrate(ls.binval(3), [0.5] * 3, h=0.1, T=1.0), 0.5),
+    }
+    return calls[case]
+
+
+# each refusal keeps the exception class it had when sup_distance made its own
+# horizon checks; the n mismatch used to reach numpy's broadcasting error
+_SUP_DISTANCE_REFUSALS = [
+    ("short_run", HorizonError, "0.25"),
+    ("short_flow_a", HorizonError, "ends at 0.5 < T=0.8"),
+    ("short_flow_b", HorizonError, "ends at 0.5 < T=0.8"),
+    ("short_flow_b_against_a_run", HorizonError, "ends at 0.5 < T=0.8"),
+    ("nan_T", DomainError, "horizon must be nonnegative, got nan"),
+    ("nan_T_run", DomainError, "horizon must be nonnegative, got nan"),
+    ("negative_T", DomainError, "horizon must be nonnegative, got -1.0"),
+    ("negative_T_run", DomainError, "horizon must be nonnegative, got -1.0"),
+    ("n_mismatch_run", DimensionError, "n=2 and n=3"),
+    ("n_mismatch_flow", DimensionError, "n=2 and n=3"),
+]
+
+
+@pytest.mark.parametrize("case, error, message", _SUP_DISTANCE_REFUSALS,
+                         ids=[case for case, _, _ in _SUP_DISTANCE_REFUSALS])
+def test_sup_distance_refusals(case, error, message):
+    with pytest.raises(error, match=message):
+        _sup_distance_refusal(case)()
+
+
 def test_sup_distance_constant_gap():
     # a constant-fitness table makes the field vanish, so both flows sit still
     a = od.integrate(_flat(1), [0.5], h=0.1, T=3.0)
