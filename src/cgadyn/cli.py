@@ -77,13 +77,13 @@ def _add_subcommand(sub, name: str, handler, help: str) -> _Parser:
     source.add_argument("--spec-file", type=Path, help="JSON file with a fitness spec object")
     flags = [p.add_argument("--n", type=int, help="solution length"),
              p.add_argument("--epsilon", type=float, help="perturbation size"),
-             p.add_argument("--weights", type=lambda text: text.split(","),
+             p.add_argument("--weights", type=lambda text: [float(w) for w in text.split(",")],
                             help="comma-separated locus weights"),
              p.add_argument("--spec-seed", type=int, dest="seed", metavar="SPEC_SEED",
                             help="spec seed (its spec field 'seed')")]
     # --spec offers each kind whose fields all have a flag; the rest need a file
     given = {flag.dest for flag in flags}
-    kind.choices = [k for k, (_, names) in _KINDS.items() if given.issuperset(names)]
+    kind.choices = [k for k, names in _KINDS.items() if given.issuperset(names)]
     p.add_argument("--config", type=Path, help="experiment-config JSON file")
     return p
 

@@ -70,17 +70,6 @@ _CONFIG_FIELDS = {
 }
 
 
-def check_config_fields(obj: dict) -> None:
-    """Refuse unknown fields of a config JSON object, and fields that break
-    their rule; its "spec", if any, is left to spec_from_json_dict."""
-    unknown = set(obj) - set(_CONFIG_FIELDS) - {"spec"}
-    if unknown:
-        raise DomainError(f"unknown config fields: {sorted(unknown)}")
-    for key, (rule, accepts) in _CONFIG_FIELDS.items():
-        if key in obj and not accepts(obj[key]):
-            raise DomainError(f"config field {key!r} must be {rule}, got {obj[key]!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """Everything a campaign needs; fully determines every output byte."""
@@ -95,9 +84,13 @@ class ExperimentConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        # what from_json_dict refuses is refused here too, so every config
-        # writes valid JSON (no NaN, no infinity) that reads back the same
-        check_config_fields({key: getattr(self, key) for key in _CONFIG_FIELDS})
+        # the one check of a config's fields, however it is built, so every
+        # config writes valid JSON (no NaN, no infinity) that reads back the same
+        if not isinstance(self.spec, FitnessSpec):
+            raise DomainError(f"config field 'spec' must be a FitnessSpec, got {self.spec!r}")
+        for key, (rule, accepts) in _CONFIG_FIELDS.items():
+            if not accepts(getattr(self, key)):
+                raise DomainError(f"config field {key!r} must be {rule}, got {getattr(self, key)!r}")
         self.N_values = tuple(self.N_values)
         self.output_dir = Path(self.output_dir)
 
@@ -110,7 +103,9 @@ class ExperimentConfig:
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict) or "spec" not in obj:
             raise DomainError("config JSON must be an object with a 'spec' field")
-        check_config_fields(obj)
+        unknown = set(obj) - set(_CONFIG_FIELDS) - {"spec"}  # the constructor cannot see these
+        if unknown:
+            raise DomainError(f"unknown config fields: {sorted(unknown)}")
         kwargs = {k: obj[k] for k in _CONFIG_FIELDS if k in obj}
         return cls(spec=spec_from_json_dict(obj["spec"]), **kwargs)
 

@@ -6,8 +6,8 @@ index ``sum(bits[i] << (n-1-i))``: bits (tuples or 0/1 arrays) are read
 only from the user, and bitstrings are written only to artifacts.
 
 The module provides the built-in fitness families, each declared once:
-its factory checks its fields, its ``_KINDS`` entry names its JSON
-fields, and its ``_fitness`` branch is its one formula. It also provides
+its ``_KINDS`` entry names its fields, the ``FitnessSpec`` constructor
+checks them, and its ``_fitness`` branch is its one formula. It also provides
 an exact injectivity check and ``neighbor_signs``, the one neighbor table. All
 fitness values for the built-in families are exactly representable in
 binary floating point, so equality tests need no tolerance. Operations
@@ -20,7 +20,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,31 +94,54 @@ def all_bit_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitnessSpec:
-    """A deterministic fitness function over {0,1}^n.
+    """A deterministic fitness function over {0,1}^n, checked here however it is built.
 
-    Use the factory of its kind (``_KINDS`` maps each kind in
-    ``SPEC_KINDS`` to it) rather than the constructor: the factory checks
-    the kind's fields, and the fields a kind does not take stay None.
+    A kind takes the fields its ``_KINDS`` entry names and no other; one without "n"
+    among them derives n from its field, and takes a given n as a check. A ``table``
+    may be a bitstring-to-fitness mapping; it and ``weights`` are stored as float tuples.
     """
 
     kind: str
-    n: int
+    n: int | None = None
     weights: tuple[float, ...] | None = None
     epsilon: float | None = None
     table: tuple[float, ...] | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in SPEC_KINDS:
-            raise DomainError(f"unknown fitness kind {self.kind!r}")
-        # read as the factories read it: a bool is refused, a numpy integer stored as int
-        object.__setattr__(self, "n", _integer(self.n, "solution length"))
+        _check_kind_fields(self.kind, [f.name for f in fields(self) if getattr(self, f.name) is not None])
+        names, put = _KINDS[self.kind], functools.partial(object.__setattr__, self)
+        for name in names:
+            if getattr(self, name) is None:
+                raise DomainError(f"{self.kind} spec needs field {name!r}")
+        if self.weights is not None:
+            put("weights", _finite(self.weights, "weights"))
+        if self.table is not None:
+            put("table", _finite(_table_values(self.table), "table"))
+        if self.seed is not None:
+            put("seed", _integer(self.seed, "seed"))
+            if self.seed < 0:  # numpy.random.SeedSequence takes no negative seed
+                raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if "n" not in names:  # n weights, or 2^n table values
+            derived = len(self.weights) if self.table is None else max(len(self.table).bit_length() - 1, 0)
+            put("n", derived if self.n is None else self.n)
+        put("n", _integer(self.n, "solution length"))
+        if "n" not in names and self.n != derived:
+            raise DomainError(f"{self.kind} spec has n={self.n}, but its field {names[0]!r} gives {derived}")
         if self.n < 1:
             raise DomainError(f"solution length must be a positive integer, got {self.n!r}")
+        place_values(self.n)  # refuses n > _MAX_INDEX_N
+        if self.table is not None and len(self.table) != 1 << self.n:
+            raise DomainError(f"table needs 2^{self.n} = {1 << self.n} values, got {len(self.table)}")
+        if self.epsilon is not None:
+            put("epsilon", _finite([self.epsilon], "epsilon")[0])
+            if not 0.0 < self.epsilon < 2.0 ** (1 - self.n):
+                raise DomainError(f"epsilon must lie in (0, 2^(1-n)) = (0, {2.0 ** (1 - self.n)}), "
+                                  f"got {self.epsilon}")
         # the only home of this object's 2^n tables (fitness_values and
         # drift's fitness order), built on first use and freed with it; an
         # equal spec built separately builds its own
-        object.__setattr__(self, "_memo", {})
+        put("_memo", {})
 
     def __reduce__(self):
         # rebuilt from its fields: the memo is a cache, not state
@@ -130,7 +154,7 @@ class FitnessSpec:
 
 def binval(n: int, cap: int = ENUMERATION_CAP) -> FitnessSpec:
     """g(y) = sum_i y_i 2^(n-i): the binary value of the bitstring."""
-    return FitnessSpec(kind="binval", n=_check_cap(n, cap))
+    return _capped(FitnessSpec(kind="binval", n=n), cap)
 
 
 def linear(weights, cap: int = ENUMERATION_CAP) -> FitnessSpec:
@@ -139,8 +163,7 @@ def linear(weights, cap: int = ENUMERATION_CAP) -> FitnessSpec:
     Injective iff all subset sums of the weights are distinct
     (e.g. superincreasing weights); use :func:`is_injective` to verify.
     """
-    w = _finite(weights, "weights")
-    return FitnessSpec(kind="linear", n=_check_cap(len(w), cap), weights=w)
+    return _capped(FitnessSpec(kind="linear", weights=weights), cap)
 
 
 def perturbed_onemax(n: int, epsilon: float, cap: int = ENUMERATION_CAP) -> FitnessSpec:
@@ -149,13 +172,7 @@ def perturbed_onemax(n: int, epsilon: float, cap: int = ENUMERATION_CAP) -> Fitn
     The perturbation breaks onemax's ties; epsilon at or below 2^-n
     additionally keeps the onemax levels ordered.
     """
-    n = _check_cap(n, cap)
-    (eps,) = _finite([epsilon], "epsilon")
-    if not 0.0 < eps < 2.0 ** (1 - n):
-        raise DomainError(
-            f"epsilon must lie in (0, 2^(1-n)) = (0, {2.0 ** (1 - n)}), got {eps}"
-        )
-    return FitnessSpec(kind="perturbed_onemax", n=n, epsilon=eps)
+    return _capped(FitnessSpec(kind="perturbed_onemax", n=n, epsilon=epsilon), cap)
 
 
 def table_spec(values, n: int | None = None, cap: int = ENUMERATION_CAP) -> FitnessSpec:
@@ -167,23 +184,7 @@ def table_spec(values, n: int | None = None, cap: int = ENUMERATION_CAP) -> Fitn
     theorem-dependent operations will refuse them unless
     :func:`is_injective` holds.
     """
-    if isinstance(values, dict):
-        if n is None:
-            if not values:
-                raise DomainError("empty fitness table")
-            n = len(next(iter(values)))
-        n = _check_cap(n, cap)
-        keys = sorted(values)
-        if keys != [format(i, f"0{n}b") for i in range(1 << n)]:
-            raise DomainError(f"table must cover all 2^{n} bitstrings exactly once")
-        values = [values[key] for key in keys]
-    tab = _finite(values, "table")
-    if n is None:
-        n = max((len(tab)).bit_length() - 1, 0)
-    n = _check_cap(n, cap)
-    if len(tab) != (1 << n):
-        raise DomainError(f"table needs 2^{n} = {1 << n} values, got {len(tab)}")
-    return FitnessSpec(kind="table", n=n, table=tab)
+    return _capped(FitnessSpec(kind="table", n=n, table=values), cap)
 
 
 def random_injective(n: int, seed: int, cap: int = ENUMERATION_CAP) -> FitnessSpec:
@@ -192,22 +193,35 @@ def random_injective(n: int, seed: int, cap: int = ENUMERATION_CAP) -> FitnessSp
     Injective by construction; rugged, typically with several local maxima.
     The seed feeds ``numpy.random.SeedSequence``, so it must be >= 0.
     """
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    return FitnessSpec(kind="random_injective", n=_check_cap(n, cap), seed=seed)
+    return _capped(FitnessSpec(kind="random_injective", n=n, seed=seed), cap)
 
 
-# each kind: its factory, and the JSON fields besides "kind" that it takes,
-# in the factory's argument order; a kind without "n" among them derives n
+# each kind's fields besides "kind", in JSON key order; a kind without "n" among them derives n
 _KINDS = {
-    "binval": (binval, ("n",)),
-    "linear": (linear, ("weights",)),
-    "perturbed_onemax": (perturbed_onemax, ("n", "epsilon")),
-    "table": (table_spec, ("table",)),
-    "random_injective": (random_injective, ("n", "seed")),
+    "binval": ("n",),
+    "linear": ("weights",),
+    "perturbed_onemax": ("n", "epsilon"),
+    "table": ("table",),
+    "random_injective": ("n", "seed"),
 }
 SPEC_KINDS = tuple(_KINDS)
+
+
+def _check_kind_fields(kind, given) -> None:
+    """Refuse an unknown kind, and a field named in ``given`` that a ``kind`` spec does not take."""
+    if kind not in SPEC_KINDS:  # a tuple, so an unhashable kind is refused too
+        raise DomainError(f"unknown fitness kind {kind!r}")
+    stray = set(given) - {"kind", "n", *_KINDS[kind]}
+    if stray:
+        raise DomainError(f"{kind} spec does not take fields {sorted(stray, key=str)}")
+
+
+def _capped(spec: FitnessSpec, cap: int) -> FitnessSpec:
+    """``spec``, refused if its n exceeds the enumeration ``cap``: a factory's, or
+    ENUMERATION_CAP for the JSON reader and the 2^n table of ``fitness_values``."""
+    if spec.n > cap:
+        raise CapacityError(f"n={spec.n} exceeds the enumeration cap {cap}")
+    return spec
 
 
 def _integer(value, name: str) -> int:
@@ -216,24 +230,28 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _check_cap(n, cap: int) -> int:
-    """The solution length n as an int, refusing non-integers, n < 1, n > cap
-    and, whatever the cap, n > _MAX_INDEX_N."""
-    n = _integer(n, "solution length")
-    if n < 1:
-        raise DomainError(f"solution length must be >= 1, got {n}")
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the enumeration cap {cap}")
-    place_values(n)  # refuses n > _MAX_INDEX_N
-    return n
+def _table_values(table):
+    """A table's values by solution index; a mapping's keys are every bitstring of one length."""
+    if not isinstance(table, dict):
+        return table
+    if not table:
+        raise DomainError("empty fitness table")
+    keys = sorted(table, key=str)
+    n = len(str(keys[0]))
+    if len(keys) != 1 << n or keys != [format(i, f"0{n}b") for i in range(1 << n)]:
+        raise DomainError(f"table must cover all 2^{n} bitstrings exactly once")
+    return [table[key] for key in keys]
 
 
 def _finite(values, name: str) -> tuple[float, ...]:
-    """Values as finite floats; a NaN or infinite fitness breaks every comparison."""
-    try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be numbers: {exc}") from exc
+    """Real numbers (no str or bool) as finite floats, which every comparison needs."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise DomainError(f"{name} must be numbers, got {values!r}")
+    values = list(values)
+    bad = {t for t in set(map(type, values)) if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+    if bad:  # one type test per distinct type; the message names the first bad value
+        raise DomainError(f"{name} must be numbers, got {next(v for v in values if type(v) in bad)!r}")
+    out = tuple(map(float, values))
     if not all(map(math.isfinite, out)):
         raise DomainError(f"{name} must be finite; NaN and infinities are refused")
     return out
@@ -248,14 +266,9 @@ def fitness_values(spec: FitnessSpec) -> np.ndarray:
     once per spec object and kept in its memo."""
     vals = spec._memo.get("values")
     if vals is None:
-        vals = spec._memo["values"] = _build_values(spec)
+        vals = spec._memo["values"] = _read_only(_fitness(
+            _capped(spec, ENUMERATION_CAP), all_bit_matrix(spec.n), np.arange(spec.num_solutions)))
     return vals
-
-
-def _build_values(spec: FitnessSpec) -> np.ndarray:
-    if spec.n > ENUMERATION_CAP:
-        raise CapacityError(f"n={spec.n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    return _read_only(_fitness(spec, all_bit_matrix(spec.n), np.arange(spec.num_solutions)))
 
 
 def _fitness(spec: FitnessSpec, bits: np.ndarray, index):
@@ -367,7 +380,7 @@ def spec_to_json_dict(spec: FitnessSpec) -> dict:
     Table keys are bitstrings written most significant locus first.
     """
     out: dict = {"kind": spec.kind, "n": spec.n}
-    for name in _KINDS[spec.kind][1]:
+    for name in _KINDS[spec.kind]:
         value = getattr(spec, name)
         if name == "table":
             value = {format(i, f"0{spec.n}b"): v for i, v in enumerate(value)}
@@ -376,23 +389,10 @@ def spec_to_json_dict(spec: FitnessSpec) -> dict:
 
 
 def spec_from_json_dict(obj: dict) -> FitnessSpec:
-    """Inverse of spec_to_json_dict, and the one parser of spec input (the CLI
-    turns its flags into this object). A missing, bad or stray field raises
-    DomainError; a kind that derives n from another field takes an "n" as a
-    check on it."""
+    """Inverse of spec_to_json_dict, the one parser of spec input (the CLI turns its flags into this
+    object). It refuses a key its kind does not take, even a null one, and n above ENUMERATION_CAP
+    (as the factories do); FitnessSpec checks the rest."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("fitness spec JSON must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind not in SPEC_KINDS:  # a tuple, so an unhashable kind is refused too
-        raise DomainError(f"unknown fitness kind {kind!r}")
-    factory, names = _KINDS[kind]
-    stray = set(obj) - {"kind", "n", *names}
-    if stray:
-        raise DomainError(f"{kind} spec does not take fields {sorted(stray, key=str)}")
-    for name in names:
-        if name not in obj:
-            raise DomainError(f"{kind} spec needs field {name!r}")
-    spec = factory(*(obj[name] for name in names))
-    if "n" in obj and _integer(obj["n"], "solution length") != spec.n:
-        raise DomainError(f"{kind} spec has n={obj['n']}, but its field {names[0]!r} gives {spec.n}")
-    return spec
+    _check_kind_fields(obj["kind"], obj)
+    return _capped(FitnessSpec(**obj), ENUMERATION_CAP)

@@ -228,9 +228,12 @@ def lyapunov_increments(traj: OdeTrajectory, spec: FitnessSpec) -> np.ndarray:
 
     Approximately ||f(X_k)||^2 h, the squared speed times the step, since
     dX/dt = f; hence nonnegative up to integrator error. The field is not
-    a gradient field, so these are not increments of a potential.
+    a gradient field, so these are not increments of a potential. ``spec``
+    must equal ``traj.spec``: another spec's field along this flow means nothing.
     """
-    f = drift(traj.states[:-1], spec)
+    if spec != traj.spec:
+        raise DomainError("lyapunov_increments takes the spec of its trajectory, not another")
+    f = drift(traj.states[:-1], traj.spec)
     dx = np.diff(traj.states, axis=0)
     return np.sum(f * dx, axis=-1)
 

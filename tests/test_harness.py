@@ -99,6 +99,12 @@ def test_config_validation(tmp_path):
             hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
 
 
+def test_config_spec_must_be_a_fitness_spec(tmp_path):
+    # a spec's JSON object is read by from_json_dict; the constructor takes the spec itself
+    with pytest.raises(DomainError, match="config field 'spec' must be a FitnessSpec"):
+        small_config(tmp_path, spec={"kind": "binval", "n": 2})
+
+
 @pytest.mark.parametrize("obj", [[], {"N_values": [4]}], ids=["not_an_object", "no_spec"])
 def test_config_json_needs_an_object_with_a_spec(obj):
     with pytest.raises(DomainError, match="must be an object with a 'spec' field"):
@@ -698,6 +704,22 @@ def test_cli_refused_grid_leaves_no_file(tmp_path, capsys, n, grid):
     assert "grid" in err and "internal error" not in err
 
 
+# binval-17's 2^17 grid-2 rows are under the row limit, so only the spec
+# reader's cap keeps the drift grid from opening --out before it fails
+@pytest.mark.parametrize("argv", [["drift", "--grid", "2"], ["classify"], ["localmaxima"]],
+                         ids=["drift_grid2", "classify", "localmaxima"])
+def test_cli_spec_over_the_cap_leaves_no_file(tmp_path, capsys, argv):
+    out = tmp_path / "f.csv"
+    argv = [*argv, "--spec", "binval", "--n", "17", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    out.write_text("kept\n")
+    assert cli_main(argv) == 1
+    assert out.read_text() == "kept\n"
+    err = capsys.readouterr().err
+    assert "n=17 exceeds the enumeration cap 16" in err and "internal error" not in err
+
+
 # --- CLI ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv, needle", [
@@ -979,7 +1001,7 @@ def test_readme_spec_table_matches_the_kinds_and_the_parser():
         dest = {flag: a.dest for a in parser._actions for flag in a.option_strings}
         listed = set()
         for kind, ((names, optional), (flags, optional_flags)) in rows.items():
-            fields = ls._KINDS[kind][1]
+            fields = ls._KINDS[kind]
             assert names == list(fields) and optional == ([] if "n" in fields else ["n"]), kind
             # --spec offers a kind iff the table gives a flag for each of its fields
             assert (kind in parser._option_string_actions["--spec"].choices) == bool(flags)

@@ -199,7 +199,7 @@ def test_bits_index_roundtrip():
     (lambda: ls.string_to_bits(""), "not a bitstring: ''"),
     (lambda: ls.string_to_bits("012"), "not a bitstring: '012'"),
     (lambda: ls.linear(["a", 1.0]), "weights must be numbers"),
-    (lambda: ls.binval(0), "solution length must be >= 1, got 0"),
+    (lambda: ls.binval(0), "solution length must be a positive integer, got 0"),
     (lambda: ls.FitnessSpec(kind="bogus", n=2), "unknown fitness kind 'bogus'"),
     (lambda: ls.FitnessSpec(kind="binval", n=0), "must be a positive integer, got 0"),
     (lambda: ls.bits_to_index([0.5, 1]), "bits must be 0 or 1, got 0.5"),
@@ -257,6 +257,50 @@ def test_bits_index_and_string_round_trip(n_index, as_type):
     assert ls.string_to_bits(text) == bits
 
 
+# each spec is refused when it is built, with one exception and one message
+# whether the constructor or the JSON reader builds it
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "random_injective", "n": 2}, "random_injective spec needs field 'seed'"),
+    ({"kind": "binval", "n": 2, "seed": 3}, r"binval spec does not take fields \['seed'\]"),
+    ({"kind": "table", "n": 2, "table": [1.0, 2.0]},
+     "table spec has n=2, but its field 'table' gives 1"),
+    ({"kind": "linear", "n": 3, "weights": [1.0, 2.0]},
+     "linear spec has n=3, but its field 'weights' gives 2"),
+    ({"kind": "perturbed_onemax", "n": 3, "epsilon": 0.5}, r"epsilon must lie in \(0, 2\^\(1-n\)\)"),
+], ids=["missing_seed", "stray_seed", "table_of_2_at_n2", "weights_2_at_n3", "epsilon_range"])
+def test_constructor_and_json_reader_refuse_a_spec_alike(fields, message):
+    refusals = []
+    for build in (lambda: ls.FitnessSpec(**fields), lambda: ls.spec_from_json_dict(dict(fields))):
+        with pytest.raises(DomainError, match=message) as info:
+            build()
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals[0] == refusals[1]
+
+
+# a str, a bool or a numeric string is not a fitness number
+@pytest.mark.parametrize("build", [
+    lambda: ls.linear("12"),
+    lambda: ls.table_spec("1234"),
+    lambda: ls.linear([1.0, True]),
+    lambda: ls.spec_from_json_dict({"kind": "linear", "weights": "12"}),
+    lambda: ls.spec_from_json_dict({"kind": "linear", "weights": ["1", "2"]}),
+    lambda: ls.spec_from_json_dict({"kind": "table", "table": {"0": True, "1": False}}),
+    lambda: ls.spec_from_json_dict({"kind": "perturbed_onemax", "n": 3, "epsilon": "0.1"}),
+], ids=["linear_str", "table_str", "linear_bool", "json_weights_str", "json_weights_strs",
+        "json_table_bools", "json_epsilon_str"])
+def test_strings_and_bools_are_not_fitness_numbers(build):
+    with pytest.raises(DomainError, match="must be numbers"):
+        build()
+
+
+def test_constructor_stores_fields_as_the_factories_do():
+    spec = ls.FitnessSpec(kind="linear", n=2, weights=[1.0, 2.0])
+    assert spec == ls.linear([1.0, 2.0]) == ls.linear(np.array([1, 2]))
+    assert hash(spec) == hash(ls.linear([1.0, 2.0]))
+    table = ls.FitnessSpec(kind="table", table={"0": 2, "1": np.float32(1.5)})
+    assert table == ls.table_spec([2.0, 1.5]) and hash(table) == hash(ls.table_spec([2.0, 1.5]))
+
+
 def test_spec_n_is_read_as_the_factories_read_it():
     spec = ls.FitnessSpec(kind="binval", n=np.int64(3))
     assert spec == ls.binval(3) == ls.binval(np.int64(3))
@@ -289,6 +333,7 @@ def test_spec_json_roundtrip(spec):
     blob = json.dumps(ls.spec_to_json_dict(spec))
     restored = ls.spec_from_json_dict(json.loads(blob))
     assert restored == spec
+    assert ls.FitnessSpec(**ls.spec_to_json_dict(spec)) == spec
     assert np.array_equal(ls.fitness_values(restored), ls.fitness_values(spec))
 
 
@@ -358,9 +403,9 @@ def test_every_kind_reads_exactly_its_own_fields(kind):
     spec = _EXAMPLE_SPECS[kind]
     obj = json.loads(json.dumps(ls.spec_to_json_dict(spec)))
     assert obj["kind"] == kind and ls.spec_from_json_dict(obj) == spec
-    names = ls._KINDS[kind][1]
+    names = ls._KINDS[kind]
     assert set(obj) == {"kind", "n", *names}
-    others = {name for _, fields in ls._KINDS.values() for name in fields} - {"n", *names}
+    others = {name for fields in ls._KINDS.values() for name in fields} - {"n", *names}
     for name in sorted(others) + ["bogus"]:
         with pytest.raises(DomainError, match=f"{kind} spec does not take fields \\['{name}'\\]"):
             ls.spec_from_json_dict({**obj, name: _FIELD_VALUES.get(name, 1)})

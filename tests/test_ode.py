@@ -371,6 +371,15 @@ def test_lyapunov_increments_nonnegative():
         assert od.lyapunov_increments(traj, spec).min() >= -1e-9
 
 
+def test_lyapunov_increments_refuse_another_spec():
+    # the flow carries its spec; another one gave another field's increments
+    traj = od.integrate(ls.binval(3), np.full(3, 0.5), h=1e-2, T=1.0)
+    assert np.array_equal(od.lyapunov_increments(traj, ls.binval(3)),
+                          od.lyapunov_increments(traj, traj.spec))
+    with pytest.raises(DomainError, match="spec of its trajectory"):
+        od.lyapunov_increments(traj, ls.random_injective(3, seed=1))
+
+
 # --- trajectory distance --------------------------------------------------------
 
 def _flat(n):
