@@ -10,10 +10,13 @@ fitness wins, exact ties go to the first sample), and moves each
 coordinate by +-alpha toward the winner where winner and loser disagree.
 A run terminates when every coordinate is 0 or 1, which is absorbing.
 
-Randomness comes from numpy's PCG64. A run's stream is seeded with
-``SeedSequence(seed)``; campaign code derives per-run seeds as tuples
-``(master_seed, N, run_index)`` so results are independent of execution
-order.
+Randomness comes from numpy's PCG64. A run's stream is the PCG64 stream
+that ``SeedSequence(seed)`` seeds; campaign code derives per-run seeds as
+tuples ``(master_seed, N, run_index)`` so results are independent of
+execution order. ``_seed_words`` computes the four state words that
+``SeedSequence`` hands PCG64 for every run at once, in numpy's own
+algorithm over uint32 columns, so a lockstep builds no ``SeedSequence``
+per run.
 
 Runs are stepped R at a time on an (R, n) int64 counts array, whose
 snapshots are int64 whatever the N (:func:`lockstep`; :func:`run` is the
@@ -40,8 +43,10 @@ with its separator or line end attached, and joins the block once.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -215,6 +220,131 @@ def _per_run(values, runs: int, name: str, rule: str, accepts) -> np.ndarray:
     return np.broadcast_to(np.asarray(np.minimum(values, _INT64_MAX), dtype=np.int64), (runs,))
 
 
+# ---------------------------------------------------------------------------
+# seeds
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence constants, which NEP 19 keeps fixed with the
+# algorithm: a pool of 4 uint32 words, mixed by hashmix and mix
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+
+
+def _entropy_words(seed) -> tuple | None:
+    """The uint32 entropy words SeedSequence makes of ``seed``, a
+    non-negative int or a tuple of them: each int's little-endian 32-bit
+    words (0 is one word 0), concatenated. None for any other seed."""
+    entries = (seed,) if type(seed) is int else seed
+    if type(entries) is not tuple:
+        return None
+    for v in entries:
+        if type(v) is not int or v < 0:
+            return None
+    if max(entries, default=0) <= _MASK32:
+        return entries
+    return tuple(v >> shift & _MASK32 for v in entries
+                 for shift in range(0, max(v.bit_length(), 1), 32))
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """The (G, 4) uint64 words ``SeedSequence(e).generate_state(4, np.uint64)``
+    of each row e of the (G, c) uint32 ``entropy``: numpy's mix_entropy into
+    a pool of 4 words, then generate_state, one uint32 column at a time.
+
+    The hash constants evolve alike in every row, so they are Python ints
+    masked to 32 bits (a numpy scalar would warn on overflow); uint32
+    arrays wrap as the C code does.
+    """
+    G, c = entropy.shape
+    # a pool word past the end of the entropy is hashed from 0
+    columns = list(entropy.T) + [np.zeros(G, dtype=np.uint32)] * (_POOL_WORDS - c)
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value = value * h
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in columns[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in columns[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # 8 uint32 words from the cycled pool, paired little-endian into 4 uint64
+    state = np.empty((G, 8), dtype=np.uint32)
+    h = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_WORDS] ^ h
+        h = h * _MULT_B & _MASK32
+        value = value * h
+        state[:, i] = value ^ value >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """The (R, 4) uint64 words ``SeedSequence(seed).generate_state(4, np.uint64)``
+    of every seed: the state words that seed its run's PCG64.
+
+    Non-negative ints and tuples of them are grouped by their number of
+    entropy words and hashed a group at a time by :func:`_state_words`.
+    Every other seed (a bool, a numpy integer, an array, None, a negative
+    entry, ...) goes to ``SeedSequence`` itself, so it gets numpy's words or
+    numpy's refusal.
+    """
+    entropies = list(map(_entropy_words, seeds))
+    sizes = np.array([-1 if e is None else len(e) for e in entropies], dtype=np.intp)
+    # every entropy word in seed order (None and () add none); run r's at starts[r]
+    flat = np.fromiter(chain.from_iterable(filter(None, entropies)), dtype=np.uint32)
+    counts = np.maximum(sizes, 0)
+    starts = np.cumsum(counts) - counts
+    words = np.empty((len(seeds), 4), dtype=np.uint64)
+    # not np.unique, whose masked-array check imports numpy.ma (about 1 MB)
+    for size in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == size)
+        if size < 0:
+            for r in rows.tolist():
+                words[r] = np.random.SeedSequence(seeds[r]).generate_state(4, np.uint64)
+        else:
+            words[rows] = _state_words(flat[starts[rows, None] + np.arange(size)])
+    return words
+
+
+@functools.cache
+def _words_seed_sequence() -> type:
+    """The seed sequence that hands PCG64 one run's words from
+    :func:`_seed_words`: ``PCG64(seed_seq)`` calls only
+    ``seed_seq.generate_state(4, np.uint64)``. The type is built on first
+    use, as subclassing numpy's ``ISeedSequence`` imports numpy.random,
+    which would add about 10 ms (2-core Xeon) to every import of cgadyn."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordsSeedSequence(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a run's seed words are the 4 uint64 words that seed PCG64, "
+                                 f"not {n_words} {np.dtype(dtype)} words")
+            return self.words
+
+    return WordsSeedSequence
+
+
 def lockstep(
     spec: FitnessSpec,
     N,
@@ -230,11 +360,13 @@ def lockstep(
     run (default budget: :func:`default_max_iters` of the run's N). Run r
     starts from ``initial`` on its own 1/(2N) grid (default the center) and
     advances one iteration at a time on an (R, n) int64 counts array, in
-    blocks of B iterations. Per block, run r draws B * 2 * n uniforms from
-    its own ``PCG64(SeedSequence(seeds[r]))`` into its row of a slab, and
-    one copy lays the block out iteration-major, read as a then b per
-    iteration; so it is bit-identical to the same run stepped alone,
-    whatever runs share its lockstep.
+    blocks of B iterations. Run r's stream is the PCG64 stream that
+    ``SeedSequence(seeds[r])`` seeds, whose state words :func:`_seed_words`
+    computes for all runs at once. Per block, run r draws B * 2 * n
+    uniforms from its stream into its row of a slab, and one copy lays the
+    block out iteration-major, read as a then b per iteration; so it is
+    bit-identical to the same run stepped alone, whatever runs share its
+    lockstep.
 
     A block is as long as the slowest active run needs to reach a corner
     (at least 8 iterations, or k0 / 8 after k0 iterations; at most 256),
@@ -259,7 +391,8 @@ def lockstep(
     budgets = _per_run(default_max_iters(Ns.astype(object), n) if max_iters is None
                        else max_iters, R, "max_iters", "be >= 0", lambda v: v >= 0)
     start = _initial_counts(initial, Ns, n)
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    seeded = _words_seed_sequence()
+    rngs = [np.random.Generator(np.random.PCG64(seeded(words))) for words in _seed_words(seeds)]
     vals = fitness_values(spec)
     pow2 = place_values(n)
     # 2N and 1/(2N) are kept for every count, so that each test of the

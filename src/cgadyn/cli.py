@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -204,8 +205,16 @@ def _write_artifact(args, config: ExperimentConfig, settings: dict, write) -> in
         write(sys.stdout, header)
     else:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w") as fp:
-            write(fp, header)
+        # the artifact is built beside --out and moved onto it once whole, so
+        # a refusal raised while it is built leaves the file at --out as it was
+        partial = args.out.with_name(f".{args.out.name}.{os.getpid()}.partial")
+        try:
+            with open(partial, "w") as fp:
+                write(fp, header)
+            os.replace(partial, args.out)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
     return 0
 
 

@@ -70,9 +70,10 @@ _CONFIG_FIELDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a campaign needs; fully determines every output byte."""
+    """Everything a campaign needs; fully determines every output byte.
+    Frozen, so no field changes after its check."""
 
     spec: FitnessSpec
     N_values: tuple[int, ...] = (32,)
@@ -91,8 +92,8 @@ class ExperimentConfig:
         for key, (rule, accepts) in _CONFIG_FIELDS.items():
             if not accepts(getattr(self, key)):
                 raise DomainError(f"config field {key!r} must be {rule}, got {getattr(self, key)!r}")
-        self.N_values = tuple(self.N_values)
-        self.output_dir = Path(self.output_dir)
+        object.__setattr__(self, "N_values", tuple(self.N_values))
+        object.__setattr__(self, "output_dir", Path(self.output_dir))
 
     def to_json_dict(self) -> dict:
         return {"spec": spec_to_json_dict(self.spec),

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -344,6 +345,61 @@ def test_lockstep_and_run_many_refuse_bad_arguments():
             C.lockstep(spec, kw.pop("N"), seeds, **kw)
     with pytest.raises(DomainError, match="record_every"):
         C.run_many(spec, 4, seeds, record_every=0)
+
+
+# --- seeds -------------------------------------------------------------------
+
+def seed_sequence_words(seeds) -> np.ndarray:
+    return np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds],
+                    dtype=np.uint64).reshape(len(seeds), 4)
+
+
+# word edges: one word, the largest one word, two words, past 2^64
+SEED_ENTRY = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64 + 5,
+                                        2**96]), st.integers(0, 2**70))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(SEED_ENTRY, st.lists(SEED_ENTRY, min_size=0, max_size=6).map(tuple)),
+                min_size=1, max_size=24))
+def test_seed_words_equal_seed_sequence_words(seeds):
+    # ints and tuples of every entropy length, mixed in one call
+    assert np.array_equal(C._seed_words(seeds), seed_sequence_words(seeds))
+
+
+def test_seed_words_of_other_seeds_are_seed_sequence_words():
+    seeds = [np.int64(3), (np.int64(3), np.uint8(7)), np.array([1, 2**33]), [1, 2], (True, 1),
+             True, (1, (2, 3)), 5, (5,), (2**40, 0)]
+    assert np.array_equal(C._seed_words(seeds), seed_sequence_words(seeds))
+    assert C._seed_words([]).shape == (0, 4)
+    # numpy's own refusal, raised through lockstep before any run is stepped
+    for bad in (-1, (1, -1), (1, 2.5), 1.5, "seed"):
+        with pytest.raises(Exception) as want:
+            np.random.SeedSequence(bad)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            C.lockstep(ls.binval(2), 4, [7, (1, 2), bad, 2**40])
+
+
+def test_words_seed_sequence_seeds_only_pcg64():
+    words = C._seed_words([(5, 2**33)])[0]
+    seq = C._words_seed_sequence()(words)
+    assert seq.generate_state(4, np.uint64) is words
+    assert (np.random.PCG64(seq).state
+            == np.random.PCG64(np.random.SeedSequence((5, 2**33))).state)
+    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError, match="the 4 uint64 words that seed PCG64"):
+            seq.generate_state(n_words, dtype)
+
+
+def test_lockstep_of_mixed_seeds_equals_reference_runs():
+    seeds = [0, 7, 2**32, 2**64 + 5, (3,), (1, 2**40, 5), (), np.int64(9), (2, 3, 4, 5, 6, 7),
+             (1, 2, 3), True]
+    spec, N = ls.binval(3), 6
+    result = C.lockstep(spec, N, seeds, max_iters=200)
+    for r, seed in enumerate(seeds):
+        counts, _, iterations, terminated = reference_cga_run(spec, N, seed, max_iters=200)
+        assert np.array_equal(result.counts[r], counts[-1]), seed
+        assert (result.iterations[r], result.terminated[r]) == (iterations, terminated)
 
 
 

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,16 @@ def test_config_validation(tmp_path):
                          ("max_iters", True), ("N_values", [True])):
         with pytest.raises(DomainError, match=f"'{field}' must be an? .*integer"):
             hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
+
+
+def test_config_fields_cannot_be_assigned(tmp_path):
+    # an assignment would skip the check in __post_init__: master_seed = -1
+    # used to fail only inside numpy, in monte_carlo
+    cfg = hn.ExperimentConfig(spec=ls.binval(2), output_dir=tmp_path)
+    for field in fields(hn.ExperimentConfig):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, field.name, -1)
+    assert cfg == hn.ExperimentConfig(spec=ls.binval(2), output_dir=tmp_path)
 
 
 def test_config_spec_must_be_a_fitness_spec(tmp_path):
@@ -1174,6 +1184,32 @@ def test_cli_ode_and_drift(tmp_path):
     rows = [l for l in grid.read_text().splitlines() if not l.startswith("#")]
     assert rows[0] == "p_1,p_2,f_1,f_2"
     assert len(rows) == 10
+
+
+def test_cli_refusal_while_writing_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "grid.csv"
+    out.write_text("the old artifact\n")
+
+    def refusing_blocks(spec, grid):
+        raise DomainError("refused while the grid is built")
+        yield
+
+    monkeypatch.setattr(cli, "drift_grid_rows", refusing_blocks)
+    assert cli_main(["drift", "--spec", "binval", "--n", "2", "--grid", "3",
+                     "--out", str(out)]) == 1
+    assert "refused while the grid is built" in capsys.readouterr().err
+    assert out.read_text() == "the old artifact\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+    # a whole artifact replaces the file, with the mode a new file gets
+    monkeypatch.undo()
+    assert cli_main(["drift", "--spec", "binval", "--n", "2", "--grid", "3",
+                     "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh.csv"
+    with open(fresh, "w"):
+        pass
+    assert out.read_text().startswith("# ")
+    assert out.stat().st_mode == fresh.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "grid.csv"]
 
 
 def test_cli_montecarlo_and_alphasweep(tmp_path, capsys):
