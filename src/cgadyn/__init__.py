@@ -65,7 +65,6 @@ from .ode import (
     find_limit_many,
     integrate,
     lyapunov_increments,
-    lyapunov_rate,
     ode_to_jsonl,
     sup_distance,
 )

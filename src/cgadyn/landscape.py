@@ -10,9 +10,10 @@ its ``_KINDS`` entry names its fields, the ``FitnessSpec`` constructor
 checks them, and its ``_fitness`` branch is its one formula. It also provides
 an exact injectivity check and ``neighbor_signs``, the one neighbor table. All
 fitness values for the built-in families are exactly representable in
-binary floating point, so equality tests need no tolerance. Operations
-that enumerate all 2^n solutions refuse lengths above
-``ENUMERATION_CAP`` instead of thrashing.
+binary floating point, so equality tests need no tolerance. The factories,
+the JSON reader and every 2^n table refuse lengths above the constant
+``ENUMERATION_CAP`` instead of thrashing; a spec built with the constructor
+above it is evaluated one solution at a time.
 """
 
 from __future__ import annotations
@@ -152,30 +153,30 @@ class FitnessSpec:
         return 1 << self.n
 
 
-def binval(n: int, cap: int = ENUMERATION_CAP) -> FitnessSpec:
+def binval(n: int) -> FitnessSpec:
     """g(y) = sum_i y_i 2^(n-i): the binary value of the bitstring."""
-    return _capped(FitnessSpec(kind="binval", n=n), cap)
+    return _capped(FitnessSpec(kind="binval", n=n))
 
 
-def linear(weights, cap: int = ENUMERATION_CAP) -> FitnessSpec:
+def linear(weights) -> FitnessSpec:
     """g(y) = sum_i w_i y_i with one weight per locus.
 
     Injective iff all subset sums of the weights are distinct
     (e.g. superincreasing weights); use :func:`is_injective` to verify.
     """
-    return _capped(FitnessSpec(kind="linear", weights=weights), cap)
+    return _capped(FitnessSpec(kind="linear", weights=weights))
 
 
-def perturbed_onemax(n: int, epsilon: float, cap: int = ENUMERATION_CAP) -> FitnessSpec:
+def perturbed_onemax(n: int, epsilon: float) -> FitnessSpec:
     """g(y) = onemax(y) + epsilon * binval(y), with 0 < epsilon < 2^(1-n).
 
     The perturbation breaks onemax's ties; epsilon at or below 2^-n
     additionally keeps the onemax levels ordered.
     """
-    return _capped(FitnessSpec(kind="perturbed_onemax", n=n, epsilon=epsilon), cap)
+    return _capped(FitnessSpec(kind="perturbed_onemax", n=n, epsilon=epsilon))
 
 
-def table_spec(values, n: int | None = None, cap: int = ENUMERATION_CAP) -> FitnessSpec:
+def table_spec(values, n: int | None = None) -> FitnessSpec:
     """Explicit fitness table.
 
     ``values`` is either a mapping from bitstring (most significant locus
@@ -184,16 +185,16 @@ def table_spec(values, n: int | None = None, cap: int = ENUMERATION_CAP) -> Fitn
     theorem-dependent operations will refuse them unless
     :func:`is_injective` holds.
     """
-    return _capped(FitnessSpec(kind="table", n=n, table=values), cap)
+    return _capped(FitnessSpec(kind="table", n=n, table=values))
 
 
-def random_injective(n: int, seed: int, cap: int = ENUMERATION_CAP) -> FitnessSpec:
+def random_injective(n: int, seed: int) -> FitnessSpec:
     """A seeded pseudo-random permutation of {0, 1, ..., 2^n - 1}.
 
     Injective by construction; rugged, typically with several local maxima.
     The seed feeds ``numpy.random.SeedSequence``, so it must be >= 0.
     """
-    return _capped(FitnessSpec(kind="random_injective", n=n, seed=seed), cap)
+    return _capped(FitnessSpec(kind="random_injective", n=n, seed=seed))
 
 
 # each kind's fields besides "kind", in JSON key order; a kind without "n" among them derives n
@@ -216,11 +217,11 @@ def _check_kind_fields(kind, given) -> None:
         raise DomainError(f"{kind} spec does not take fields {sorted(stray, key=str)}")
 
 
-def _capped(spec: FitnessSpec, cap: int) -> FitnessSpec:
-    """``spec``, refused if its n exceeds the enumeration ``cap``: a factory's, or
-    ENUMERATION_CAP for the JSON reader and the 2^n table of ``fitness_values``."""
-    if spec.n > cap:
-        raise CapacityError(f"n={spec.n} exceeds the enumeration cap {cap}")
+def _capped(spec: FitnessSpec) -> FitnessSpec:
+    """``spec``, refused if its n exceeds ENUMERATION_CAP: the one test of the cap, for
+    the factories, the JSON reader and the 2^n table of ``fitness_values``."""
+    if spec.n > ENUMERATION_CAP:
+        raise CapacityError(f"n={spec.n} exceeds the enumeration cap {ENUMERATION_CAP}")
     return spec
 
 
@@ -267,7 +268,7 @@ def fitness_values(spec: FitnessSpec) -> np.ndarray:
     vals = spec._memo.get("values")
     if vals is None:
         vals = spec._memo["values"] = _read_only(_fitness(
-            _capped(spec, ENUMERATION_CAP), all_bit_matrix(spec.n), np.arange(spec.num_solutions)))
+            _capped(spec), all_bit_matrix(spec.n), np.arange(spec.num_solutions)))
     return vals
 
 
@@ -280,12 +281,11 @@ def _fitness(spec: FitnessSpec, bits: np.ndarray, index):
         return bits @ np.asarray(spec.weights, dtype=np.float64)
     if spec.kind == "perturbed_onemax":
         return bits.sum(axis=-1) + spec.epsilon * index
-    # the other kinds have no closed form: each reads its 2^n table
-    if spec.n > ENUMERATION_CAP:
-        raise CapacityError(f"{spec.kind} evaluation needs the 2^n table; n={spec.n} exceeds the cap")
     if spec.kind == "table":
         return np.asarray(spec.table, dtype=np.float64)[index]
-    # random_injective: a seeded permutation of 0, 1, ..., 2^n - 1
+    # random_injective: a seeded permutation of 0, 1, ..., 2^n - 1, built whole
+    if spec.n > ENUMERATION_CAP:
+        raise CapacityError(f"{spec.kind} evaluation needs the 2^n table; n={spec.n} exceeds the cap")
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     return rng.permutation(spec.num_solutions).astype(np.float64)[index]
 
@@ -317,8 +317,8 @@ def evaluate(spec: FitnessSpec, y) -> float:
 
 def is_injective(spec: FitnessSpec) -> bool:
     """True iff all 2^n fitness values are pairwise distinct (exact compare)."""
-    vals = fitness_values(spec)
-    return int(np.unique(vals).size) == vals.size
+    s = np.sort(fitness_values(spec))  # not np.unique, which imports numpy.ma
+    return not (s[1:] == s[:-1]).any()
 
 
 def require_injective(spec: FitnessSpec, operation: str) -> None:
@@ -395,4 +395,4 @@ def spec_from_json_dict(obj: dict) -> FitnessSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("fitness spec JSON must be an object with a 'kind' field")
     _check_kind_fields(obj["kind"], obj)
-    return _capped(FitnessSpec(**obj), ENUMERATION_CAP)
+    return _capped(FitnessSpec(**obj))

@@ -212,27 +212,14 @@ def find_limit_many(
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def lyapunov_rate(spec: FitnessSpec, p) -> float:
-    """||f(p)||^2, the squared speed of the flow at p.
-
-    The field is not a gradient field, so there is no potential whose
-    growth rate this is; it is the rate at which the line integral of f
-    along the flow accumulates.
-    """
-    f = drift(p, spec)
-    return float(np.dot(f, f))
-
-
-def lyapunov_increments(traj: OdeTrajectory, spec: FitnessSpec) -> np.ndarray:
-    """Per-step line integral f(X_k) . (X_{k+1} - X_k) along a trajectory.
+def lyapunov_increments(traj: OdeTrajectory) -> np.ndarray:
+    """Per-step line integral f(X_k) . (X_{k+1} - X_k) along a trajectory,
+    with f the field of the trajectory's own spec.
 
     Approximately ||f(X_k)||^2 h, the squared speed times the step, since
     dX/dt = f; hence nonnegative up to integrator error. The field is not
-    a gradient field, so these are not increments of a potential. ``spec``
-    must equal ``traj.spec``: another spec's field along this flow means nothing.
+    a gradient field, so these are not increments of a potential.
     """
-    if spec != traj.spec:
-        raise DomainError("lyapunov_increments takes the spec of its trajectory, not another")
     f = drift(traj.states[:-1], traj.spec)
     dx = np.diff(traj.states, axis=0)
     return np.sum(f * dx, axis=-1)

@@ -241,9 +241,9 @@ def test_criterion_09_lyapunov_monotonicity():
     for spec in spec_pool((2, 3, 4)):
         starts = np.vstack([np.full(spec.n, 0.5), interior_points(rng, 3, spec.n)])
         traj = od.integrate(spec, starts, h=1e-2, T=10.0)
-        worst = min(worst, float(od.lyapunov_increments(traj, spec).min()))
+        worst = min(worst, float(od.lyapunov_increments(traj).min()))
     big = od.integrate(ls.binval(8), np.full(8, 0.5), h=1e-2, T=5.0)
-    worst = min(worst, float(od.lyapunov_increments(big, ls.binval(8)).min()))
+    worst = min(worst, float(od.lyapunov_increments(big).min()))
     report("criterion 9: line-integral increments f(X_k) . dX (squared speed) >= -1e-9",
            worst >= -1e-9, f"min increment = {worst:g}")
 

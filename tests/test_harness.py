@@ -714,8 +714,8 @@ def test_cli_refused_grid_leaves_no_file(tmp_path, capsys, n, grid):
     assert "grid" in err and "internal error" not in err
 
 
-# binval-17's 2^17 grid-2 rows are under the row limit, so only the spec
-# reader's cap keeps the drift grid from opening --out before it fails
+# binval-17's 2^17 grid-2 rows are under the row limit, so the refusal comes
+# from the spec reader's cap, while the config is read, before any file is opened
 @pytest.mark.parametrize("argv", [["drift", "--grid", "2"], ["classify"], ["localmaxima"]],
                          ids=["drift_grid2", "classify", "localmaxima"])
 def test_cli_spec_over_the_cap_leaves_no_file(tmp_path, capsys, argv):

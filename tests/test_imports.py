@@ -1,5 +1,6 @@
 """Every name imported in src/, tests/ and scripts/ is referenced in its module,
-and importing the package leaves numpy.random unloaded.
+importing the package leaves numpy.random unloaded, and a Monte Carlo campaign
+leaves numpy.ma unloaded.
 
 A package ``__init__.py`` imports names to export them, so it is skipped.
 """
@@ -51,3 +52,16 @@ def test_importing_the_package_leaves_numpy_random_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+def test_a_monte_carlo_campaign_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique without return flags imports numpy.ma (about 1 MB and 12-16 ms);
+    # is_injective compares sorted neighbours instead
+    code = ("import sys; from cgadyn.cli import cli_main; "
+            "code = cli_main(['montecarlo', '--spec', 'binval', '--n', '3', '--N', '4', '--runs', '2', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "0 False"  # exit code 0, numpy.ma not loaded
