@@ -38,7 +38,11 @@ one ``Generator.random`` call per active run.
 Runs and flows are written as JSON lines by :func:`write_jsonl`. Its text
 kernel, ``_block_text``, also writes every float table of
 ``harness.write_csv``: it formats each distinct value of a block once,
-with its separator or line end attached, and joins the block once.
+with its separator or line end attached, and joins the block once. Every
+text artifact, JSON lines, the drift grid and the corner report alike, is
+cut into blocks of at most ``_BLOCK_CELLS`` cells, counting every column
+of a row (:func:`_block_rows`), so a writer holds one bounded block at a
+time, however long the artifact.
 """
 
 from __future__ import annotations
@@ -143,7 +147,8 @@ class StochasticTrajectory:
             raise DomainError(
                 "trajectory was thinned; interpolation only answers at recorded iterations"
             )
-        return self.states[rows]
+        # only the rows returned are made floats, as states would make them
+        return self.counts[rows] / float(2 * self.alpha_steps)
 
 
 @dataclass
@@ -546,11 +551,24 @@ def _iteration_of(ts: np.ndarray, alpha: float) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
+# the most cells one block of a text artifact holds, counting every column
+# of its rows (stamps, flags and texts too): the memory its text takes
+_BLOCK_CELLS = 1 << 15
+
+
+def _block_rows(columns: int) -> int:
+    """The rows of one block of a text artifact whose rows have ``columns``
+    cells: as many as ``_BLOCK_CELLS`` holds, and at least one."""
+    return max(1, _BLOCK_CELLS // columns)
+
+
 def _block_text(block, fmt: str, sep: str, end: str, prefix=None, suffix=None) -> str:
     """The text of a float array ``block``, one line per row (every axis
     but the last): each cell in ``fmt`` followed by ``sep``, the row's last
     cell followed by ``end``, between the row's ``prefix`` and ``suffix``
-    texts when those per-row lists are given.
+    texts when those per-row lists are given. Callers cut their artifacts
+    into blocks of :func:`_block_rows` rows, so the text, its tables and
+    its gather stay within one cell budget.
 
     Each distinct bit pattern is formatted once, with ``sep`` or ``end``
     attached, and one gather puts the texts in place for one join. That
@@ -576,19 +594,23 @@ def _block_text(block, fmt: str, sep: str, end: str, prefix=None, suffix=None) -
     return "".join(np.array(table, dtype=object)[np.hstack(columns)].ravel().tolist())
 
 
-def write_jsonl(fp, header: dict, key: str, stamps, states) -> None:
+def write_jsonl(fp, header: dict, key: str, stamps: np.ndarray, states: np.ndarray) -> None:
     """Write ``header`` as one JSON record, then one ``{key: stamp, "p": row}``
-    record per stamp and row of ``states``.
+    record per entry of the array ``stamps`` and row of ``states``.
 
-    The records are written from the arrays in one pass of
-    :func:`_block_text`: each stamp and each float by ``repr`` (each
-    distinct float once), which for finite floats and ints is the text
-    ``json.dumps`` writes, so the bytes are those of one ``json.dumps`` call
-    per record.
+    The records are written from the arrays a block at a time, n + 1 cells
+    to a record, each block by one pass of :func:`_block_text` and written
+    before the next is built: each stamp and each float by ``repr`` (each
+    distinct float of a block once), which for finite floats and ints is
+    the text ``json.dumps`` writes, so the bytes are those of one
+    ``json.dumps`` call per record.
     """
     fp.write(json.dumps(header, sort_keys=True) + "\n")
     head = '{"%s": %%r, "p": [' % key
-    fp.write(_block_text(states, "%r", ", ", "]}\n", prefix=[head % stamp for stamp in stamps]))
+    step = _block_rows(states.shape[1] + 1)
+    for lo in range(0, len(states), step):
+        fp.write(_block_text(states[lo:lo + step], "%r", ", ", "]}\n",
+                             prefix=[head % stamp for stamp in stamps[lo:lo + step].tolist()]))
 
 
 def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | None = None) -> None:
@@ -606,4 +628,4 @@ def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | Non
         "record_every": traj.record_every,
         **(extra_header or {}),
     }
-    write_jsonl(fp, header, "k", traj.recorded_ks.tolist(), traj.states)
+    write_jsonl(fp, header, "k", traj.recorded_ks, traj.states)

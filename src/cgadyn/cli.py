@@ -196,6 +196,24 @@ def _missing_subcommand(args) -> int:
     raise _UsageError("missing subcommand (see --help)")
 
 
+def _write_files(writers: dict) -> None:
+    """Write each file ``path`` of ``writers`` by its ``write(fp)``. Every file
+    is built beside its path and moved onto it once all of them are whole,
+    so a failure while any is built leaves every path as it was, and no
+    partial file behind."""
+    partials = {path: path.with_name(f".{path.name}.{os.getpid()}.partial") for path in writers}
+    try:
+        for path, write in writers.items():
+            with open(partials[path], "w") as fp:
+                write(fp)
+        for path, partial in partials.items():
+            os.replace(partial, path)
+    except BaseException:
+        for partial in partials.values():
+            partial.unlink(missing_ok=True)
+        raise
+
+
 def _write_artifact(args, config: ExperimentConfig, settings: dict, write) -> int:
     """Write a single-spec subcommand's artifact by ``write(fp, header)``; the
     header hashes the command, the spec and ``settings``, with the master seed."""
@@ -205,16 +223,7 @@ def _write_artifact(args, config: ExperimentConfig, settings: dict, write) -> in
         write(sys.stdout, header)
     else:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        # the artifact is built beside --out and moved onto it once whole, so
-        # a refusal raised while it is built leaves the file at --out as it was
-        partial = args.out.with_name(f".{args.out.name}.{os.getpid()}.partial")
-        try:
-            with open(partial, "w") as fp:
-                write(fp, header)
-            os.replace(partial, args.out)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
+        _write_files({args.out: lambda fp: write(fp, header)})
     return 0
 
 
@@ -263,17 +272,22 @@ def _cmd_localmaxima(args) -> int:
 def _write_campaign(config: ExperimentConfig, rows_key: str, rows, summary_name: str,
                     table_name: str, reported: str, **extra) -> int:
     """Write the summary JSON (rows under ``rows_key``, ``extra`` beside them)
-    and the CSV of the rows' dataclass fields; stdout names ``reported``."""
+    and the CSV of the rows' dataclass fields, both or neither
+    (:func:`_write_files`); stdout names ``reported``."""
     records = [asdict(row) for row in rows]
     header = provenance(config.config_hash(), config.master_seed)
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / summary_name, "w") as fp:
+
+    def write_summary(fp):
         json.dump({"provenance": header, "config": config.to_json_dict(), rows_key: records,
                    **extra}, fp, indent=2, sort_keys=True)
         fp.write("\n")
-    with open(outdir / table_name, "w") as fp:
+
+    def write_table(fp):
         write_csv(fp, list(records[0]), [r.values() for r in records], header=header)
+
+    _write_files({outdir / summary_name: write_summary, outdir / table_name: write_table})
     print(f"wrote {outdir / reported}")
     return 0
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .cga import _MAX_N, _block_text, lockstep
+from .cga import _MAX_N, _block_rows, _block_text, lockstep
 from .drift_field import corner_spectra, drift
 from .landscape import (
     FitnessSpec,
@@ -144,9 +144,6 @@ def hash_of(obj) -> str:
 # ---------------------------------------------------------------------------
 # CSV plumbing
 # ---------------------------------------------------------------------------
-
-_CSV_BLOCK_ROWS = 4096
-
 
 def _cell(value):
     """One CSV cell: a real in ``REAL_FMT``, a dict (a tally) as sorted-key
@@ -339,9 +336,10 @@ class ClassificationReport:
     def write_csv(self, fp, header: dict | None = None) -> None:
         """One row per corner as a CSV table (:func:`write_csv`) with the
         columns ``_REPORT_COLUMNS``, and the agreement count as its footer.
-        The table is written ``_CSV_BLOCK_ROWS`` rows at a time from the
-        arrays: each real in ``REAL_FMT``, and a corner's eigenvalues
-        joined by ``;`` through :func:`cgadyn.cga._block_text`."""
+        The table is written a block at a time from the arrays, n + 5
+        cells to a row (:func:`cgadyn.cga._block_rows`): each real in
+        ``REAL_FMT``, and a corner's eigenvalues joined by ``;`` through
+        :func:`cgadyn.cga._block_text`."""
         summary = f"agreement: {self.agreement_count}/{len(self.fitness)}" + (
             " (100%)" if self.all_agree else " (MISMATCH)"
         )
@@ -350,11 +348,12 @@ class ClassificationReport:
     def _text_blocks(self) -> Iterator[str]:
         bits = f"0{self.spec.n}b"
         all_stable = self.stable
-        for lo in range(0, len(self.fitness), _CSV_BLOCK_ROWS):
-            hi = lo + _CSV_BLOCK_ROWS
+        # corner, fitness, local_max and verdict lead the n eigenvalues, and
+        # the agreement ends the row
+        step = _block_rows(self.spec.n + 5)
+        for lo in range(0, len(self.fitness), step):
+            hi = lo + step
             stable, is_max = all_stable[lo:hi], self.local_max[lo:hi]
-            # corner, fitness, local_max and verdict lead the eigenvalues,
-            # and the agreement ends the row
             lead = ["%s,%s,%s,%s," % (format(i, bits), REAL_FMT % fitness, m, _VERDICTS[s])
                     for i, fitness, m, s in zip(range(lo, hi), self.fitness[lo:hi].tolist(),
                                                 is_max.tolist(), stable.tolist())]
@@ -384,7 +383,7 @@ _DRIFT_SUB_ROWS = 512
 def drift_grid_rows(spec: FitnessSpec, resolution: int) -> Iterator[np.ndarray]:
     """Cartesian grid over [0,1]^n with `resolution` points per axis, the
     last axis varying fastest, as an iterator of ``(rows, 2n)`` blocks of
-    ``_CSV_BLOCK_ROWS`` rows (the last may be shorter) whose rows are
+    ``cga._block_rows(2n)`` rows (the last may be shorter) whose rows are
     (p_1..p_n, f_1..f_n).
 
     A refused resolution (below 2, or a grid of more than
@@ -409,8 +408,9 @@ def drift_grid_rows(spec: FitnessSpec, resolution: int) -> Iterator[np.ndarray]:
 def _grid_blocks(spec: FitnessSpec, resolution: int, total: int) -> Iterator[np.ndarray]:
     n = spec.n
     axis = np.linspace(0.0, 1.0, resolution)
-    for start in range(0, total, _CSV_BLOCK_ROWS):
-        index = np.arange(start, min(start + _CSV_BLOCK_ROWS, total))
+    step = _block_rows(2 * n)
+    for start in range(0, total, step):
+        index = np.arange(start, min(start + step, total))
         block = np.empty((index.size, 2 * n))
         for j in range(n):  # column j is digit j of the row index in base `resolution`
             block[:, j] = axis.take(index // resolution ** (n - 1 - j) % resolution)

@@ -358,4 +358,4 @@ def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> N
         "spec": spec_to_json_dict(traj.spec),
         **(extra_header or {}),
     }
-    write_jsonl(fp, header, "t", traj.times.tolist(), traj.states)
+    write_jsonl(fp, header, "t", traj.times, traj.states)

@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,24 @@ def reference_jsonl_records(key: str, labels, states) -> str:
         json.dumps({key: label, "p": [float(x) for x in row]}) + "\n"
         for label, row in zip(labels, states)
     )
+
+
+class DiscardingText:
+    """A text file that keeps nothing it is written, so a writer's memory
+    is its own and not the output's."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def local_maxima(spec: ls.FitnessSpec) -> dict[tuple[int, ...], bool]:

@@ -13,7 +13,14 @@ from cgadyn import drift_field as dr
 from cgadyn import landscape as ls
 from cgadyn.errors import DimensionError, DomainError, HorizonError
 
-from conftest import TWO_MAX_TABLE, assert_same_lines, reference_cga_run, reference_jsonl_records
+from conftest import (
+    TWO_MAX_TABLE,
+    DiscardingText,
+    assert_same_lines,
+    reference_cga_run,
+    reference_jsonl_records,
+    traced_peak,
+)
 
 
 def _update(spec, N, counts, ua, ub):
@@ -519,6 +526,21 @@ def test_interpolation_infinite_and_huge_times(t):
         cut.values_at([0.0, t])
 
 
+def _long_trajectory(rng, records: int, n: int = 3, N: int = 512) -> C.StochasticTrajectory:
+    """A run record of ``records`` snapshots on the 1/(2N) grid, not stepped."""
+    return C.StochasticTrajectory(
+        spec=ls.binval(n), alpha_steps=N, seed=1, counts=rng.integers(0, 2 * N + 1, (records, n)),
+        recorded_ks=np.arange(records), iterations=records - 1, terminated=False)
+
+
+def test_interpolation_converts_only_the_rows_it_returns(rng):
+    traj = _long_trajectory(rng, 200_000)
+    ts = np.array([0.0, 7.5, 100.0])
+    assert np.array_equal(traj.values_at(ts), traj.states[[0, 7680, 102400]])
+    # the float table of every state would be 4.8 MB
+    assert traced_peak(lambda: traj.values_at(ts)) < 2**16
+
+
 def test_interpolation_thinned_refuses_fine_queries():
     traj = C.run(ls.binval(2), 8, seed=3, record_every=5, max_iters=300)
     assert traj.iterations > 6
@@ -569,3 +591,15 @@ def test_trajectory_jsonl_records_equal_json_dumps(spec, N, kw):
     assert json.loads(head)["iterations"] == traj.iterations
     assert_same_lines(body, reference_jsonl_records("k", [int(k) for k in traj.recorded_ks],
                                                     traj.states))
+
+
+def test_trajectory_jsonl_memory_does_not_grow_with_the_records(rng):
+    # beyond the float table of the states, which the writer reads whole, it
+    # holds one block at a time: 200 000 records peak as 50 000 do
+    def peak(records):
+        traj = _long_trajectory(rng, records)
+        written = traced_peak(lambda: C.trajectory_to_jsonl(traj, DiscardingText()))
+        return written - traj.counts.nbytes
+
+    small, large = peak(50_000), peak(200_000)
+    assert 0 < large <= 1.3 * small

@@ -466,9 +466,10 @@ def _classify_csv_oracle(report, header) -> str:
 
 
 def test_classify_csv_across_a_block_boundary():
-    # 2^13 = 8 192 corners: two blocks
+    # 2^13 = 8 192 corners of 18 cells: four blocks of 1 820 rows and one of 912
     spec = ls.random_injective(13, seed=3)
-    assert 1 << spec.n == 2 * hn._CSV_BLOCK_ROWS
+    step = cga._block_rows(spec.n + 5)
+    assert (step, (1 << spec.n) % step) == (1820, 912)
     report = hn.classify_all(spec)
     eigs, local_max = corner_spectra(spec)
     assert np.array_equal(report.fitness, ls.fitness_values(spec))
@@ -483,13 +484,15 @@ def test_classify_csv_across_a_block_boundary():
 
     # a report whose flags disagree in one corner of each block
     flipped = report.local_max.copy()
-    flipped[[5, hn._CSV_BLOCK_ROWS + 7]] ^= True
+    flips = np.arange(5, 1 << spec.n, step)
+    flipped[flips] ^= True
     odd = replace(report, local_max=flipped)
-    assert odd.agreement_count == (1 << spec.n) - 2 and not odd.all_agree
+    agree = (1 << spec.n) - len(flips)
+    assert odd.agreement_count == agree and not odd.all_agree
     buf = io.StringIO()
     odd.write_csv(buf, header=header)
     assert_same_lines(buf.getvalue(), _classify_csv_oracle(odd, header))
-    assert buf.getvalue().endswith(f"# agreement: {(1 << spec.n) - 2}/{1 << spec.n} (MISMATCH)\n")
+    assert buf.getvalue().endswith(f"# agreement: {agree}/{1 << spec.n} (MISMATCH)\n")
 
 
 def test_classify_report_holds_no_object_per_corner(tmp_path):
@@ -509,13 +512,14 @@ def test_classify_report_holds_no_object_per_corner(tmp_path):
 
 # --- drift grid --------------------------------------------------------------------
 
+def _cut(rows, step):
+    """The row counts of ``rows`` rows cut into blocks of ``step``."""
+    return [step] * (rows // step) + [rows % step] * (rows % step > 0)
+
+
 def _sub_block_sizes(rows):
     """The row counts of the drift calls that build one grid block."""
-    sub = hn._DRIFT_SUB_ROWS
-    sizes = [sub] * (rows // sub)
-    if rows % sub:
-        sizes.append(rows % sub)
-    return sizes
+    return _cut(rows, hn._DRIFT_SUB_ROWS)
 
 
 def test_drift_grid_rows_shape_and_values(monkeypatch):
@@ -534,16 +538,18 @@ def test_drift_grid_rows_shape_and_values(monkeypatch):
 
 
 def test_drift_grid_rows_in_blocks_equal_one_call(monkeypatch):
-    # 9^4 = 6561 points span two blocks; drift rows do not depend on the batch
+    # 9^4 = 6561 points of 8 cells span two blocks of at most 4 096 rows;
+    # drift rows do not depend on the batch
     from cgadyn.drift_field import drift
 
     spec = ls.random_injective(4, seed=5)
     calls = []
     monkeypatch.setattr(hn, "drift", lambda p, s: calls.append(p.shape[0]) or drift(p, s))
     blocks = list(hn.drift_grid_rows(spec, 9))
-    tail = 9 ** 4 - hn._CSV_BLOCK_ROWS
-    assert [len(b) for b in blocks] == [hn._CSV_BLOCK_ROWS, tail]
-    assert calls == _sub_block_sizes(hn._CSV_BLOCK_ROWS) + _sub_block_sizes(tail)
+    step = cga._block_rows(2 * spec.n)
+    tail = 9 ** 4 - step
+    assert [len(b) for b in blocks] == [step, tail] == [4096, 2465]
+    assert calls == _sub_block_sizes(step) + _sub_block_sizes(tail)
     rows = np.concatenate(blocks)
     assert np.array_equal(rows[:, 4:], drift(rows[:, :4], spec))
 
@@ -577,7 +583,8 @@ def test_drift_grid_writes_each_block_before_the_next_is_built(monkeypatch):
     hn.write_csv(buf, names, hn.drift_grid_rows(ls.binval(4), 10))
     lines = buf.getvalue().splitlines(keepends=True)
     assert len(lines) == 1 + 10 ** 4
-    sizes = [hn._CSV_BLOCK_ROWS, hn._CSV_BLOCK_ROWS, 10 ** 4 - 2 * hn._CSV_BLOCK_ROWS]
+    step = cga._block_rows(len(names))
+    sizes = [step, step, 10 ** 4 - 2 * step]
     assert [rows for _, rows in calls] == [r for b in sizes for r in _sub_block_sizes(b)]
     assert max(rows for _, rows in calls) <= hn._DRIFT_SUB_ROWS
     # while block k is built, the header and blocks 0..k-1 are written and nothing more
@@ -605,8 +612,9 @@ def _pool_table(rng, rows, cols, finite=False):
 
 @pytest.mark.parametrize("rows, pooled", [(1, False), (5, False), (5000, False), (5000, True)],
                          ids=["1row", "5rows", "5000rows", "5000rows_pool"])
-def test_write_csv_real_array_equals_csv_writer(rng, rows, pooled):
-    # 5000 rows cross a block boundary
+def test_write_csv_real_array_equals_csv_writer(monkeypatch, rng, rows, pooled):
+    # at a budget of 4 096 cells, 5000 rows of 3 cells cross three block boundaries
+    monkeypatch.setattr(cga, "_BLOCK_CELLS", 1 << 12)
     if pooled:
         table = _pool_table(rng, rows, 3)
     else:
@@ -616,7 +624,8 @@ def test_write_csv_real_array_equals_csv_writer(rng, rows, pooled):
         flat[:k] = _EDGE_REALS[:k]
         flat[-k:] = _EDGE_REALS[-k:]
     names = ["a", "b", "c"]
-    blocks = np.split(table, range(hn._CSV_BLOCK_ROWS, rows, hn._CSV_BLOCK_ROWS))
+    step = cga._block_rows(len(names))
+    blocks = np.split(table, range(step, rows, step))
     buf = io.StringIO()
     hn.write_csv(buf, names, iter(blocks), header={"seed": 1}, footer=["end"])
     assert_same_lines(buf.getvalue(), "# seed: 1\n" + reference_real_csv(names, table) + "# end\n")
@@ -679,6 +688,49 @@ def test_jsonl_writers_real_pool_equal_json_dumps(rng):
                       reference_jsonl_records("t", times.tolist(), states))
 
 
+class _Writes(list):
+    """A text file that keeps each write apart."""
+
+    write = list.append
+
+
+def test_every_text_artifact_is_cut_by_the_cell_budget(monkeypatch, tmp_path):
+    # at a budget of 16 cells: runs and flows of n = 3 are written 4 records
+    # (4 cells each) at a time, a corner report of n = 3 two corners (8
+    # cells) and one of n = 5 one corner (10), and the grid of n = 2 four
+    # rows (4 cells) and of n = 3 two (6 cells); the bytes do not change
+    monkeypatch.setattr(cga, "_BLOCK_CELLS", 16)
+    run = cga.run(ls.binval(3), 8, seed=1)
+    flow = ode.integrate(ls.binval(3), np.full(3, 0.5), h=0.1, T=2.05)
+    for write, record, key, stamps in [(cga.trajectory_to_jsonl, run, "k", run.recorded_ks),
+                                       (ode.ode_to_jsonl, flow, "t", flow.times)]:
+        out = _Writes()
+        write(record, out)
+        assert [text.count("\n") for text in out[1:]] == _cut(len(stamps), 4)
+        assert_same_lines("".join(out[1:]),
+                          reference_jsonl_records(key, stamps.tolist(), record.states))
+
+    for spec, step in [(ls.binval(3), 2), (ls.random_injective(5, seed=1), 1)]:
+        report = hn.classify_all(spec)
+        assert [text.count("\n") for text in report._text_blocks()] == _cut(1 << spec.n, step)
+        buf = io.StringIO()
+        report.write_csv(buf, header={"master_seed": 0})
+        assert_same_lines(buf.getvalue(), _classify_csv_oracle(report, {"master_seed": 0}))
+
+    for spec, grid, step in [(ls.binval(2), 5, 4), (ls.random_injective(3, seed=4), 4, 2)]:
+        assert [len(b) for b in hn.drift_grid_rows(spec, grid)] == _cut(grid ** spec.n, step)
+        out = tmp_path / "grid.csv"
+        assert cli_main(["drift", "--spec-file", str(_spec_file(tmp_path, spec)),
+                         "--grid", str(grid), "--out", str(out)]) == 0
+        assert_same_lines(_csv_body(out), reference_drift_grid_csv(spec, grid))
+
+
+def _spec_file(tmp_path, spec) -> Path:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(ls.spec_to_json_dict(spec)))
+    return path
+
+
 def _csv_body(path) -> str:
     return "".join(l for l in path.read_text().splitlines(keepends=True) if not l.startswith("#"))
 
@@ -693,9 +745,7 @@ def _csv_body(path) -> str:
 ], ids=["binval2", "random3", "tied_table", "binval4_two_blocks", "random5_ragged_tail"])
 def test_cli_drift_csv_bytes(tmp_path, spec_args, spec, grid):
     if spec_args is None:
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json.dumps(ls.spec_to_json_dict(spec)))
-        spec_args = ["--spec-file", str(spec_file)]
+        spec_args = ["--spec-file", str(_spec_file(tmp_path, spec))]
     out = tmp_path / "grid.csv"
     assert cli_main(["drift", *spec_args, "--grid", str(grid), "--out", str(out)]) == 0
     assert_same_lines(_csv_body(out), reference_drift_grid_csv(spec, grid))
@@ -1210,6 +1260,25 @@ def test_cli_refusal_while_writing_leaves_out_as_it_was(tmp_path, monkeypatch, c
     assert out.read_text().startswith("# ")
     assert out.stat().st_mode == fresh.stat().st_mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "grid.csv"]
+
+
+def test_campaign_failure_while_writing_leaves_its_files_as_they_were(tmp_path, monkeypatch,
+                                                                       capsys):
+    argv = ["montecarlo", "--spec", "binval", "--n", "2", "--N", "2", "--runs", "3",
+            "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(before) == ["montecarlo_settings.csv", "montecarlo_summary.json"]
+
+    def failing_write_csv(fp, *args, **kwargs):
+        fp.write("a partial table")
+        raise OSError("disk full while the table is written")
+
+    # another seed, so a summary written before the table fails would differ
+    monkeypatch.setattr(cli, "write_csv", failing_write_csv)
+    assert cli_main([*argv, "--seed", "9"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_cli_montecarlo_and_alphasweep(tmp_path, capsys):

@@ -13,11 +13,13 @@ from cgadyn.errors import DimensionError, DomainError, HorizonError, TheoremScop
 
 from conftest import (
     TWO_MAX_TABLE,
+    DiscardingText,
     assert_same_lines,
     injective_suite,
     jump_table,
     reference_find_limit_many,
     reference_jsonl_records,
+    traced_peak,
 )
 
 
@@ -99,6 +101,19 @@ def test_ode_jsonl_records_equal_json_dumps(spec, h, T):
     assert json.loads(head)["T"] == traj.horizon
     assert_same_lines(body, reference_jsonl_records("t", [float(t) for t in traj.times],
                                                     traj.states))
+
+
+def test_ode_jsonl_memory_does_not_grow_with_the_records(rng):
+    # the writer holds one block at a time: a flow of 200 000 records peaks
+    # as one of 50 000 does
+    def peak(records):
+        h = 1e-3
+        flow = od.OdeTrajectory(times=np.arange(records) * h, states=rng.random((records, 1)),
+                                step=h, clamp_count=0, spec=ls.binval(1))
+        return traced_peak(lambda: od.ode_to_jsonl(flow, DiscardingText()))
+
+    small, large = peak(50_000), peak(200_000)
+    assert 0 < large <= 1.3 * small
 
 
 def test_containment_and_no_clamps_from_center():
