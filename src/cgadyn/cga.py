@@ -31,18 +31,17 @@ order of two ``rng.random(n)`` calls per iteration. Corners absorb, since
 at p_i in {0, 1} both samples agree and the update is zero; so instead of
 testing for a corner after every iteration, one vectorised scan of a
 block's snapshots finds each run's first corner, and finished runs leave
-the active set between blocks. A block is cut to 2**15 uniforms over all
-active runs, but to no fewer than 32 iterations, since each block costs
-one ``Generator.random`` call per active run.
+the active set between blocks.
+
+One budget, ``_BLOCK_CELLS`` cells counting every column of a row
+(:func:`_block_rows`), sizes every block: a lockstep block's uniforms over
+its active runs (but no fewer than 32 iterations, since each block costs
+one ``Generator.random`` call per active run), the drift grid's drift
+calls and every text artifact's blocks, however long the artifact.
 
 Runs and flows are written as JSON lines by :func:`write_jsonl`. Its text
 kernel, ``_block_text``, also writes every float table of
-``harness.write_csv``: it formats each distinct value of a block once,
-with its separator or line end attached, and joins the block once. Every
-text artifact, JSON lines, the drift grid and the corner report alike, is
-cut into blocks of at most ``_BLOCK_CELLS`` cells, counting every column
-of a row (:func:`_block_rows`), so a writer holds one bounded block at a
-time, however long the artifact.
+``harness.write_csv``: it formats each distinct value of a block once.
 """
 
 from __future__ import annotations
@@ -167,10 +166,18 @@ class LockstepResult:
                               self.terminated[rows])
 
 
-# uniforms drawn per block, summed over the active runs (256 KiB of float64),
-# unless that would make a block shorter than _MIN_DRAW iterations: each
-# block costs one Generator.random call per active run
-_BLOCK_UNIFORMS = 1 << 15
+# the one budget of every block: the most cells one block holds, counting
+# every column of its rows (lockstep uniforms, drift tables, text cells)
+_BLOCK_CELLS = 1 << 15
+
+
+def _block_rows(columns: int) -> int:
+    """The rows of one block whose rows have ``columns`` cells: as many as
+    ``_BLOCK_CELLS`` holds, and at least one."""
+    return max(1, _BLOCK_CELLS // columns)
+
+
+# the budget cuts no lockstep block below this: each costs a Generator.random call per run
 _MIN_DRAW = 32
 _MIN_BLOCK, _MAX_BLOCK = 8, 256
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -373,19 +380,19 @@ def lockstep(
     bit-identical to the same run stepped alone, whatever runs share its
     lockstep.
 
-    A block is as long as the slowest active run needs to reach a corner
-    (at least 8 iterations, or k0 / 8 after k0 iterations; at most 256),
-    cut to the smallest remaining budget among the active runs and to
-    2**15 uniforms over all of them, but never below 32 iterations for that
-    last cut. After each block, ``on_block(rows, k0, snaps, ends)`` sees the
-    runs that were active at its start: ``rows`` their indices in
-    increasing order, ``snaps[i, j]`` the int64 counts of run ``rows[i]``
-    after iteration ``k0 + j`` for j = 0..B, and ``ends[i]`` that run's last
-    iteration so far (its corner, or the block's end). So ``snaps[:, 0]`` is
-    the block's start: ``initial`` in the first block, the previous block's
-    last column in every later one. Snapshots past a corner repeat it; the
-    next block overwrites ``snaps``, so copy what you keep. Runs at a corner
-    or at the end of their budget leave the active set.
+    A block is as long as the slowest active run needs to reach a corner (at
+    least 8 iterations, or k0 / 8 after k0 iterations; at most 256), cut to the
+    smallest remaining budget among the active runs and to ``_BLOCK_CELLS``
+    uniforms over all of them, but never below 32 iterations for that last cut.
+    After each block, ``on_block(rows, k0, snaps, ends)`` sees the runs that
+    were active at its start: ``rows`` their indices in increasing order,
+    ``snaps[i, j]`` the int64 counts of run ``rows[i]`` after iteration
+    ``k0 + j`` for j = 0..B, and ``ends[i]`` that run's last iteration so far
+    (its corner, or the block's end). So ``snaps[:, 0]`` is the block's start:
+    ``initial`` in the first block, the previous block's last column in every
+    later one. Snapshots past a corner repeat it; the next block overwrites
+    ``snaps``, so copy what you keep. Runs at a corner or at the end of their
+    budget leave the active set.
     """
     n = spec.n
     seeds = list(seeds)
@@ -410,8 +417,8 @@ def lockstep(
     terminated = _at_corner(start, two_n)
     rows = np.flatnonzero(~terminated & (budgets > 0))
     # every block reuses the same flat buffers, sized for the blocks that
-    # _BLOCK_UNIFORMS caps; they grow for a block the _MIN_DRAW floor lengthens
-    size = max(_BLOCK_UNIFORMS, 2 * n * rows.size)
+    # _BLOCK_CELLS caps; they grow for a block the _MIN_DRAW floor lengthens
+    size = max(_BLOCK_CELLS, 2 * n * rows.size)
     slab_buf, u_buf = np.empty(size), np.empty(size)
     snaps_buf = np.empty(size // 2 + n * rows.size, dtype=np.int64)
     k0 = 0
@@ -423,7 +430,7 @@ def lockstep(
         # that, iterations stepped beyond the last corner stay under k0 / 8
         need = int(np.max(np.minimum(c, c_two_n - c)))
         m = min(max(need, k0 // 8, _MIN_BLOCK), _MAX_BLOCK, int(budgets[rows].min()) - k0,
-                max(_MIN_DRAW, _BLOCK_UNIFORMS // (2 * n * rows.size)))
+                max(_MIN_DRAW, _block_rows(2 * n * rows.size)))
         size = rows.size * m * 2 * n
         if slab_buf.size < size:
             slab_buf, u_buf = np.empty(size), np.empty(size)
@@ -476,12 +483,13 @@ def run_many(
     N = _integer(N, "N")
     seeds = list(seeds)
     kept = [[] for _ in seeds]
+    every = min(record_every, _INT64_MAX)  # as _per_run clips budgets
 
     def keep(rows, k0, snaps, ends):
         for i, r in enumerate(rows):
             ks = np.arange(k0 + 1, ends[i] + 1)
-            if record_every > 1:
-                ks = ks[ks % record_every == 0]
+            if every > 1:
+                ks = ks[ks % every == 0]
             kept[r].append((ks, snaps[i, ks - k0]))
 
     result = lockstep(spec, N, seeds, initial=initial, max_iters=max_iters, on_block=keep)
@@ -551,17 +559,6 @@ def _iteration_of(ts: np.ndarray, alpha: float) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-# the most cells one block of a text artifact holds, counting every column
-# of its rows (stamps, flags and texts too): the memory its text takes
-_BLOCK_CELLS = 1 << 15
-
-
-def _block_rows(columns: int) -> int:
-    """The rows of one block of a text artifact whose rows have ``columns``
-    cells: as many as ``_BLOCK_CELLS`` holds, and at least one."""
-    return max(1, _BLOCK_CELLS // columns)
-
-
 def _block_text(block, fmt: str, sep: str, end: str, prefix=None, suffix=None) -> str:
     """The text of a float array ``block``, one line per row (every axis
     but the last): each cell in ``fmt`` followed by ``sep``, the row's last
@@ -570,11 +567,11 @@ def _block_text(block, fmt: str, sep: str, end: str, prefix=None, suffix=None) -
     into blocks of :func:`_block_rows` rows, so the text, its tables and
     its gather stay within one cell budget.
 
-    Each distinct bit pattern is formatted once, with ``sep`` or ``end``
-    attached, and one gather puts the texts in place for one join. That
-    pays where values repeat, as in a run's states (they lie on the 1/(2N)
-    grid), a drift grid and corner eigenvalues. Keying on bits, not
-    values, keeps ``0.0`` and ``-0.0`` apart.
+    Each distinct bit pattern is formatted once, kept with ``sep`` and bare
+    (for a row's last cell, which ``end`` follows), and one gather puts the
+    texts in place for one join. That pays where values repeat, as in a
+    run's states (they lie on the 1/(2N) grid), a drift grid and corner
+    eigenvalues. Keying on bits, not values, keeps ``0.0`` and ``-0.0`` apart.
     """
     a = np.ascontiguousarray(block, dtype=np.float64)
     keys, inverse = np.unique(a.view(np.uint64), return_inverse=True)
@@ -582,9 +579,9 @@ def _block_text(block, fmt: str, sep: str, end: str, prefix=None, suffix=None) -
     # numpy versions disagree on the shape of the inverse
     index = inverse.reshape(-1, a.shape[-1])
     index[:, -1] += len(texts)
-    table = [t + sep for t in texts] + [t + end for t in texts]
+    table = [t + sep for t in texts] + texts + [end]
     rows = np.arange(len(index))[:, None]
-    columns = [index]
+    columns = [index, np.full_like(rows, len(table) - 1)]
     if prefix is not None:
         columns.insert(0, len(table) + rows)
         table += prefix

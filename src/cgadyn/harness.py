@@ -377,7 +377,6 @@ def classify_all(spec: FitnessSpec) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 
 _GRID_MAX_ROWS = 1_000_000
-_DRIFT_SUB_ROWS = 512
 
 
 def drift_grid_rows(spec: FitnessSpec, resolution: int) -> Iterator[np.ndarray]:
@@ -409,14 +408,15 @@ def _grid_blocks(spec: FitnessSpec, resolution: int, total: int) -> Iterator[np.
     n = spec.n
     axis = np.linspace(0.0, 1.0, resolution)
     step = _block_rows(2 * n)
+    # a drift call holds about four (rows, 2^n) tables; in calls of one budget
+    # they stay small enough for malloc to reuse instead of handing back to the OS
+    sub_rows = _block_rows(4 << n)
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total))
         block = np.empty((index.size, 2 * n))
         for j in range(n):  # column j is digit j of the row index in base `resolution`
             block[:, j] = axis.take(index // resolution ** (n - 1 - j) % resolution)
-        # in short drift calls the temporaries stay small enough for malloc to
-        # reuse from block to block instead of handing them back to the OS
-        for sub in range(0, index.size, _DRIFT_SUB_ROWS):
-            rows = block[sub:sub + _DRIFT_SUB_ROWS]
+        for sub in range(0, index.size, sub_rows):
+            rows = block[sub:sub + sub_rows]
             rows[:, n:] = drift(rows[:, :n], spec)
         yield block

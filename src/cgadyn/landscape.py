@@ -117,6 +117,8 @@ class FitnessSpec:
                 raise DomainError(f"{self.kind} spec needs field {name!r}")
         if self.weights is not None:
             put("weights", _finite(self.weights, "weights"))
+            if not all(math.isfinite(sum(w for w in self.weights if w * sign > 0)) for sign in (1, -1)):
+                raise DomainError("weights' positive or negative sum, which bounds every fitness, overflows")
         if self.table is not None:
             put("table", _finite(_table_values(self.table), "table"))
         if self.seed is not None:

@@ -286,9 +286,9 @@ def test_lockstep_reports_where_runs_end():
 
 
 def test_lockstep_with_a_binding_uniforms_budget():
-    # 2^15 uniforms / (300 runs * 2n) < 32, so a block is cut to the 32
-    # iterations of C._MIN_DRAW, shorter than the N iterations the slowest
-    # run needs, and runs leave in different blocks
+    # 2^15 uniforms (C._BLOCK_CELLS) / (300 runs * 2n) < 32, so a block is
+    # cut to the 32 iterations of C._MIN_DRAW, shorter than the N iterations
+    # the slowest run needs, and runs leave in different blocks
     N = 40
     seeds = [(17, r) for r in range(300)]
     for spec in (ls.binval(2), TWO_MAX_TABLE):

@@ -518,8 +518,10 @@ def _cut(rows, step):
 
 
 def _sub_block_sizes(rows):
-    """The row counts of the drift calls that build one grid block."""
-    return _cut(rows, hn._DRIFT_SUB_ROWS)
+    """The row counts of the drift calls that build one grid block of n = 4:
+    one cell budget over a call's four (rows, 2^4) tables, 512 rows."""
+    assert cga._block_rows(4 << 4) == 512
+    return _cut(rows, cga._block_rows(4 << 4))
 
 
 def test_drift_grid_rows_shape_and_values(monkeypatch):
@@ -586,7 +588,7 @@ def test_drift_grid_writes_each_block_before_the_next_is_built(monkeypatch):
     step = cga._block_rows(len(names))
     sizes = [step, step, 10 ** 4 - 2 * step]
     assert [rows for _, rows in calls] == [r for b in sizes for r in _sub_block_sizes(b)]
-    assert max(rows for _, rows in calls) <= hn._DRIFT_SUB_ROWS
+    assert max(rows for _, rows in calls) <= cga._block_rows(4 << 4) == 512
     # while block k is built, the header and blocks 0..k-1 are written and nothing more
     written, first = 1, 0
     for b in sizes:
@@ -723,6 +725,68 @@ def test_every_text_artifact_is_cut_by_the_cell_budget(monkeypatch, tmp_path):
         assert cli_main(["drift", "--spec-file", str(_spec_file(tmp_path, spec)),
                          "--grid", str(grid), "--out", str(out)]) == 0
         assert_same_lines(_csv_body(out), reference_drift_grid_csv(spec, grid))
+
+
+def test_one_cell_budget_sizes_every_block(monkeypatch):
+    # at a budget of 256 cells: a lockstep block draws at most 256 uniforms
+    # over its active runs, but runs at least _MIN_DRAW iterations, and a
+    # grid's drift calls hold one budget of four (rows, 2^n) tables; the
+    # results and the bytes are those of the default budget
+    from cgadyn.drift_field import drift
+
+    assert [cga._block_rows(4 << n) for n in (2, 4, 6)] == [2048, 512, 128]
+    seeds = [(5, r) for r in range(3)]
+    runs = [(ls.binval(2), 100, seeds[:1]), (ls.binval(3), 64, seeds), (TWO_MAX_TABLE, 40, seeds)]
+    grids = [(2, 9), (4, 5), (6, 3)]
+
+    def grid_csv(n, grid):
+        buf = io.StringIO()
+        hn.write_csv(buf, [f"c{i}" for i in range(2 * n)], hn.drift_grid_rows(ls.binval(n), grid))
+        return buf.getvalue()
+
+    expected_runs = [cga.run_many(spec, N, s, record_every=3) for spec, N, s in runs]
+    expected_grids = [grid_csv(n, grid) for n, grid in grids]
+    monkeypatch.setattr(cga, "_BLOCK_CELLS", 256)
+    for (spec, N, s), expected in zip(runs, expected_runs):
+        blocks = []  # (iterations, their bound) of each block
+
+        def check_block(rows, k0, snaps, ends):
+            blocks.append((snaps.shape[1] - 1,
+                           max(cga._MIN_DRAW, cga._block_rows(2 * spec.n * rows.size))))
+
+        result = cga.lockstep(spec, N, s, on_block=check_block)
+        assert all(m <= bound for m, bound in blocks) and (blocks[0][0] == blocks[0][1])
+        got = cga.run_many(spec, N, s, record_every=3)
+        for run, want in zip(got, expected):
+            assert np.array_equal(run.counts, want.counts)
+            assert np.array_equal(run.recorded_ks, want.recorded_ks)
+        assert np.array_equal(result.counts, [want.counts[-1] for want in expected])
+        assert result.iterations.tolist() == [want.iterations for want in expected]
+
+    calls = []
+    monkeypatch.setattr(hn, "drift", lambda p, spec: calls.append(p.shape[0]) or drift(p, spec))
+    for (n, grid), expected in zip(grids, expected_grids):
+        calls.clear()
+        assert grid_csv(n, grid) == expected
+        sub_rows = cga._block_rows(4 << n)
+        assert sub_rows == {2: 16, 4: 4, 6: 1}[n]
+        assert calls == [r for b in _cut(grid ** n, cga._block_rows(2 * n)) for r in _cut(b, sub_rows)]
+
+
+def test_record_every_past_int64_keeps_the_first_and_final_states(tmp_path):
+    huge = 99999999999999999999
+    full = cga.run(ls.binval(3), 4, seed=0)
+    thinned = cga.run(ls.binval(3), 4, seed=0, record_every=huge)
+    assert thinned.record_every == huge
+    assert thinned.recorded_ks.tolist() == [0, full.iterations]
+    assert np.array_equal(thinned.counts, full.counts[[0, -1]])
+
+    out = tmp_path / "run.jsonl"
+    assert cli_main(["run", "--spec", "binval", "--n", "3", "--N", "4", "--record-every", str(huge),
+                     "--out", str(out)]) == 0
+    header, *records = map(json.loads, out.read_text().splitlines())
+    assert header["record_every"] == huge
+    assert [r["k"] for r in records] == [0, full.iterations]
 
 
 def _spec_file(tmp_path, spec) -> Path:
@@ -990,13 +1054,16 @@ _REFUSED_ARGV = [
     (["alphasweep", "--spec", "binval", "--n", "2", "--N", "2", "--N", "4", "--horizon", "0",
       "--out", "sweep"],
      ["T_horizon"]),
+    # every weight is finite, but 1e308 + 1e308 is not
+    (["localmaxima", "--spec", "linear", "--weights", "1e308,1e308,-1e308,-1e308",
+      "--out", "out.csv"], ["weights", "overflows"]),
 ]
 
 
 @pytest.mark.parametrize("argv, needles", _REFUSED_ARGV,
                          ids=["no_subcommand", "spec_and_spec_file", "malformed_spec_file",
                               "config_array", "run_without_N", "run_record_every_0",
-                              "alphasweep_horizon_0"])
+                              "alphasweep_horizon_0", "linear_weights_overflow"])
 def test_cli_usage_refusals_write_no_file(tmp_path, monkeypatch, capsys, argv, needles):
     monkeypatch.chdir(tmp_path)
     Path("spec.json").write_text(json.dumps({"kind": "binval", "n": 2}))

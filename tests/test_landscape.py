@@ -285,7 +285,9 @@ def test_bits_index_and_string_round_trip(n_index, as_type):
     ({"kind": "linear", "n": 3, "weights": [1.0, 2.0]},
      "linear spec has n=3, but its field 'weights' gives 2"),
     ({"kind": "perturbed_onemax", "n": 3, "epsilon": 0.5}, r"epsilon must lie in \(0, 2\^\(1-n\)\)"),
-], ids=["missing_seed", "stray_seed", "table_of_2_at_n2", "weights_2_at_n3", "epsilon_range"])
+    ({"kind": "linear", "weights": [1e308, 1e308, -1e308, -1e308]}, "negative sum, .* overflows"),
+], ids=["missing_seed", "stray_seed", "table_of_2_at_n2", "weights_2_at_n3", "epsilon_range",
+        "weights_overflow"])
 def test_constructor_and_json_reader_refuse_a_spec_alike(fields, message):
     refusals = []
     for build in (lambda: ls.FitnessSpec(**fields), lambda: ls.spec_from_json_dict(dict(fields))):
@@ -309,6 +311,17 @@ def test_constructor_and_json_reader_refuse_a_spec_alike(fields, message):
 def test_strings_and_bools_are_not_fitness_numbers(build):
     with pytest.raises(DomainError, match="must be numbers"):
         build()
+
+
+def test_linear_weights_whose_sum_overflows_are_refused():
+    # each weight is finite, but 1e308 + 1e308 is not: the table would hold
+    # inf, or 0.0 where inf meets -inf, by the summation order
+    for weights in ([1e308, 1e308], [1.0, -1e308, -1e308]):
+        with pytest.raises(DomainError, match="overflows"):
+            ls.linear(weights)
+    # each sign's sum is finite, and every subset sum lies between the two
+    # (an overflow warning would fail the test)
+    assert ls.fitness_values(ls.linear([1e308, -1e308])).tolist() == [0.0, -1e308, 1e308, 0.0]
 
 
 def test_constructor_stores_fields_as_the_factories_do():
