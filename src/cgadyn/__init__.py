@@ -48,7 +48,6 @@ from .cga import (
     StochasticTrajectory,
     default_max_iters,
     run,
-    run_many,
     trajectory_to_jsonl,
 )
 from .drift_field import (

@@ -39,9 +39,10 @@ its active runs (but no fewer than 32 iterations, since each block costs
 one ``Generator.random`` call per active run), the drift grid's drift
 calls and every text artifact's blocks, however long the artifact.
 
-Runs and flows are written as JSON lines by :func:`write_jsonl`. Its text
-kernel, ``_block_text``, also writes every float table of
-``harness.write_csv``: it formats each distinct value of a block once.
+Runs (from their counts) and flows are written as JSON lines by
+:func:`write_jsonl`. Its text kernel, ``_block_text``, also writes every
+float table of ``harness.write_csv``: it formats each distinct value of a
+block once.
 """
 
 from __future__ import annotations
@@ -463,53 +464,6 @@ def lockstep(
                           terminated=terminated)
 
 
-def run_many(
-    spec: FitnessSpec,
-    N: int,
-    seeds,
-    *,
-    initial=None,
-    max_iters: int | None = None,
-    record_every: int = 1,
-) -> list[StochasticTrajectory]:
-    """One recorded run per seed, stepped together by :func:`lockstep`.
-
-    Trajectory r is exactly ``run(spec, N, seed=seeds[r], ...)`` with the
-    same ``initial``, ``max_iters`` and ``record_every``.
-    """
-    record_every = _integer(record_every, "record_every")
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every}")
-    N = _integer(N, "N")
-    seeds = list(seeds)
-    kept = [[] for _ in seeds]
-    every = min(record_every, _INT64_MAX)  # as _per_run clips budgets
-
-    def keep(rows, k0, snaps, ends):
-        for i, r in enumerate(rows):
-            ks = np.arange(k0 + 1, ends[i] + 1)
-            if every > 1:
-                ks = ks[ks % every == 0]
-            kept[r].append((ks, snaps[i, ks - k0]))
-
-    result = lockstep(spec, N, seeds, initial=initial, max_iters=max_iters, on_block=keep)
-    out = []
-    for r, seed in enumerate(seeds):
-        seed = np.asarray(seed).tolist()  # Python ints, which JSON writes
-        ks = np.concatenate([[0]] + [k for k, _ in kept[r]]).astype(np.int64)
-        counts = np.concatenate([result.initial[r][None]] + [c for _, c in kept[r]])
-        last = int(result.iterations[r])
-        if ks[-1] != last:  # the final state is always kept
-            ks = np.append(ks, last)
-            counts = np.concatenate([counts, result.counts[r][None]])
-        out.append(StochasticTrajectory(
-            spec=spec, alpha_steps=N, seed=tuple(seed) if isinstance(seed, list) else seed,
-            counts=counts, recorded_ks=ks, iterations=last,
-            terminated=bool(result.terminated[r]), record_every=record_every,
-        ))
-    return out
-
-
 def run(
     spec: FitnessSpec,
     N: int,
@@ -520,6 +474,9 @@ def run(
     record_every: int = 1,
 ) -> StochasticTrajectory:
     """Run the algorithm until every coordinate is 0 or 1, or the budget ends.
+
+    It is the one run of a :func:`lockstep`, so bit for bit run r of any
+    lockstep with seed r = ``seed`` and the same N, start and budget.
 
     Parameters
     ----------
@@ -538,8 +495,33 @@ def run(
     record_every : int
         Keep every k-th snapshot (first and final always kept).
     """
-    return run_many(spec, N, [seed], initial=initial, max_iters=max_iters,
-                    record_every=record_every)[0]
+    record_every = _integer(record_every, "record_every")
+    if record_every < 1:
+        raise DomainError(f"record_every must be >= 1, got {record_every}")
+    N = _integer(N, "N")
+    every = min(record_every, _INT64_MAX)  # as _per_run clips budgets
+    kept_ks, kept_counts = [], []
+
+    def keep(rows, k0, snaps, ends):
+        ks = np.arange(k0 + 1, ends[0] + 1)
+        if every > 1:
+            ks = ks[ks % every == 0]
+        kept_ks.append(ks)
+        kept_counts.append(snaps[0, ks - k0])
+
+    result = lockstep(spec, N, [seed], initial=initial, max_iters=max_iters, on_block=keep)
+    ks = np.concatenate([[0], *kept_ks]).astype(np.int64)
+    counts = np.concatenate([result.initial, *kept_counts])
+    last = int(result.iterations[0])
+    if ks[-1] != last:  # the final state is always kept
+        ks = np.append(ks, last)
+        counts = np.concatenate([counts, result.counts])
+    seed = np.asarray(seed).tolist()  # Python ints, which JSON writes
+    return StochasticTrajectory(
+        spec=spec, alpha_steps=N, seed=tuple(seed) if isinstance(seed, list) else seed,
+        counts=counts, recorded_ks=ks, iterations=last,
+        terminated=bool(result.terminated[0]), record_every=record_every,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -591,28 +573,30 @@ def _block_text(block, fmt: str, sep: str, end: str, prefix=None, suffix=None) -
     return "".join(np.array(table, dtype=object)[np.hstack(columns)].ravel().tolist())
 
 
-def write_jsonl(fp, header: dict, key: str, stamps: np.ndarray, states: np.ndarray) -> None:
-    """Write ``header`` as one JSON record, then one ``{key: stamp, "p": row}``
-    record per entry of the array ``stamps`` and row of ``states``.
+def write_jsonl(fp, header: dict, key: str, stamps: np.ndarray, rows: np.ndarray,
+                scale: float) -> None:
+    """Write ``header`` as one JSON record, then one ``{key: stamp, "p": row
+    / scale}`` record per entry of the array ``stamps`` and row of ``rows``
+    (a run's int64 counts over 2N, or a flow's states over 1.0, which is x).
 
-    The records are written from the arrays a block at a time, n + 1 cells
-    to a record, each block by one pass of :func:`_block_text` and written
-    before the next is built: each stamp and each float by ``repr`` (each
-    distinct float of a block once), which for finite floats and ints is
-    the text ``json.dumps`` writes, so the bytes are those of one
-    ``json.dumps`` call per record.
+    The records are written a block at a time, n + 1 cells to a record:
+    each block's rows over ``scale``, by one pass of :func:`_block_text`,
+    written before the next is built, so no float table of every record is
+    made. Each stamp and float is written by ``repr`` (each distinct float
+    of a block once), which for finite floats and ints is the text
+    ``json.dumps`` writes: the bytes of one ``json.dumps`` call per record.
     """
     fp.write(json.dumps(header, sort_keys=True) + "\n")
     head = '{"%s": %%r, "p": [' % key
-    step = _block_rows(states.shape[1] + 1)
-    for lo in range(0, len(states), step):
-        fp.write(_block_text(states[lo:lo + step], "%r", ", ", "]}\n",
+    step = _block_rows(rows.shape[1] + 1)
+    for lo in range(0, len(rows), step):
+        fp.write(_block_text(rows[lo:lo + step] / scale, "%r", ", ", "]}\n",
                              prefix=[head % stamp for stamp in stamps[lo:lo + step].tolist()]))
 
 
 def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | None = None) -> None:
-    """Write one header record then one {"k", "p"} record per snapshot
-    (:func:`write_jsonl`)."""
+    """Write one header record then one {"k", "p"} record per snapshot,
+    from the run's counts (:func:`write_jsonl`)."""
     header = {
         "format": "cga-trajectory",
         "n": traj.n,
@@ -625,4 +609,4 @@ def trajectory_to_jsonl(traj: StochasticTrajectory, fp, extra_header: dict | Non
         "record_every": traj.record_every,
         **(extra_header or {}),
     }
-    write_jsonl(fp, header, "k", traj.recorded_ks, traj.states)
+    write_jsonl(fp, header, "k", traj.recorded_ks, traj.counts, float(2 * traj.alpha_steps))

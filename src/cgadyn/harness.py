@@ -69,6 +69,11 @@ _CONFIG_FIELDS = {
     "max_iters": ("an integer >= 0 or null", lambda v: v is None or (_is_int(v) and v >= 0)),
 }
 
+# Most runs in a campaign (runs_per_setting times the N values): a run
+# holds 2-4 KB (binval n = 8), so a million take gigabytes; no test,
+# script or benchmark needs more than 500.
+_MAX_CAMPAIGN_RUNS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,6 +97,10 @@ class ExperimentConfig:
         for key, (rule, accepts) in _CONFIG_FIELDS.items():
             if not accepts(getattr(self, key)):
                 raise DomainError(f"config field {key!r} must be {rule}, got {getattr(self, key)!r}")
+        runs = self.runs_per_setting * len(self.N_values)
+        if runs > _MAX_CAMPAIGN_RUNS:
+            raise DomainError(f"a campaign may have at most {_MAX_CAMPAIGN_RUNS} runs "
+                              f"(runs_per_setting times the number of N values), got {runs}")
         object.__setattr__(self, "N_values", tuple(self.N_values))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 

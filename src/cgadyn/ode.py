@@ -62,10 +62,16 @@ class OdeTrajectory:
 
 def _rk4_step(x: np.ndarray, h: float, spec: FitnessSpec, k1: np.ndarray) -> np.ndarray:
     """One classical RK4 step of the flow of ``spec`` from x, given
-    ``k1 = drift(x, spec)``."""
-    k2 = drift(x + 0.5 * h * k1, spec)
-    k3 = drift(x + 0.5 * h * k2, spec)
-    k4 = drift(x + h * k3, spec)
+    ``k1 = drift(x, spec)``. x lies in [0, 1]^n (a checked start or a
+    clamped step), so a stage state that drift refuses comes from a step
+    too long for the flow, and the DomainError names the step."""
+    try:
+        k2 = drift(x + 0.5 * h * k1, spec)
+        k3 = drift(x + 0.5 * h * k2, spec)
+        k4 = drift(x + h * k3, spec)
+    except DomainError as exc:
+        raise DomainError(f"an RK4 stage state of a step of {h:.6g} left [0, 1]^{spec.n}; "
+                          f"take a smaller step") from exc
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -358,4 +364,4 @@ def ode_to_jsonl(traj: OdeTrajectory, fp, extra_header: dict | None = None) -> N
         "spec": spec_to_json_dict(traj.spec),
         **(extra_header or {}),
     }
-    write_jsonl(fp, header, "t", traj.times, traj.states)
+    write_jsonl(fp, header, "t", traj.times, traj.states, 1.0)

@@ -229,7 +229,7 @@ def tie_prone_spec(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_run_many_matches_reference_and_run(data):
+def test_run_matches_reference(data):
     spec = data.draw(tie_prone_spec())
     N = data.draw(st.integers(1, 64))
     seed = st.one_of(st.integers(0, 2**32), st.tuples(*[st.integers(0, 99)] * 3))
@@ -247,16 +247,14 @@ def test_run_many_matches_reference_and_run(data):
         initial = None
     kw = dict(initial=initial, max_iters=max_iters, record_every=record_every)
 
-    trajs = C.run_many(spec, N, seeds, **kw)
-    assert len(trajs) == len(seeds)
-    for seed, traj in zip(seeds, trajs):
+    for seed in seeds:
         counts, ks, iterations, terminated = reference_cga_run(spec, N, seed, **kw)
-        for got in (traj, C.run(spec, N, seed=seed, **kw)):
-            assert np.array_equal(got.counts, counts), (seed, got.recorded_ks, ks)
-            assert np.array_equal(got.recorded_ks, ks)
-            assert got.iterations == iterations
-            assert got.terminated == terminated
-            assert got.seed == seed and got.record_every == record_every
+        got = C.run(spec, N, seed=seed, **kw)
+        assert np.array_equal(got.counts, counts), (seed, got.recorded_ks, ks)
+        assert np.array_equal(got.recorded_ks, ks)
+        assert got.iterations == iterations
+        assert got.terminated == terminated
+        assert got.seed == seed and got.record_every == record_every
 
 
 def test_lockstep_reports_where_runs_end():
@@ -282,7 +280,6 @@ def test_lockstep_reports_where_runs_end():
         assert ends.terminated[r] == traj.terminated
         assert np.array_equal(block_ends[r], ends.counts[r])
     assert np.array_equal(ends.initial, np.full((len(seeds), 3), 8))
-    assert C.run_many(ls.binval(3), 8, []) == []
 
 
 def test_lockstep_with_a_binding_uniforms_budget():
@@ -338,7 +335,7 @@ def test_lockstep_of_mixed_N_equals_serial_runs(spec):
     assert sorted(last) == [r for r, budget in enumerate(budgets) if budget > 0]
 
 
-def test_lockstep_and_run_many_refuse_bad_arguments():
+def test_lockstep_and_run_refuse_bad_arguments():
     spec, seeds = ls.binval(2), [1, 2, 3]
     for N in (0, 1 << 62):
         with pytest.raises(DomainError, match="2N fits in int64"):
@@ -351,7 +348,7 @@ def test_lockstep_and_run_many_refuse_bad_arguments():
         with pytest.raises(DimensionError, match="one integer or one per run"):
             C.lockstep(spec, kw.pop("N"), seeds, **kw)
     with pytest.raises(DomainError, match="record_every"):
-        C.run_many(spec, 4, seeds, record_every=0)
+        C.run(spec, 4, seed=seeds[0], record_every=0)
 
 
 # --- seeds -------------------------------------------------------------------
@@ -425,8 +422,8 @@ def test_non_integer_engine_settings_are_refused():
         (lambda: C.lockstep(spec, 4, seeds, max_iters=[3, np.float64(2.0)]), "max_iters"),
         (lambda: C.run(spec, 4, max_iters=True), "max_iters"),
         (lambda: C.run(spec, 4, record_every=2.5), "record_every"),
-        (lambda: C.run_many(spec, 4, seeds, record_every=True), "record_every"),
-        (lambda: C.run_many(spec, [4, 4], seeds), "N"),  # a trajectory has one N
+        (lambda: C.run(spec, 4, record_every=True), "record_every"),
+        (lambda: C.run(spec, [4, 4]), "N"),  # a trajectory has one N
     ):
         with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
             call()
@@ -594,12 +591,12 @@ def test_trajectory_jsonl_records_equal_json_dumps(spec, N, kw):
 
 
 def test_trajectory_jsonl_memory_does_not_grow_with_the_records(rng):
-    # beyond the float table of the states, which the writer reads whole, it
-    # holds one block at a time: 200 000 records peak as 50 000 do
+    # the writer divides each block's counts by 2N and holds one block at a
+    # time, with no float table of every state: 200 000 records peak as
+    # 50 000 do
     def peak(records):
         traj = _long_trajectory(rng, records)
-        written = traced_peak(lambda: C.trajectory_to_jsonl(traj, DiscardingText()))
-        return written - traj.counts.nbytes
+        return traced_peak(lambda: C.trajectory_to_jsonl(traj, DiscardingText()))
 
     small, large = peak(50_000), peak(200_000)
     assert 0 < large <= 1.3 * small

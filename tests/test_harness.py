@@ -666,21 +666,16 @@ def test_block_text_separator_line_end_prefix_and_suffix(rng):
     assert cga._block_text(np.zeros((0, 2)), "%r", ",", "\n", prefix=[], suffix=[]) == ""
 
 
-class _GivenStates(cga.StochasticTrajectory):
-    """A run record whose states are set directly, not counts / (2N)."""
-
-    states = None
-
-
 def test_jsonl_writers_real_pool_equal_json_dumps(rng):
-    states = _pool_table(rng, 300, 3, finite=True)
-    run = _GivenStates(**vars(cga.run(ls.binval(3), 8, seed=1)))
-    run.states, run.recorded_ks = states, np.arange(len(states)) * 2
+    # a run's records, from its counts, and a flow's records of arbitrary
+    # floats: both writers go through write_jsonl
+    run = cga.run(ls.binval(3), 8, seed=1)
     buf = io.StringIO()
     cga.trajectory_to_jsonl(run, buf)
     assert_same_lines(buf.getvalue().split("\n", 1)[1],
-                      reference_jsonl_records("k", run.recorded_ks.tolist(), states))
+                      reference_jsonl_records("k", run.recorded_ks.tolist(), run.states))
 
+    states = _pool_table(rng, 300, 3, finite=True)
     times = np.linspace(0.0, 3.0, len(states))
     flow = replace(ode.integrate(ls.binval(3), np.full(3, 0.5), h=0.5, T=1.0),
                    times=times, states=states)
@@ -744,7 +739,8 @@ def test_one_cell_budget_sizes_every_block(monkeypatch):
         hn.write_csv(buf, [f"c{i}" for i in range(2 * n)], hn.drift_grid_rows(ls.binval(n), grid))
         return buf.getvalue()
 
-    expected_runs = [cga.run_many(spec, N, s, record_every=3) for spec, N, s in runs]
+    expected_runs = [[cga.run(spec, N, seed=seed, record_every=3) for seed in s]
+                     for spec, N, s in runs]
     expected_grids = [grid_csv(n, grid) for n, grid in grids]
     monkeypatch.setattr(cga, "_BLOCK_CELLS", 256)
     for (spec, N, s), expected in zip(runs, expected_runs):
@@ -756,8 +752,8 @@ def test_one_cell_budget_sizes_every_block(monkeypatch):
 
         result = cga.lockstep(spec, N, s, on_block=check_block)
         assert all(m <= bound for m, bound in blocks) and (blocks[0][0] == blocks[0][1])
-        got = cga.run_many(spec, N, s, record_every=3)
-        for run, want in zip(got, expected):
+        for seed, want in zip(s, expected):
+            run = cga.run(spec, N, seed=seed, record_every=3)
             assert np.array_equal(run.counts, want.counts)
             assert np.array_equal(run.recorded_ks, want.recorded_ks)
         assert np.array_equal(result.counts, [want.counts[-1] for want in expected])
@@ -1057,13 +1053,23 @@ _REFUSED_ARGV = [
     # every weight is finite, but 1e308 + 1e308 is not
     (["localmaxima", "--spec", "linear", "--weights", "1e308,1e308,-1e308,-1e308",
       "--out", "out.csv"], ["weights", "overflows"]),
+    # a campaign of more than a million runs, by one field or by two
+    (["montecarlo", "--spec", "binval", "--n", "3", "--N", "4", "--runs", "99999999999999999999",
+      "--out", "tally"], ["at most 1000000 runs", "got 99999999999999999999$"]),
+    (["alphasweep", "--spec", "binval", "--n", "2", "--N", "2", "--N", "4", "--runs", "500001",
+      "--out", "sweep"], ["at most 1000000 runs", "got 1000002$"]),
+    # an RK4 stage leaves [0, 1]^3, which only the step can cause
+    (["ode", "--spec", "binval", "--n", "3", "--step", "1", "--out", "out.jsonl"],
+     ["a step of 1 ", "smaller step"]),
 ]
 
 
 @pytest.mark.parametrize("argv, needles", _REFUSED_ARGV,
                          ids=["no_subcommand", "spec_and_spec_file", "malformed_spec_file",
                               "config_array", "run_without_N", "run_record_every_0",
-                              "alphasweep_horizon_0", "linear_weights_overflow"])
+                              "alphasweep_horizon_0", "linear_weights_overflow",
+                              "montecarlo_runs_past_int64", "alphasweep_runs_of_two_N",
+                              "ode_step_too_long"])
 def test_cli_usage_refusals_write_no_file(tmp_path, monkeypatch, capsys, argv, needles):
     monkeypatch.chdir(tmp_path)
     Path("spec.json").write_text(json.dumps({"kind": "binval", "n": 2}))

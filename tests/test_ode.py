@@ -308,11 +308,13 @@ def test_find_limit_many_drift_calls_are_the_plain_loops(monkeypatch):
 
 def test_too_long_step_fails_the_stage_check():
     # at h = 1 an RK4 stage state of this flow leaves [0, 1]^3 (the start
-    # and the clamped steps cannot), and drift's range check refuses it
+    # and the clamped steps cannot), and drift's range check refuses it with
+    # a message that names the step, not the user's probabilities
     spec, x0 = ls.binval(3), [0.3, 0.6, 0.2]
-    with pytest.raises(DomainError):
+    message = r"^an RK4 stage state of a step of 1 left \[0, 1\]\^3; take a smaller step$"
+    with pytest.raises(DomainError, match=message):
         od.integrate(spec, x0, h=1.0, T=5.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=message):
         od.find_limit_many(spec, [x0], h=1.0)
     assert np.all(np.isfinite(od.integrate(spec, x0, h=0.5, T=5.0).states))
     assert od.find_limit_many(spec, [x0], h=0.5).converged[0]
