@@ -102,7 +102,7 @@ class StochasticTrajectory:
 
     spec: FitnessSpec
     alpha_steps: int
-    seed: object
+    seed: int | tuple[int, ...]
     counts: np.ndarray          # (K, n) int64, one row per snapshot
     recorded_ks: np.ndarray     # (K,) int64
     iterations: int
@@ -246,16 +246,35 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 
 
-def _entropy_words(seed) -> tuple | None:
-    """The uint32 entropy words SeedSequence makes of ``seed``, a
-    non-negative int or a tuple of them: each int's little-endian 32-bit
-    words (0 is one word 0), concatenated. None for any other seed."""
+def _read_seed(seed):
+    """The one reader of a seed: a non-negative integer (Python or numpy, not
+    a bool), or a tuple, list or 1-D array of them, read as an int or a tuple
+    of ints. Anything else raises DomainError; a seed of more dimensions
+    raises DimensionError."""
     entries = (seed,) if type(seed) is int else seed
-    if type(entries) is not tuple:
-        return None
-    for v in entries:
-        if type(v) is not int or v < 0:
-            return None
+    if type(entries) is tuple:
+        for v in entries:  # a campaign's seeds, tuples of ints, in this one pass
+            if type(v) is not int or v < 0:
+                break
+        else:
+            return seed
+    sequence = (tuple, list, np.ndarray)
+    if not isinstance(seed, sequence):
+        seed = _integer(seed, "seed")
+        if seed < 0:  # numpy.random.SeedSequence takes no negative seed
+            raise DomainError(f"seed must be >= 0, got {seed}")
+        return seed
+    entries = seed.tolist() if isinstance(seed, np.ndarray) else seed  # 0-d: a scalar, refused
+    if not isinstance(entries, sequence) or any(isinstance(v, sequence) for v in entries):
+        raise DimensionError(f"a seed is an integer or a 1-D sequence of integers, got {seed!r}")
+    return tuple(map(_read_seed, entries))
+
+
+def _entropy_words(seed) -> tuple:
+    """The uint32 entropy words SeedSequence makes of a seed that
+    :func:`_read_seed` returned: each int's little-endian 32-bit words (0
+    is one word 0), concatenated."""
+    entries = (seed,) if type(seed) is int else seed
     if max(entries, default=0) <= _MASK32:
         return entries
     return tuple(v >> shift & _MASK32 for v in entries
@@ -310,27 +329,20 @@ def _seed_words(seeds) -> np.ndarray:
     """The (R, 4) uint64 words ``SeedSequence(seed).generate_state(4, np.uint64)``
     of every seed: the state words that seed its run's PCG64.
 
-    Non-negative ints and tuples of them are grouped by their number of
-    entropy words and hashed a group at a time by :func:`_state_words`.
-    Every other seed (a bool, a numpy integer, an array, None, a negative
-    entry, ...) goes to ``SeedSequence`` itself, so it gets numpy's words or
-    numpy's refusal.
+    Each seed is read by :func:`_read_seed`, and the seeds are grouped by
+    their number of entropy words and hashed a group at a time by
+    :func:`_state_words`.
     """
-    entropies = list(map(_entropy_words, seeds))
-    sizes = np.array([-1 if e is None else len(e) for e in entropies], dtype=np.intp)
-    # every entropy word in seed order (None and () add none); run r's at starts[r]
-    flat = np.fromiter(chain.from_iterable(filter(None, entropies)), dtype=np.uint32)
-    counts = np.maximum(sizes, 0)
-    starts = np.cumsum(counts) - counts
+    entropies = [_entropy_words(_read_seed(seed)) for seed in seeds]
+    sizes = np.array(list(map(len, entropies)), dtype=np.intp)
+    # every entropy word in seed order; run r's at starts[r]
+    flat = np.fromiter(chain.from_iterable(entropies), dtype=np.uint32)
+    starts = np.cumsum(sizes) - sizes
     words = np.empty((len(seeds), 4), dtype=np.uint64)
     # not np.unique, whose masked-array check imports numpy.ma (about 1 MB)
-    for size in sorted(set(sizes.tolist())):
+    for size in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == size)
-        if size < 0:
-            for r in rows.tolist():
-                words[r] = np.random.SeedSequence(seeds[r]).generate_state(4, np.uint64)
-        else:
-            words[rows] = _state_words(flat[starts[rows, None] + np.arange(size)])
+        words[rows] = _state_words(flat[starts[rows, None] + np.arange(size)])
     return words
 
 
@@ -490,8 +502,9 @@ def run(
     max_iters : int, optional
         Iteration budget, default ``50 * 2N * n``. Exhausting it is
         reported via ``terminated=False``, not raised.
-    seed : int or tuple of ints
-        Entropy for ``numpy.random.SeedSequence``.
+    seed : int, or a tuple, list or 1-D array of ints
+        Entropy for ``numpy.random.SeedSequence``, each int >= 0 (see
+        :func:`_read_seed`); the trajectory keeps it as an int or a tuple.
     record_every : int
         Keep every k-th snapshot (first and final always kept).
     """
@@ -516,9 +529,8 @@ def run(
     if ks[-1] != last:  # the final state is always kept
         ks = np.append(ks, last)
         counts = np.concatenate([counts, result.counts])
-    seed = np.asarray(seed).tolist()  # Python ints, which JSON writes
     return StochasticTrajectory(
-        spec=spec, alpha_steps=N, seed=tuple(seed) if isinstance(seed, list) else seed,
+        spec=spec, alpha_steps=N, seed=_read_seed(seed),  # Python ints, which JSON writes
         counts=counts, recorded_ks=ks, iterations=last,
         terminated=bool(result.terminated[0]), record_every=record_every,
     )
@@ -577,12 +589,13 @@ def write_jsonl(fp, header: dict, key: str, stamps: np.ndarray, rows: np.ndarray
                 scale: float) -> None:
     """Write ``header`` as one JSON record, then one ``{key: stamp, "p": row
     / scale}`` record per entry of the array ``stamps`` and row of ``rows``
-    (a run's int64 counts over 2N, or a flow's states over 1.0, which is x).
+    (a run's int64 counts over 2N, or a flow's float states over 1.0).
 
     The records are written a block at a time, n + 1 cells to a record:
     each block's rows over ``scale``, by one pass of :func:`_block_text`,
     written before the next is built, so no float table of every record is
-    made. Each stamp and float is written by ``repr`` (each distinct float
+    made; since x / 1.0 is x, a block over 1.0 is written as it is, with no
+    copy. Each stamp and float is written by ``repr`` (each distinct float
     of a block once), which for finite floats and ints is the text
     ``json.dumps`` writes: the bytes of one ``json.dumps`` call per record.
     """
@@ -590,7 +603,8 @@ def write_jsonl(fp, header: dict, key: str, stamps: np.ndarray, rows: np.ndarray
     head = '{"%s": %%r, "p": [' % key
     step = _block_rows(rows.shape[1] + 1)
     for lo in range(0, len(rows), step):
-        fp.write(_block_text(rows[lo:lo + step] / scale, "%r", ", ", "]}\n",
+        block = rows[lo:lo + step]
+        fp.write(_block_text(block if scale == 1.0 else block / scale, "%r", ", ", "]}\n",
                              prefix=[head % stamp for stamp in stamps[lo:lo + step].tolist()]))
 
 

@@ -10,10 +10,9 @@ its ``_KINDS`` entry names its fields, the ``FitnessSpec`` constructor
 checks them, and its ``_fitness`` branch is its one formula. It also provides
 an exact injectivity check and ``neighbor_signs``, the one neighbor table. All
 fitness values for the built-in families are exactly representable in
-binary floating point, so equality tests need no tolerance. The factories,
-the JSON reader and every 2^n table refuse lengths above the constant
-``ENUMERATION_CAP`` instead of thrashing; a spec built with the constructor
-above it is evaluated one solution at a time.
+binary floating point, so equality tests need no tolerance. Every number
+computed for a spec comes from its 2^n fitness table, so the constructor
+refuses lengths above the constant ``ENUMERATION_CAP`` instead of thrashing.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from .errors import CapacityError, DimensionError, DomainError, TheoremScopeErro
 # work; 2^16 tables are still instant, anything larger is refused.
 ENUMERATION_CAP = 16
 # A solution's index is an int64 sum of place values (place_values). Up to
-# this n, 2^n (the count of solutions) and every index fit in int64; no cap
-# raises n past it, so an index never wraps.
+# this n, 2^n (the count of solutions) and every index fit in int64, so
+# bits_to_index never wraps.
 _MAX_INDEX_N = 62
 
 
@@ -133,7 +132,8 @@ class FitnessSpec:
             raise DomainError(f"{self.kind} spec has n={self.n}, but its field {names[0]!r} gives {derived}")
         if self.n < 1:
             raise DomainError(f"solution length must be a positive integer, got {self.n!r}")
-        place_values(self.n)  # refuses n > _MAX_INDEX_N
+        if self.n > ENUMERATION_CAP:  # every spec has its 2^n tables
+            raise CapacityError(f"n={self.n} exceeds the enumeration cap {ENUMERATION_CAP}")
         if self.table is not None and len(self.table) != 1 << self.n:
             raise DomainError(f"table needs 2^{self.n} = {1 << self.n} values, got {len(self.table)}")
         if self.epsilon is not None:
@@ -157,7 +157,7 @@ class FitnessSpec:
 
 def binval(n: int) -> FitnessSpec:
     """g(y) = sum_i y_i 2^(n-i): the binary value of the bitstring."""
-    return _capped(FitnessSpec(kind="binval", n=n))
+    return FitnessSpec(kind="binval", n=n)
 
 
 def linear(weights) -> FitnessSpec:
@@ -166,7 +166,7 @@ def linear(weights) -> FitnessSpec:
     Injective iff all subset sums of the weights are distinct
     (e.g. superincreasing weights); use :func:`is_injective` to verify.
     """
-    return _capped(FitnessSpec(kind="linear", weights=weights))
+    return FitnessSpec(kind="linear", weights=weights)
 
 
 def perturbed_onemax(n: int, epsilon: float) -> FitnessSpec:
@@ -175,7 +175,7 @@ def perturbed_onemax(n: int, epsilon: float) -> FitnessSpec:
     The perturbation breaks onemax's ties; epsilon at or below 2^-n
     additionally keeps the onemax levels ordered.
     """
-    return _capped(FitnessSpec(kind="perturbed_onemax", n=n, epsilon=epsilon))
+    return FitnessSpec(kind="perturbed_onemax", n=n, epsilon=epsilon)
 
 
 def table_spec(values, n: int | None = None) -> FitnessSpec:
@@ -187,7 +187,7 @@ def table_spec(values, n: int | None = None) -> FitnessSpec:
     theorem-dependent operations will refuse them unless
     :func:`is_injective` holds.
     """
-    return _capped(FitnessSpec(kind="table", n=n, table=values))
+    return FitnessSpec(kind="table", n=n, table=values)
 
 
 def random_injective(n: int, seed: int) -> FitnessSpec:
@@ -196,7 +196,7 @@ def random_injective(n: int, seed: int) -> FitnessSpec:
     Injective by construction; rugged, typically with several local maxima.
     The seed feeds ``numpy.random.SeedSequence``, so it must be >= 0.
     """
-    return _capped(FitnessSpec(kind="random_injective", n=n, seed=seed))
+    return FitnessSpec(kind="random_injective", n=n, seed=seed)
 
 
 # each kind's fields besides "kind", in JSON key order; a kind without "n" among them derives n
@@ -217,14 +217,6 @@ def _check_kind_fields(kind, given) -> None:
     stray = set(given) - {"kind", "n", *_KINDS[kind]}
     if stray:
         raise DomainError(f"{kind} spec does not take fields {sorted(stray, key=str)}")
-
-
-def _capped(spec: FitnessSpec) -> FitnessSpec:
-    """``spec``, refused if its n exceeds ENUMERATION_CAP: the one test of the cap, for
-    the factories, the JSON reader and the 2^n table of ``fitness_values``."""
-    if spec.n > ENUMERATION_CAP:
-        raise CapacityError(f"n={spec.n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    return spec
 
 
 def _integer(value, name: str) -> int:
@@ -269,27 +261,23 @@ def fitness_values(spec: FitnessSpec) -> np.ndarray:
     once per spec object and kept in its memo."""
     vals = spec._memo.get("values")
     if vals is None:
-        vals = spec._memo["values"] = _read_only(_fitness(
-            _capped(spec), all_bit_matrix(spec.n), np.arange(spec.num_solutions)))
+        vals = spec._memo["values"] = _read_only(_fitness(spec))
     return vals
 
 
-def _fitness(spec: FitnessSpec, bits: np.ndarray, index):
-    """Each kind's one formula: the fitness of every row of ``bits`` at the int64
-    array ``index`` (the 2^n table), or of one solution's bits at its int index."""
+def _fitness(spec: FitnessSpec) -> np.ndarray:
+    """Each kind's one formula, over every solution: the 2^n table."""
     if spec.kind == "binval":
-        return np.asarray(index, dtype=np.float64)
+        return np.arange(spec.num_solutions, dtype=np.float64)
     if spec.kind == "linear":
-        return bits @ np.asarray(spec.weights, dtype=np.float64)
+        return all_bit_matrix(spec.n) @ np.asarray(spec.weights, dtype=np.float64)
     if spec.kind == "perturbed_onemax":
-        return bits.sum(axis=-1) + spec.epsilon * index
+        return all_bit_matrix(spec.n).sum(axis=-1) + spec.epsilon * np.arange(spec.num_solutions)
     if spec.kind == "table":
-        return np.asarray(spec.table, dtype=np.float64)[index]
-    # random_injective: a seeded permutation of 0, 1, ..., 2^n - 1, built whole
-    if spec.n > ENUMERATION_CAP:
-        raise CapacityError(f"{spec.kind} evaluation needs the 2^n table; n={spec.n} exceeds the cap")
+        return np.array(spec.table, dtype=np.float64)
+    # random_injective: a seeded permutation of 0, 1, ..., 2^n - 1
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    return rng.permutation(spec.num_solutions).astype(np.float64)[index]
+    return rng.permutation(spec.num_solutions).astype(np.float64)
 
 
 def _as_bits(y, n: int | None = None) -> np.ndarray:
@@ -308,13 +296,8 @@ def _as_bits(y, n: int | None = None) -> np.ndarray:
 
 def evaluate(spec: FitnessSpec, y) -> float:
     """Fitness of solution y under spec. Pure and deterministic."""
-    bits = _as_bits(y, spec.n)
-    idx = int(bits @ place_values(spec.n))
-    if spec.n <= ENUMERATION_CAP:
-        # read from the table, so evaluate agrees bit for bit with every lookup
-        return float(fitness_values(spec)[idx])
-    # above the cap, the formula that builds the table, for this one solution
-    return float(_fitness(spec, bits, idx))
+    # read from the table, so evaluate agrees bit for bit with every lookup
+    return float(fitness_values(spec)[_as_bits(y, spec.n) @ place_values(spec.n)])
 
 
 def is_injective(spec: FitnessSpec) -> bool:
@@ -392,9 +375,8 @@ def spec_to_json_dict(spec: FitnessSpec) -> dict:
 
 def spec_from_json_dict(obj: dict) -> FitnessSpec:
     """Inverse of spec_to_json_dict, the one parser of spec input (the CLI turns its flags into this
-    object). It refuses a key its kind does not take, even a null one, and n above ENUMERATION_CAP
-    (as the factories do); FitnessSpec checks the rest."""
+    object). It refuses a key its kind does not take, even a null one; FitnessSpec checks the rest."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("fitness spec JSON must be an object with a 'kind' field")
     _check_kind_fields(obj["kind"], obj)
-    return _capped(FitnessSpec(**obj))
+    return FitnessSpec(**obj)

@@ -372,16 +372,36 @@ def test_seed_words_equal_seed_sequence_words(seeds):
 
 
 def test_seed_words_of_other_seeds_are_seed_sequence_words():
-    seeds = [np.int64(3), (np.int64(3), np.uint8(7)), np.array([1, 2**33]), [1, 2], (True, 1),
-             True, (1, (2, 3)), 5, (5,), (2**40, 0)]
+    seeds = [np.int64(3), (np.int64(3), np.uint8(7)), np.array([1, 2**33]), [1, 2], 5, (5,),
+             (2**40, 0), [np.uint64(2**63), 4], np.array([5, 2**32 - 1], dtype=np.uint32),
+             np.array([], dtype=np.int64), []]
     assert np.array_equal(C._seed_words(seeds), seed_sequence_words(seeds))
     assert C._seed_words([]).shape == (0, 4)
-    # numpy's own refusal, raised through lockstep before any run is stepped
-    for bad in (-1, (1, -1), (1, 2.5), 1.5, "seed"):
-        with pytest.raises(Exception) as want:
-            np.random.SeedSequence(bad)
-        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            C.lockstep(ls.binval(2), 4, [7, (1, 2), bad, 2**40])
+
+
+def test_seeds_that_are_not_non_negative_integers_are_refused():
+    # None drew OS entropy, a bool ran as the int it equals, a nested tuple
+    # ran as its flattened words; each raises before any run is stepped
+    spec = ls.binval(2)
+    for bad, message in ((None, "seed must be an integer, got None"),
+                         (True, "seed must be an integer, got True"),
+                         ((True, 1), "seed must be an integer, got True"),
+                         (np.array([1, 0], dtype=bool), "seed must be an integer, got True"),
+                         (1.5, "seed must be an integer, got 1.5"),
+                         ((1, 2.5), "seed must be an integer, got 2.5"),
+                         ("seed", "seed must be an integer, got 'seed'"),
+                         (-1, "seed must be >= 0, got -1"),
+                         ((1, -1), "seed must be >= 0, got -1"),
+                         ([np.int64(-3)], "seed must be >= 0, got -3")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            C.lockstep(spec, 4, [7, (1, 2), bad, 2**40])
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            C.run(spec, 4, seed=bad)
+    for bad in ((1, (2, 3)), [1, [2]], np.array([[1, 2]]), np.array(5), (np.array([1]),)):
+        with pytest.raises(DimensionError, match="seed"):
+            C.lockstep(spec, 4, [bad])
+        with pytest.raises(DimensionError, match="seed"):
+            C.run(spec, 4, seed=bad)
 
 
 def test_words_seed_sequence_seeds_only_pcg64():
@@ -397,7 +417,7 @@ def test_words_seed_sequence_seeds_only_pcg64():
 
 def test_lockstep_of_mixed_seeds_equals_reference_runs():
     seeds = [0, 7, 2**32, 2**64 + 5, (3,), (1, 2**40, 5), (), np.int64(9), (2, 3, 4, 5, 6, 7),
-             (1, 2, 3), True]
+             (1, 2, 3), [4, np.uint8(1)], np.array([2**33, 6])]
     spec, N = ls.binval(3), 6
     result = C.lockstep(spec, N, seeds, max_iters=200)
     for r, seed in enumerate(seeds):
@@ -428,7 +448,8 @@ def test_non_integer_engine_settings_are_refused():
         with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
             call()
     # numpy integers are integers, and their runs export as Python ints do
-    for seed, plain_seed in ((np.int64(3), 3), ((np.int64(3), np.uint8(7)), (3, 7))):
+    for seed, plain_seed in ((np.int64(3), 3), ((np.int64(3), np.uint8(7)), (3, 7)),
+                             ([3, 7], (3, 7)), (np.array([3, 7]), (3, 7))):
         ours = C.run(spec, np.int64(4), seed=seed, max_iters=np.int32(9),
                      record_every=np.int8(2))
         plain = C.run(spec, 4, seed=plain_seed, max_iters=9, record_every=2)

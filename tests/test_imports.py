@@ -1,6 +1,6 @@
 """Every name imported in src/, tests/ and scripts/ is referenced in its module,
-importing the package leaves numpy.random unloaded, and a Monte Carlo campaign
-leaves numpy.ma unloaded.
+importing the package leaves numpy.random unloaded, and a cold start of each
+subcommand but alphasweep leaves numpy.ma unloaded.
 
 A package ``__init__.py`` imports names to export them, so it is skipped.
 """
@@ -54,12 +54,28 @@ def test_importing_the_package_leaves_numpy_random_unloaded():
     assert done.stdout == "[]\n"
 
 
-def test_a_monte_carlo_campaign_leaves_numpy_ma_unloaded(tmp_path):
+# a cold start of each of these subcommands leaves numpy.ma unloaded; alphasweep is
+# left out: besides ode's np.unique and np.isin, the sweep's own np.median and
+# np.quantile import numpy.ma (numpy 2.4), so ode alone cannot keep it unloaded
+_COLD_STARTS = {
+    "run": ["run", "--spec", "binval", "--n", "3", "--N", "4", "--out", "{out}/run.jsonl"],
+    "drift": ["drift", "--spec", "binval", "--n", "3", "--grid", "3", "--out", "{out}/drift.csv"],
+    "ode": ["ode", "--spec", "binval", "--n", "3", "--step", "0.1", "--horizon", "1",
+            "--out", "{out}/ode.jsonl"],
+    "classify": ["classify", "--spec", "binval", "--n", "3", "--out", "{out}/classify.csv"],
+    "localmaxima": ["localmaxima", "--spec", "binval", "--n", "3", "--out", "{out}/maxima.csv"],
+    "montecarlo": ["montecarlo", "--spec", "binval", "--n", "3", "--N", "4", "--runs", "2",
+                   "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COLD_STARTS))
+def test_a_monte_carlo_campaign_leaves_numpy_ma_unloaded(command, tmp_path):
     # np.unique without return flags imports numpy.ma (about 1 MB and 12-16 ms);
     # is_injective compares sorted neighbours instead
+    argv = [arg.format(out=tmp_path) for arg in _COLD_STARTS[command]]
     code = ("import sys; from cgadyn.cli import cli_main; "
-            "code = cli_main(['montecarlo', '--spec', 'binval', '--n', '3', '--N', '4', '--runs', '2', "
-            f"'--out', {str(tmp_path)!r}]); "
+            f"code = cli_main({argv!r}); "
             "print(code, 'numpy.ma' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -73,54 +73,29 @@ def test_linear_matches_binval_for_power_weights():
 
 
 def test_enumeration_cap():
+    # the constructor is the one check of the cap, however a spec is built
     for make in (lambda: ls.binval(17), lambda: ls.linear(superincreasing_weights(17)),
                  lambda: ls.perturbed_onemax(17, 2.0 ** -17), lambda: ls.table_spec([0.0] * (1 << 17)),
                  lambda: ls.random_injective(17, seed=1),
-                 lambda: ls.spec_from_json_dict({"kind": "binval", "n": 17})):
+                 lambda: ls.spec_from_json_dict({"kind": "binval", "n": 17}),
+                 lambda: ls.FitnessSpec(kind="binval", n=17),
+                 lambda: ls.FitnessSpec(kind="linear", weights=superincreasing_weights(17)),
+                 lambda: ls.FitnessSpec(kind="perturbed_onemax", n=17, epsilon=2.0 ** -17),
+                 lambda: ls.FitnessSpec(kind="table", table=[0.0] * (1 << 17)),
+                 lambda: ls.FitnessSpec(kind="random_injective", n=17, seed=1)):
         with pytest.raises(CapacityError, match="^n=17 exceeds the enumeration cap 16$"):
             make()
-    # the constructor applies no cap, and above it evaluate works pointwise
-    big = ls.FitnessSpec(kind="binval", n=20)
-    assert ls.evaluate(big, (1,) + (0,) * 19) == 2.0 ** 19
-    with pytest.raises(CapacityError):
-        ls.fitness_values(big)
-
-
-def test_evaluate_above_the_cap_uses_the_closed_forms():
-    # n = 20 > ENUMERATION_CAP, so evaluate takes its table-free branches
-    rng = np.random.default_rng(20)
-    weights = tuple(rng.integers(1, 1000, 20) / 8)  # dyadic, so every sum is exact
-    linear = ls.FitnessSpec(kind="linear", weights=weights)
-    onemax = ls.FitnessSpec(kind="perturbed_onemax", n=20, epsilon=2.0 ** -20)
-    for bits in ([0] * 20, [1] * 20, rng.integers(0, 2, 20).tolist(), [1] + [0] * 19):
-        index = int("".join(map(str, bits)), 2)
-        assert ls.evaluate(linear, bits) == sum(w * b for w, b in zip(weights, bits))
-        assert ls.evaluate(onemax, bits) == sum(bits) + 2.0 ** -20 * index
-    with pytest.raises(CapacityError, match="needs the 2\\^n table"):
-        ls.evaluate(ls.FitnessSpec(kind="random_injective", n=20, seed=1), [0] * 20)
-
-
-def test_above_the_cap_a_table_evaluates_and_random_injective_is_refused():
-    # a table spec holds all 2^n values; only random_injective must build its permutation
-    values = np.random.default_rng(17).permutation(1 << 17) / 4
-    table = ls.FitnessSpec(kind="table", table=values)
-    for index in (0, 1, 54321, (1 << 17) - 1):
-        assert ls.evaluate(table, ls.index_to_bits(index, 17)) == values[index]
-    with pytest.raises(CapacityError, match="^n=17 exceeds the enumeration cap 16$"):
-        ls.fitness_values(table)
-    with pytest.raises(CapacityError, match="random_injective evaluation needs the 2\\^n table"):
-        ls.evaluate(ls.FitnessSpec(kind="random_injective", n=17, seed=1), [1] * 17)
+    assert ls.evaluate(ls.FitnessSpec(kind="binval", n=16), (1,) + (0,) * 15) == 2.0 ** 15
 
 
 def test_raised_cap_stops_where_the_int64_index_would_wrap():
-    # at n = 64 the index 2^63 wrapped to -9.22e18; the constructor, which applies
-    # no enumeration cap, stops at n = 62
+    # at n = 64 the index 2^63 wrapped to -9.22e18; bits_to_index, which applies
+    # no enumeration cap, stops at n = 62, and the constructor at the cap
     for n in (63, 64):
-        with pytest.raises(CapacityError, match="int64"):
+        with pytest.raises(CapacityError, match=f"^n={n} exceeds the enumeration cap 16$"):
             ls.FitnessSpec(kind="binval", n=n)
         with pytest.raises(CapacityError, match="int64"):
             ls.bits_to_index([1] * n)
-    assert ls.evaluate(ls.FitnessSpec(kind="binval", n=62), [1] + [0] * 61) == 2.0 ** 61
     assert ls.bits_to_index([1] * 62) == (1 << 62) - 1
 
 
@@ -447,19 +422,6 @@ def test_every_kind_reads_exactly_its_own_fields(kind):
         assert ls.spec_from_json_dict({k: v for k, v in obj.items() if k != "n"}) == spec
         with pytest.raises(DomainError, match="has n=4"):
             ls.spec_from_json_dict({**obj, "n": 4})
-
-
-@pytest.mark.parametrize("make", [
-    lambda n: ls.FitnessSpec(kind="binval", n=n),
-    lambda n: ls.FitnessSpec(kind="linear", weights=superincreasing_weights(17)[17 - n:]),
-    lambda n: ls.FitnessSpec(kind="perturbed_onemax", n=n, epsilon=2.0 ** -17),
-], ids=["binval", "linear", "perturbed_onemax"])
-def test_evaluate_above_the_cap_equals_the_table_below_it(make):
-    # with locus 1 at 0, each of these kinds at n = 17 is the same kind at n = 16
-    assert ls.ENUMERATION_CAP == 16
-    above, below = make(17), make(16)
-    rows = np.hstack([np.zeros((1 << 16, 1), np.int64), ls.all_bit_matrix(16).astype(np.int64)])
-    assert [ls.evaluate(above, bits) for bits in rows] == ls.fitness_values(below).tolist()
 
 
 def test_table_keys_are_the_bitstrings_of_each_index():
