@@ -260,10 +260,7 @@ def _read_seed(seed):
             return seed
     sequence = (tuple, list, np.ndarray)
     if not isinstance(seed, sequence):
-        seed = _integer(seed, "seed")
-        if seed < 0:  # numpy.random.SeedSequence takes no negative seed
-            raise DomainError(f"seed must be >= 0, got {seed}")
-        return seed
+        return _integer(seed, "seed", 0)  # numpy.random.SeedSequence takes no negative seed
     entries = seed.tolist() if isinstance(seed, np.ndarray) else seed  # 0-d: a scalar, refused
     if not isinstance(entries, sequence) or any(isinstance(v, sequence) for v in entries):
         raise DimensionError(f"a seed is an integer or a 1-D sequence of integers, got {seed!r}")
@@ -508,9 +505,7 @@ def run(
     record_every : int
         Keep every k-th snapshot (first and final always kept).
     """
-    record_every = _integer(record_every, "record_every")
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every}")
+    record_every = _integer(record_every, "record_every", 1)
     N = _integer(N, "N")
     every = min(record_every, _INT64_MAX)  # as _per_run clips budgets
     kept_ks, kept_counts = [], []

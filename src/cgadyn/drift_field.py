@@ -40,6 +40,7 @@ from .landscape import (
     FitnessSpec,
     _as_bits,
     _read_only,
+    _real,
     all_bit_matrix,
     fitness_values,
     neighbor_signs,
@@ -319,7 +320,7 @@ def jacobian_numeric(p, spec: FitnessSpec, h: float) -> np.ndarray:
     arr = _as_pv(p, spec.n)
     if arr.ndim != 1:
         raise DimensionError("jacobian_numeric expects a single probability vector")
-    if not h > 0.0:
+    if not _real(h, "finite-difference step") > 0.0:
         raise DomainError(f"finite-difference step must be positive, got {h}")
     if np.any(arr - h < 0.0) or np.any(arr + h > 1.0):
         raise DomainError("p +- h e_m leaves [0,1]^n; pull the point inward or shrink h")

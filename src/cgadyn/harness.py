@@ -402,9 +402,7 @@ def drift_grid_rows(spec: FitnessSpec, resolution: int) -> Iterator[np.ndarray]:
     at a time. Drift rows do not depend on the batch, so the blocks equal
     one call over the whole grid.
     """
-    resolution = _integer(resolution, "grid resolution")
-    if resolution < 2:
-        raise DomainError(f"grid resolution must be >= 2, got {resolution}")
+    resolution = _integer(resolution, "grid resolution", 2)
     total = resolution ** spec.n
     if total > _GRID_MAX_ROWS:
         raise DomainError(

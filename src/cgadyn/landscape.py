@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Sized
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -114,26 +114,27 @@ class FitnessSpec:
         for name in names:
             if getattr(self, name) is None:
                 raise DomainError(f"{self.kind} spec needs field {name!r}")
+        if self.seed is not None:
+            put("seed", _integer(self.seed, "seed", 0))  # SeedSequence takes no negative seed
+        if "n" not in names:  # n weights, or 2^n table values, counted before any value is read
+            values = getattr(self, names[0])
+            if isinstance(values, str) or not isinstance(values, Sized):
+                raise DomainError(f"{names[0]} must be numbers, got {values!r}")
+            derived = len(values) if self.table is None else max(len(values).bit_length() - 1, 0)
+            put("n", derived if self.n is None else self.n)
+        put("n", _integer(self.n, "solution length"))
+        if "n" not in names and self.n != derived:
+            raise DomainError(f"{self.kind} spec has n={self.n}, but its field {names[0]!r} gives {derived}")
+        if self.n > ENUMERATION_CAP:  # every spec has its 2^n tables
+            raise CapacityError(f"n={self.n} exceeds the enumeration cap {ENUMERATION_CAP}")
         if self.weights is not None:
             put("weights", _finite(self.weights, "weights"))
             if not all(math.isfinite(sum(w for w in self.weights if w * sign > 0)) for sign in (1, -1)):
                 raise DomainError("weights' positive or negative sum, which bounds every fitness, overflows")
         if self.table is not None:
             put("table", _finite(_table_values(self.table), "table"))
-        if self.seed is not None:
-            put("seed", _integer(self.seed, "seed"))
-            if self.seed < 0:  # numpy.random.SeedSequence takes no negative seed
-                raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if "n" not in names:  # n weights, or 2^n table values
-            derived = len(self.weights) if self.table is None else max(len(self.table).bit_length() - 1, 0)
-            put("n", derived if self.n is None else self.n)
-        put("n", _integer(self.n, "solution length"))
-        if "n" not in names and self.n != derived:
-            raise DomainError(f"{self.kind} spec has n={self.n}, but its field {names[0]!r} gives {derived}")
         if self.n < 1:
             raise DomainError(f"solution length must be a positive integer, got {self.n!r}")
-        if self.n > ENUMERATION_CAP:  # every spec has its 2^n tables
-            raise CapacityError(f"n={self.n} exceeds the enumeration cap {ENUMERATION_CAP}")
         if self.table is not None and len(self.table) != 1 << self.n:
             raise DomainError(f"table needs 2^{self.n} = {1 << self.n} values, got {len(self.table)}")
         if self.epsilon is not None:
@@ -219,10 +220,20 @@ def _check_kind_fields(kind, given) -> None:
         raise DomainError(f"{kind} spec does not take fields {sorted(stray, key=str)}")
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int: an integer (Python or numpy, not a bool), and at least ``low`` if given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _real(value, name: str):
+    """``value``, a real number (Python or numpy, not a bool), whose range its caller checks."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def _table_values(table):
@@ -239,9 +250,7 @@ def _table_values(table):
 
 
 def _finite(values, name: str) -> tuple[float, ...]:
-    """Real numbers (no str or bool) as finite floats, which every comparison needs."""
-    if isinstance(values, str) or not isinstance(values, Iterable):
-        raise DomainError(f"{name} must be numbers, got {values!r}")
+    """A sized collection's real numbers (no str or bool) as finite floats, which every comparison needs."""
     values = list(values)
     bad = {t for t in set(map(type, values)) if issubclass(t, bool) or not issubclass(t, numbers.Real)}
     if bad:  # one type test per distinct type; the message names the first bad value

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, HorizonError
 from .cga import StochasticTrajectory, _iteration_of, write_jsonl
 from .drift_field import _as_pv, drift
-from .landscape import FitnessSpec, place_values, spec_to_json_dict
+from .landscape import FitnessSpec, _integer, _real, place_values, spec_to_json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +98,9 @@ def _time_grid(T: float, h: float) -> np.ndarray:
     not a multiple of h; step i runs from times[i-1] to times[i]. Needs a
     finite step h > 0, a finite horizon T >= 0 (NaN fails both) and at
     most ``_GRID_MAX_POINTS`` of the points 0, h, 2h, ..."""
-    if not 0.0 < h < math.inf:
+    if not 0.0 < _real(h, "step size") < math.inf:
         raise DomainError(f"step size must be finite and positive, got {h}")
-    if not 0.0 <= T < math.inf:
+    if not 0.0 <= _real(T, "horizon") < math.inf:
         raise DomainError(f"horizon must be finite and nonnegative, got {T}")
     full = _last_grid_index(T / h + 1e-12, f"a step of {h} over a horizon of {T}")
     times = np.arange(full + 1, dtype=np.float64) * h
@@ -177,7 +177,7 @@ def find_limit_many(
         X = X[None, :]
     if X.ndim != 2:
         raise DimensionError("find_limit_many expects (B, n) initial states")
-    if not tol > 0.0:
+    if not _real(tol, "tolerance") > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     times = _time_grid(T_max, h).tolist()
     X = X.copy()
@@ -234,7 +234,7 @@ def lyapunov_increments(traj: OdeTrajectory) -> np.ndarray:
 def _flow_times(b: OdeTrajectory, T: float) -> np.ndarray:
     """The times every comparison with the flow ``b`` over [0, T] includes:
     b's grid up to T, and the two ends. The one horizon check of a flow; NaN fails it."""
-    if not T >= 0.0:
+    if not _real(T, "horizon") >= 0.0:
         raise DomainError(f"horizon must be nonnegative, got {T}")
     if b.horizon < T - 1e-9:
         raise HorizonError(f"flow ends at {b.horizon} < T={T}")
@@ -301,6 +301,7 @@ class LockstepSupDistance:
     """
 
     def __init__(self, b: OdeTrajectory, T: float, N: int, runs: int):
+        N = _integer(N, "N", 1)
         self.alpha = 1.0 / (2 * N)
         self.two_n = float(2 * N)
         self.T = T
@@ -315,8 +316,8 @@ class LockstepSupDistance:
         self.sup = np.zeros(runs)
 
     def _fold(self, rows, at, va, last) -> None:
-        """Fold the distances at the times ``at`` (a slice) into ``sup[rows]``;
-        ``last[i]`` is row i's last iteration, past which its jump times drop out."""
+        """Fold the distances at the times ``at`` (a slice or index array) into
+        ``sup[rows]``; ``last[i]`` is row i's last iteration, past which its jump times drop out."""
         d = np.linalg.norm(va - self.vb[at], axis=-1)
         keep = ~self.jump_only[at] | (self.ts[at] <= last[:, None] * self.alpha)
         self.sup[rows] = np.maximum(self.sup[rows], np.max(d, axis=-1, where=keep, initial=0.0))
@@ -324,14 +325,12 @@ class LockstepSupDistance:
     def update(self, rows, k0, snaps, ends) -> None:
         """Fold a block of m iterations: the times whose iteration lies in
         [k0, k0 + m], and the left limits at jumps k0+1 .. k0+m, each up to
-        the run's end."""
+        the run's end (one at a grid time past it reads the repeated corner)."""
         m = snaps.shape[1] - 1
         at = slice(*np.searchsorted(self.ks, [k0, k0 + m + 1]))
         self._fold(rows, at, snaps[:, self.ks[at] - k0] / self.two_n, ends)
-        vb = self.vb[self.left[k0:k0 + m]]  # jumps k0+1 .. k0+m that are <= T
-        d = np.linalg.norm(snaps[:, :len(vb)] / self.two_n - vb, axis=-1)
-        keep = k0 + 1 + np.arange(len(vb)) <= ends[:, None]
-        self.sup[rows] = np.maximum(self.sup[rows], np.max(d, axis=-1, where=keep, initial=0.0))
+        left = self.left[k0:k0 + m]  # jumps k0+1 .. k0+m that are <= T
+        self._fold(rows, left, snaps[:, :left.size] / self.two_n, ends)
 
     def finish(self, result) -> np.ndarray:
         """Fold each run's final state at the times from its last iteration

@@ -328,3 +328,59 @@ def test_criterion_12_reproducible_outputs(tmp_path):
     stable = all(p.read_bytes() == first[p] for p in produced)
     report("criterion 12: re-running every subcommand reproduces files byte for byte",
            stable, f"{len(produced)} files compared")
+
+
+# --- 13: each locus's speed does not depend on its own frequency -------------------
+# ROADMAP item 17: f_i(p) = p_i (1 - p_i) G_i(p) with G_i free of p_i, so the
+# diagonal of J is (1 - 2 p_i) f_i / (p_i (1 - p_i)) everywhere inside the
+# cube, and it vanishes at every equilibrium off the corners.
+
+def test_criterion_13a_jacobian_diagonal_identity():
+    rng = np.random.default_rng(MASTER_SEED + 13)
+    tied = [ls.table_spec([0.0, 1.0, 2.0, 1.0, 0.0, 2.0, 1.0, 2.0]),
+            ls.table_spec(rng.integers(0, 3, 16).astype(float))]
+    worst, checked = 0.0, 0
+    for spec in _criterion5_specs() + tied:
+        for p in 0.05 + 0.9 * rng.random((5, spec.n)):
+            J = dr.jacobian_numeric(p, spec, 1e-5)
+            identity = (1.0 - 2.0 * p) * dr.drift(p, spec) / (p * (1.0 - p))
+            worst = max(worst, float(np.abs(np.diag(J) - identity).max()))
+            checked += 1
+    report("criterion 13a: J_ii = (1 - 2p_i) f_i / (p_i (1 - p_i)) inside the cube",
+           worst <= 1e-9, f"max |gap| = {worst:.2g} at {checked} points")
+
+
+def test_criterion_13b_zero_diagonal_at_the_two_max_saddle():
+    p = np.array([0.5, 1.0 - 1.0 / np.sqrt(2.0)])
+    J = dr.jacobian_numeric(p, TWO_MAX_TABLE, 1e-6)
+    eigenvalues = np.sort(np.linalg.eigvals(J).real)
+    lam = np.sqrt(4.0 - 2.0 * np.sqrt(2.0))
+    speed = float(np.abs(dr.drift(p, TWO_MAX_TABLE)).max())
+    diagonal = float(np.abs(np.diag(J)).max())
+    report("criterion 13b: the two-max saddle has a zero diagonal and eigenvalues +-sqrt(4 - 2 sqrt 2)",
+           speed <= 1e-15 and diagonal <= 1e-9 and np.allclose(eigenvalues, [-lam, lam], rtol=0, atol=1e-6),
+           f"|f| = {speed:.2g}, max |J_ii| = {diagonal:.2g}, eigenvalues {eigenvalues}")
+
+
+def test_criterion_13c_zero_diagonal_on_a_curve_of_equilibria():
+    # ROADMAP item 15: on this order, {p_1 = 1/2, p_2 p_3 = 1/sqrt 2} is a
+    # curve of equilibria, a line of saddles with spectrum {0, +-lambda}
+    spec = ls.table_spec([0.0, 1.0, 2.0, 4.0, 7.0, 6.0, 5.0, 3.0])
+    worst_speed = worst_diagonal = worst_trace = worst_spectrum = 0.0
+    smallest_lambda = np.inf
+    for p2 in (0.75, 0.841, 0.9):
+        p = np.array([0.5, p2, 1.0 / (np.sqrt(2.0) * p2)])
+        J = dr.jacobian_numeric(p, spec, 1e-6)
+        eigenvalues = np.linalg.eigvals(J)
+        low, zero, high = np.sort(eigenvalues.real)
+        worst_speed = max(worst_speed, float(np.abs(dr.drift(p, spec)).max()))
+        worst_diagonal = max(worst_diagonal, float(np.abs(np.diag(J)).max()))
+        worst_trace = max(worst_trace, abs(float(np.trace(J))))
+        worst_spectrum = max(worst_spectrum, abs(zero), abs(low + high),
+                             float(np.abs(eigenvalues.imag).max()))
+        smallest_lambda = min(smallest_lambda, float(high))
+    report("criterion 13c: a curve of equilibria has a zero diagonal, trace 0 and spectrum {0, +-lambda}",
+           worst_speed <= 1e-15 and worst_diagonal <= 1e-9 and worst_trace <= 1e-9
+           and worst_spectrum <= 1e-9 and smallest_lambda >= 0.5,
+           f"|f| = {worst_speed:.2g}, max |J_ii| = {worst_diagonal:.2g}, max |tr J| = "
+           f"{worst_trace:.2g}, max spectrum gap = {worst_spectrum:.2g}, min lambda = {smallest_lambda:.4g}")

@@ -493,6 +493,12 @@ def test_empirical_step_mean_matches_drift():
     mean = deltas.mean(axis=0)
     se = deltas.std(axis=0, ddof=1) / np.sqrt(M)
     assert np.all(np.abs(mean - f) <= 3.0 * se + 1e-12)
+    # one update's second moment is exact for every fitness: E[dd^T] =
+    # diag(2p(1 - p)), as locus i moves iff its two samples differ
+    products = deltas[:, :, None] * deltas[:, None, :]
+    second = products.mean(axis=0)
+    se2 = products.std(axis=0, ddof=1) / np.sqrt(M)
+    assert np.all(np.abs(second - np.diag(2 * p * (1 - p))) <= 3.0 * se2 + 1e-12)
 
 
 # --- interpolation -----------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from cgadyn import landscape as ls
 from cgadyn.drift_field import jacobian_analytic
 from cgadyn.errors import CapacityError, DimensionError, DomainError
 
-from conftest import TWO_MAX_TABLE, injective_suite, local_maxima, superincreasing_weights
+from conftest import TWO_MAX_TABLE, injective_suite, local_maxima, superincreasing_weights, traced_peak
 
 
 def test_binval_evaluate():
@@ -86,6 +87,25 @@ def test_enumeration_cap():
         with pytest.raises(CapacityError, match="^n=17 exceeds the enumeration cap 16$"):
             make()
     assert ls.evaluate(ls.FitnessSpec(kind="binval", n=16), (1,) + (0,) * 15) == 2.0 ** 15
+
+
+@pytest.mark.parametrize("kind, field, message", [
+    ("table", "table", "^n=22 exceeds the enumeration cap 16$"),
+    ("linear", "weights", "^n=4194304 exceeds the enumeration cap 16$"),
+], ids=["table", "linear"])
+def test_an_oversized_spec_is_refused_before_its_values_are_read(kind, field, message):
+    # n is read from the field's length, so the cap refuses 2^22 values
+    # without converting one of them
+    values = [0.0] * (1 << 22)
+
+    def refuse():
+        with pytest.raises(CapacityError, match=message):
+            ls.FitnessSpec(kind=kind, **{field: values})
+
+    t0 = time.perf_counter()
+    refuse()
+    assert time.perf_counter() - t0 < 0.02
+    assert traced_peak(refuse) < 2**20
 
 
 def test_raised_cap_stops_where_the_int64_index_would_wrap():

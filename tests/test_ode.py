@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,58 @@ def test_non_finite_step_or_horizon_is_refused(h, T):
         od.integrate(spec, [0.5, 0.5], h=h, T=T)
     with pytest.raises(DomainError, match="finite"):
         od.find_limit_many(spec, [[0.3, 0.6]], h=h, T_max=T)
+
+
+def _flow_layer_call(case):
+    spec = ls.binval(2)
+    flow = od.integrate(spec, [0.5, 0.5], h=0.1, T=1.0)
+    start = [[0.3, 0.6]]
+    calls = {
+        "integrate_h_bool": lambda: od.integrate(spec, [0.5, 0.5], h=True),
+        "integrate_h_str": lambda: od.integrate(spec, [0.5, 0.5], h="0.1"),
+        "integrate_h_none": lambda: od.integrate(spec, [0.5, 0.5], h=None),
+        "integrate_T_bool": lambda: od.integrate(spec, [0.5, 0.5], T=True),
+        "limit_tol_bool": lambda: od.find_limit_many(spec, start, tol=True),
+        "limit_tol_str": lambda: od.find_limit_many(spec, start, tol="x"),
+        "limit_T_max_bool": lambda: od.find_limit_many(spec, start, T_max=True),
+        "limit_h_str": lambda: od.find_limit_many(spec, start, h="0.1"),
+        "sup_distance_T_bool": lambda: od.sup_distance(C.run(spec, 8, seed=9), flow, True),
+        "jacobian_h_str": lambda: dr.jacobian_numeric([0.5, 0.5], spec, "1e-3"),
+        "tracker_N_zero": lambda: od.LockstepSupDistance(flow, 1.0, 0, 3),
+        "tracker_N_negative": lambda: od.LockstepSupDistance(flow, 1.0, -2, 3),
+        "tracker_N_float": lambda: od.LockstepSupDistance(flow, 1.0, 2.5, 3),
+        "tracker_N_bool": lambda: od.LockstepSupDistance(flow, 1.0, True, 3),
+        "tracker_T_bool": lambda: od.LockstepSupDistance(flow, True, 8, 3),
+    }
+    return calls[case]
+
+
+# a bool or a non-number stepped silently (h=True steps by 1.0) or reached a
+# bare TypeError; N = 0 divided by zero
+_FLOW_LAYER_REFUSALS = [
+    ("integrate_h_bool", "step size must be a real number, got True"),
+    ("integrate_h_str", "step size must be a real number, got '0.1'"),
+    ("integrate_h_none", "step size must be a real number, got None"),
+    ("integrate_T_bool", "horizon must be a real number, got True"),
+    ("limit_tol_bool", "tolerance must be a real number, got True"),
+    ("limit_tol_str", "tolerance must be a real number, got 'x'"),
+    ("limit_T_max_bool", "horizon must be a real number, got True"),
+    ("limit_h_str", "step size must be a real number, got '0.1'"),
+    ("sup_distance_T_bool", "horizon must be a real number, got True"),
+    ("jacobian_h_str", "finite-difference step must be a real number, got '1e-3'"),
+    ("tracker_N_zero", "N must be >= 1, got 0"),
+    ("tracker_N_negative", "N must be >= 1, got -2"),
+    ("tracker_N_float", "N must be an integer, got 2.5"),
+    ("tracker_N_bool", "N must be an integer, got True"),
+    ("tracker_T_bool", "horizon must be a real number, got True"),
+]
+
+
+@pytest.mark.parametrize("case, message", _FLOW_LAYER_REFUSALS,
+                         ids=[case for case, _ in _FLOW_LAYER_REFUSALS])
+def test_flow_layer_numbers_are_read_as_real_numbers(case, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _flow_layer_call(case)()
 
 
 @pytest.mark.parametrize("h, T", [(1e-12, 1e6), (1e-300, 1.0), (1e-300, 1e300)])
