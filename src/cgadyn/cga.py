@@ -214,22 +214,30 @@ def _initial_counts(initial, Ns: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _per_run(values, runs: int, name: str, rule: str, accepts) -> np.ndarray:
+def _read_N(N, name: str = "N") -> int:
+    """The one reader of a grid resolution N: an integer (:func:`_integer`)
+    in [1, ``_MAX_N``], so that counts 0..2N fit in int64."""
+    N = _integer(N, name)
+    if not 1 <= N <= _MAX_N:
+        raise DomainError(f"{name} must lie in [1, {_MAX_N}], so that 2N fits in int64, got {N}")
+    return N
+
+
+def _per_run(values, runs: int, name: str, read) -> np.ndarray:
     """One int64 per run from ``values``: one integer for every run, or one
-    per run. Each distinct type is checked to be an integer (Python or
-    numpy, not a bool) once, as a set would fold True into 1, and each
-    distinct value by ``accepts`` once, refused as breaking ``rule``. Values
-    past int64 are clipped to it, which no iteration count reaches."""
+    per run, each read by ``read(value, name)``. The reader sees one value
+    of each distinct type first, as a set would fold True into 1, then each
+    distinct value once. Values past int64 are clipped to it, which no
+    iteration count reaches."""
     values = np.asarray(values, dtype=object)
     if values.ndim > 1 or (values.ndim == 1 and values.size != runs):
         raise DimensionError(
             f"{name} must be one integer or one per run ({runs}), got shape {values.shape}")
     flat = values.ravel().tolist()
     for kind in set(map(type, flat)):
-        _integer(next(v for v in flat if type(v) is kind), name)
+        read(next(v for v in flat if type(v) is kind), name)
     for value in set(flat):
-        if not accepts(value):
-            raise DomainError(f"{name} must {rule}, got {value}")
+        read(value, name)
     return np.broadcast_to(np.asarray(np.minimum(values, _INT64_MAX), dtype=np.int64), (runs,))
 
 
@@ -407,11 +415,10 @@ def lockstep(
     n = spec.n
     seeds = list(seeds)
     R = len(seeds)
-    Ns = _per_run(N, R, "N", f"lie in [1, {_MAX_N}], so that 2N fits in int64",
-                  lambda v: 1 <= v <= _MAX_N)
+    Ns = _per_run(N, R, "N", _read_N)
     # the default budgets are Python ints, clipped to int64 with the rest
     budgets = _per_run(default_max_iters(Ns.astype(object), n) if max_iters is None
-                       else max_iters, R, "max_iters", "be >= 0", lambda v: v >= 0)
+                       else max_iters, R, "max_iters", functools.partial(_integer, low=0))
     start = _initial_counts(initial, Ns, n)
     seeded = _words_seed_sequence()
     rngs = [np.random.Generator(np.random.PCG64(seeded(words))) for words in _seed_words(seeds)]
@@ -506,7 +513,7 @@ def run(
         Keep every k-th snapshot (first and final always kept).
     """
     record_every = _integer(record_every, "record_every", 1)
-    N = _integer(N, "N")
+    N = _read_N(N)
     every = min(record_every, _INT64_MAX)  # as _per_run clips budgets
     kept_ks, kept_counts = [], []
 

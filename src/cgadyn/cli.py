@@ -15,8 +15,8 @@ the handler it runs. Every subcommand also takes the spec flags and
 ``--config FILE`` with an experiment-config JSON object. A flag's argparse
 dest is the spec or config field it sets; a config flag given overrides
 the file's value, and ``ExperimentConfig.from_json_dict`` reads the
-result, checking every config field by its rule in
-``harness._CONFIG_FIELDS``. Exit codes: 0 success, 1 validation/usage
+result, each config field by the engine's reader of that setting, named
+in ``harness._CONFIG_FIELDS``. Exit codes: 0 success, 1 validation/usage
 error (diagnostic on stderr), 2 internal error.
 """
 

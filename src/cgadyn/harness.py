@@ -13,9 +13,9 @@ dispatched concurrently without changing any output.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .cga import _MAX_N, _block_rows, _block_text, lockstep
+from .cga import _block_rows, _block_text, _read_N, lockstep
 from .drift_field import corner_spectra, drift
 from .landscape import (
     FitnessSpec,
@@ -37,7 +37,7 @@ from .landscape import (
     spec_from_json_dict,
     spec_to_json_dict,
 )
-from .ode import LockstepSupDistance, integrate
+from .ode import LockstepSupDistance, _horizon, _step, integrate
 
 
 REAL_FMT = "%.17g"  # 17 significant digits: parses back to the same float
@@ -47,26 +47,34 @@ REAL_FMT = "%.17g"  # 17 significant digits: parses back to the same float
 # configuration
 # ---------------------------------------------------------------------------
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _N_values(values, name: str) -> tuple[int, ...]:
+    """A nonempty list or tuple of distinct N, each read by :func:`cgadyn.cga._read_N`."""
+    Ns = tuple(_read_N(N, name) for N in values) if isinstance(values, (list, tuple)) else ()
+    if not Ns or len(set(Ns)) < len(Ns):
+        raise DomainError(f"{name} must be a nonempty list of distinct integers, got {values!r}")
+    return Ns
 
 
-def _is_real(value) -> bool:
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+def _path(value, name: str) -> Path:
+    if not isinstance(value, (str, Path)):
+        raise DomainError(f"{name} must be a path, got {value!r}")
+    return Path(value)
 
 
-# every config field but "spec": its rule, and the test of its value (a
-# JSON value, or a constructor argument: N_values may be a tuple there)
+# every config field but "spec", and its reader: read(value, "config field 'X'")
+# returns the value the config keeps (Python numbers, a tuple of N, a Path) or
+# raises DomainError; the value is a constructor argument or a JSON value. A
+# setting's reader is the one the engine reads it with (cga._read_N for each N,
+# landscape._integer with a budget's or a seed's bound, ode._horizon, ode._step),
+# so after the field's name each message is the engine's after its own name
 _CONFIG_FIELDS = {
-    "N_values": (f"a nonempty list of distinct integers in [1, {_MAX_N}] (2N fits in int64)",
-                 lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-                 and all(_is_int(N) and 1 <= N <= _MAX_N for N in v) and len(set(v)) == len(v)),
-    "runs_per_setting": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
-    "T_horizon": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
-    "master_seed": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "output_dir": ("a path", lambda v: isinstance(v, (str, Path))),
-    "ode_step": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
-    "max_iters": ("an integer >= 0 or null", lambda v: v is None or (_is_int(v) and v >= 0)),
+    "N_values": _N_values,
+    "runs_per_setting": functools.partial(_integer, low=1),
+    "T_horizon": _horizon,
+    "master_seed": functools.partial(_integer, low=0),
+    "output_dir": _path,
+    "ode_step": _step,
+    "max_iters": lambda value, name: None if value is None else _integer(value, name, 0),
 }
 
 # Most runs in a campaign (runs_per_setting times the N values): a run
@@ -94,15 +102,12 @@ class ExperimentConfig:
         # config writes valid JSON (no NaN, no infinity) that reads back the same
         if not isinstance(self.spec, FitnessSpec):
             raise DomainError(f"config field 'spec' must be a FitnessSpec, got {self.spec!r}")
-        for key, (rule, accepts) in _CONFIG_FIELDS.items():
-            if not accepts(getattr(self, key)):
-                raise DomainError(f"config field {key!r} must be {rule}, got {getattr(self, key)!r}")
+        for key, read in _CONFIG_FIELDS.items():
+            object.__setattr__(self, key, read(getattr(self, key), f"config field {key!r}"))
         runs = self.runs_per_setting * len(self.N_values)
         if runs > _MAX_CAMPAIGN_RUNS:
             raise DomainError(f"a campaign may have at most {_MAX_CAMPAIGN_RUNS} runs "
                               f"(runs_per_setting times the number of N values), got {runs}")
-        object.__setattr__(self, "N_values", tuple(self.N_values))
-        object.__setattr__(self, "output_dir", Path(self.output_dir))
 
     def to_json_dict(self) -> dict:
         return {"spec": spec_to_json_dict(self.spec),

@@ -118,7 +118,8 @@ class FitnessSpec:
             put("seed", _integer(self.seed, "seed", 0))  # SeedSequence takes no negative seed
         if "n" not in names:  # n weights, or 2^n table values, counted before any value is read
             values = getattr(self, names[0])
-            if isinstance(values, str) or not isinstance(values, Sized):
+            # a 0-d array is Sized by type, but has no length
+            if isinstance(values, str) or not isinstance(values, Sized) or getattr(values, "ndim", 1) == 0:
                 raise DomainError(f"{names[0]} must be numbers, got {values!r}")
             derived = len(values) if self.table is None else max(len(values).bit_length() - 1, 0)
             put("n", derived if self.n is None else self.n)
@@ -229,11 +230,12 @@ def _integer(value, name: str, low: int | None = None) -> int:
     return int(value)
 
 
-def _real(value, name: str):
-    """``value``, a real number (Python or numpy, not a bool), whose range its caller checks."""
+def _real(value, name: str) -> int | float:
+    """``value`` as a Python number, which JSON writes: a real number (Python or numpy, not a
+    bool), an int if it is an integer and a float otherwise, whose range its caller checks."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    return value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 def _table_values(table):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, HorizonError
-from .cga import StochasticTrajectory, _iteration_of, write_jsonl
+from .cga import StochasticTrajectory, _iteration_of, _read_N, write_jsonl
 from .drift_field import _as_pv, drift
-from .landscape import FitnessSpec, _integer, _real, place_values, spec_to_json_dict
+from .landscape import FitnessSpec, _real, place_values, spec_to_json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +93,28 @@ def _last_grid_index(steps: float, what: str) -> int:
     return math.floor(steps)
 
 
+def _step(h, name: str = "step size") -> int | float:
+    """The one reader of an RK4 step: a real number (:func:`_real`), finite and > 0 (NaN fails)."""
+    h = _real(h, name)
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {h}")
+    return h
+
+
+def _horizon(T, name: str = "horizon") -> int | float:
+    """The one reader of a horizon: a real number (:func:`_real`), finite and >= 0 (NaN fails)."""
+    T = _real(T, name)
+    if not 0.0 <= T < math.inf:
+        raise DomainError(f"{name} must be finite and nonnegative, got {T}")
+    return T
+
+
 def _time_grid(T: float, h: float) -> np.ndarray:
     """RK4 grid 0, h, 2h, ..., ending with a shorter step onto T when T is
     not a multiple of h; step i runs from times[i-1] to times[i]. Needs a
-    finite step h > 0, a finite horizon T >= 0 (NaN fails both) and at
-    most ``_GRID_MAX_POINTS`` of the points 0, h, 2h, ..."""
-    if not 0.0 < _real(h, "step size") < math.inf:
-        raise DomainError(f"step size must be finite and positive, got {h}")
-    if not 0.0 <= _real(T, "horizon") < math.inf:
-        raise DomainError(f"horizon must be finite and nonnegative, got {T}")
+    step (:func:`_step`), a horizon (:func:`_horizon`) and at most
+    ``_GRID_MAX_POINTS`` of the points 0, h, 2h, ..."""
+    h, T = _step(h), _horizon(T)
     full = _last_grid_index(T / h + 1e-12, f"a step of {h} over a horizon of {T}")
     times = np.arange(full + 1, dtype=np.float64) * h
     if T - times[-1] > 1e-12 * max(1.0, T):
@@ -233,9 +246,8 @@ def lyapunov_increments(traj: OdeTrajectory) -> np.ndarray:
 
 def _flow_times(b: OdeTrajectory, T: float) -> np.ndarray:
     """The times every comparison with the flow ``b`` over [0, T] includes:
-    b's grid up to T, and the two ends. The one horizon check of a flow; NaN fails it."""
-    if not _real(T, "horizon") >= 0.0:
-        raise DomainError(f"horizon must be nonnegative, got {T}")
+    b's grid up to T, and the two ends; T is read by :func:`_horizon`."""
+    T = _horizon(T)
     if b.horizon < T - 1e-9:
         raise HorizonError(f"flow ends at {b.horizon} < T={T}")
     return np.concatenate([b.times[b.times <= T + 1e-12], [0.0, T]])
@@ -301,7 +313,7 @@ class LockstepSupDistance:
     """
 
     def __init__(self, b: OdeTrajectory, T: float, N: int, runs: int):
-        N = _integer(N, "N", 1)
+        N = _read_N(N)
         self.alpha = 1.0 / (2 * N)
         self.two_n = float(2 * N)
         self.T = T

@@ -99,6 +99,80 @@ def test_config_validation(tmp_path):
             hn.ExperimentConfig.from_json_dict({"spec": {"kind": "binval", "n": 2}, field: value})
 
 
+def test_numpy_numbers_are_read_as_the_engine_reads_them(tmp_path):
+    plain = small_config(tmp_path, N_values=(4, 8), runs_per_setting=3, master_seed=2, max_iters=5)
+    ours = small_config(tmp_path, N_values=(np.int64(4), 8), runs_per_setting=np.int64(3),
+                        master_seed=np.int64(2), max_iters=np.int64(5))
+    assert ours == plain
+    assert json.dumps(ours.to_json_dict()) == json.dumps(plain.to_json_dict())
+    assert ours.config_hash() == plain.config_hash()
+    assert {type(v) for v in (*ours.N_values, ours.runs_per_setting, ours.master_seed,
+                              ours.max_iters)} == {int}
+    # a numpy real is read as a float, which JSON writes and reads back; an
+    # integer horizon or step stays an int
+    for kw, want in (({"T_horizon": np.float32(0.5), "ode_step": np.float64(0.25)}, (0.5, 0.25)),
+                     ({"T_horizon": np.int64(2), "ode_step": 1}, (2, 1))):
+        cfg = small_config(tmp_path, **kw)
+        got = (cfg.T_horizon, cfg.ode_step)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+        restored = hn.ExperimentConfig.from_json_dict(
+            json.loads(json.dumps(cfg.to_json_dict(), allow_nan=False)))
+        assert restored == cfg and restored.config_hash() == cfg.config_hash()
+
+
+def _one_rule_engine_calls(name):
+    """The engine entries that read the setting ``name``, each a function of the value."""
+    spec, seeds = ls.binval(2), [1, 2]
+    flow = ode.integrate(spec, [0.5, 0.5], h=0.1, T=1.0)
+    return {
+        "N": [lambda v: cga.lockstep(spec, v, seeds), lambda v: cga.run(spec, v),
+              lambda v: ode.LockstepSupDistance(flow, 1.0, v, 3)],
+        "max_iters": [lambda v: cga.lockstep(spec, 4, seeds, max_iters=v),
+                      lambda v: cga.run(spec, 4, max_iters=v)],
+        "seed": [lambda v: cga.lockstep(spec, 4, [1, v]), lambda v: cga.run(spec, 4, seed=v)],
+        "step size": [lambda v: ode.integrate(spec, [0.5, 0.5], h=v),
+                      lambda v: ode.find_limit_many(spec, [[0.3, 0.6]], h=v)],
+        "horizon": [lambda v: ode.integrate(spec, [0.5, 0.5], T=v),
+                    lambda v: ode.find_limit_many(spec, [[0.3, 0.6]], T_max=v)],
+    }[name]
+
+
+# a bad value of each setting: its config field, the CLI argv that sets it,
+# and the name the engine reads it by
+_ONE_RULE = [
+    ("N_values", 0, ["run", "--N", "0"], "N"),
+    ("N_values", 1 << 62, ["run", "--N", str(1 << 62)], "N"),
+    ("max_iters", -1, ["run", "--N", "4", "--max-iters", "-1"], "max_iters"),
+    ("master_seed", -1, ["run", "--N", "4", "--seed", "-1"], "seed"),
+    ("ode_step", 0.0, ["ode", "--step", "0"], "step size"),
+    ("ode_step", float("nan"), ["ode", "--step", "nan"], "step size"),
+    ("T_horizon", -1.0, ["ode", "--horizon", "-1"], "horizon"),
+    ("T_horizon", float("inf"), ["ode", "--horizon", "inf"], "horizon"),
+]
+
+
+@pytest.mark.parametrize("field, value, argv, name", _ONE_RULE,
+                         ids=["N_0", "N_2_62", "max_iters_-1", "seed_-1", "step_0", "step_nan",
+                              "horizon_-1", "horizon_inf"])
+def test_each_setting_has_one_rule_and_one_message(tmp_path, capsys, field, value, argv, name):
+    """The config, its CLI flag and every engine entry refuse a bad value with
+    the same text after the name each reads it by."""
+    texts = set()
+    with pytest.raises(DomainError) as info:
+        small_config(tmp_path, **{field: (value,) if field == "N_values" else value})
+    texts.add(str(info.value).removeprefix(f"config field {field!r} "))
+    out = tmp_path / "out.jsonl"
+    assert cli_main([*argv, "--spec", "binval", "--n", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    texts.add(captured.err.removeprefix(f"cgadyn: error: config field {field!r} ").removesuffix("\n"))
+    for call in _one_rule_engine_calls(name):
+        with pytest.raises(DomainError) as info:
+            call(value)
+        texts.add(str(info.value).removeprefix(f"{name} "))
+    assert len(texts) == 1 and texts.pop().startswith("must "), texts
+
+
 def test_config_fields_cannot_be_assigned(tmp_path):
     # an assignment would skip the check in __post_init__: master_seed = -1
     # used to fail only inside numpy, in monte_carlo
@@ -1276,17 +1350,22 @@ def test_duplicate_N_values_are_refused(tmp_path, monkeypatch, capsys):
         small_config(tmp_path, N_values=(4, 2, 4))
     monkeypatch.chdir(tmp_path)
     spec = ["--spec", "binval", "--n", "2"]
-    runs = [["montecarlo", *spec, "--N", "4", "--N", "4", "--runs", "3"],
-            ["alphasweep", *spec, "--N", "4", "--N", "4", "--runs", "3", "--horizon", "1"]]
-    for values in ([4, 2, 4], [[1]]):  # an unhashable N is refused before any set
-        Path("cfg.json").write_text(json.dumps({"spec": {"kind": "binval", "n": 2},
-                                                "N_values": values}))
-        runs += [["montecarlo", "--config", "cfg.json"], ["alphasweep", "--config", "cfg.json"]]
-    for argv in runs:
+
+    def refused(argv, message):
         assert cli_main([*argv, "--out", "out"]) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(
-            "cgadyn: error: config field 'N_values' must be a nonempty list of distinct")
+            f"cgadyn: error: config field 'N_values' {message}")
+
+    distinct = "must be a nonempty list of distinct"
+    refused(["montecarlo", *spec, "--N", "4", "--N", "4", "--runs", "3"], distinct)
+    refused(["alphasweep", *spec, "--N", "4", "--N", "4", "--runs", "3", "--horizon", "1"], distinct)
+    # an unhashable N is read as an N, and refused, before any set
+    for values, message in (([4, 2, 4], distinct), ([[1]], "must be an integer, got [1]")):
+        Path("cfg.json").write_text(json.dumps({"spec": {"kind": "binval", "n": 2},
+                                                "N_values": values}))
+        for command in ("montecarlo", "alphasweep"):
+            refused([command, "--config", "cfg.json"], message)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -308,6 +308,18 @@ def test_strings_and_bools_are_not_fitness_numbers(build):
         build()
 
 
+# a 0-d array is Sized by type but has no length: it raised a bare TypeError
+@pytest.mark.parametrize("field, build", [
+    ("weights", lambda: ls.linear(np.array(5.0))),
+    ("weights", lambda: ls.FitnessSpec(kind="linear", weights=np.array(5.0))),
+    ("table", lambda: ls.table_spec(np.array(5.0))),
+    ("table", lambda: ls.FitnessSpec(kind="table", table=np.array(5.0))),
+], ids=["linear", "linear_spec", "table_spec", "table_spec_kind"])
+def test_a_zero_d_array_is_not_fitness_numbers(field, build):
+    with pytest.raises(DomainError, match=f"^{field} must be numbers, got array\\(5\\.\\)$"):
+        build()
+
+
 def test_linear_weights_whose_sum_overflows_are_refused():
     # each weight is finite, but 1e308 + 1e308 is not: the table would hold
     # inf, or 0.0 where inf meets -inf, by the summation order

@@ -180,8 +180,8 @@ _FLOW_LAYER_REFUSALS = [
     ("limit_h_str", "step size must be a real number, got '0.1'"),
     ("sup_distance_T_bool", "horizon must be a real number, got True"),
     ("jacobian_h_str", "finite-difference step must be a real number, got '1e-3'"),
-    ("tracker_N_zero", "N must be >= 1, got 0"),
-    ("tracker_N_negative", "N must be >= 1, got -2"),
+    ("tracker_N_zero", "N must lie in [1, 4611686018427387903], so that 2N fits in int64, got 0"),
+    ("tracker_N_negative", "N must lie in [1, 4611686018427387903], so that 2N fits in int64, got -2"),
     ("tracker_N_float", "N must be an integer, got 2.5"),
     ("tracker_N_bool", "N must be an integer, got True"),
     ("tracker_T_bool", "horizon must be a real number, got True"),
@@ -463,6 +463,7 @@ def _sup_distance_refusal(case):
         "nan_T_run": lambda: od.sup_distance(run, flow, float("nan")),
         "negative_T": lambda: od.sup_distance(flow, flow, -1.0),
         "negative_T_run": lambda: od.sup_distance(run, flow, -1.0),
+        "inf_T": lambda: od.sup_distance(flow, flow, float("inf")),
         "n_mismatch_run": lambda: od.sup_distance(
             C.run(spec, 8, seed=9), od.integrate(ls.binval(3), [0.5] * 3, h=0.1, T=1.0), 0.5),
         "n_mismatch_flow": lambda: od.sup_distance(
@@ -472,16 +473,19 @@ def _sup_distance_refusal(case):
 
 
 # each refusal keeps the exception class it had when sup_distance made its own
-# horizon checks; the n mismatch used to reach numpy's broadcasting error
+# horizon checks, but an infinite horizon, which the one horizon reader
+# refuses before any flow is read; the n mismatch used to reach numpy's
+# broadcasting error
 _SUP_DISTANCE_REFUSALS = [
     ("short_run", HorizonError, "0.25"),
     ("short_flow_a", HorizonError, "ends at 0.5 < T=0.8"),
     ("short_flow_b", HorizonError, "ends at 0.5 < T=0.8"),
     ("short_flow_b_against_a_run", HorizonError, "ends at 0.5 < T=0.8"),
-    ("nan_T", DomainError, "horizon must be nonnegative, got nan"),
-    ("nan_T_run", DomainError, "horizon must be nonnegative, got nan"),
-    ("negative_T", DomainError, "horizon must be nonnegative, got -1.0"),
-    ("negative_T_run", DomainError, "horizon must be nonnegative, got -1.0"),
+    ("nan_T", DomainError, "horizon must be finite and nonnegative, got nan"),
+    ("nan_T_run", DomainError, "horizon must be finite and nonnegative, got nan"),
+    ("negative_T", DomainError, "horizon must be finite and nonnegative, got -1.0"),
+    ("negative_T_run", DomainError, "horizon must be finite and nonnegative, got -1.0"),
+    ("inf_T", DomainError, "horizon must be finite and nonnegative, got inf"),
     ("n_mismatch_run", DimensionError, "n=2 and n=3"),
     ("n_mismatch_flow", DimensionError, "n=2 and n=3"),
 ]
